@@ -14,7 +14,7 @@ try:
     def _jit(fn):
         return njit(cache=True)(fn)
 
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:
 
     def _jit(fn):
         return fn
@@ -61,19 +61,7 @@ def bisect_bracket(diag, offsq, index, lo, hi, rel_tol, lam_floor, subst):
             scale = lam_floor
         if hi - lo <= rel_tol * scale:
             break
-        count = 0
-        d = diag[0] - mid
-        if d == 0.0:
-            d = subst
-        if d < 0.0:
-            count += 1
-        for i in range(1, diag.shape[0]):
-            d = (diag[i] - mid) - offsq[i - 1] / d
-            if d == 0.0:
-                d = subst
-            if d < 0.0:
-                count += 1
-        if count >= index + 1:
+        if sturm_count(diag, offsq, mid, subst) >= index + 1:
             hi = mid
         else:
             lo = mid

@@ -29,6 +29,7 @@ from .operators import (
     assemble_hamiltonian,
     build_path,
     rayleigh_quotient,
+    support_span,
 )
 
 __all__ = [
@@ -58,17 +59,6 @@ _SLACK = 1e-12
 _NORM_GUARD = 1e-10
 
 
-def _require_sides(k: int, potential: Potential) -> tuple[int, int]:
-    if potential.is_empty:
-        raise ValueError("bound evaluation requires a non-empty potential")
-    rmin, rmax = potential.site_min, potential.site_max
-    if k + rmin < 1 or k - rmax < 1:
-        raise ValueError(
-            f"support {rmin}..{rmax} leaves an empty side sub-path at k = {k}"
-        )
-    return rmin, rmax
-
-
 @dataclass(frozen=True)
 class SideCorrections:
     """Half-mass deficits of the ground state left/right of the support."""
@@ -95,8 +85,6 @@ class TrialState:
     epsilon: float
     floor_energy: float
     floor_amplitude: float
-    norm_left: float
-    norm_right: float
     mixing: float
     piece_sum: float
     vector: np.ndarray = field(repr=False)
@@ -187,7 +175,7 @@ def compute_side_corrections(
     ``phi`` must be the positive normalized ground state for (k, potential);
     the sums run from the boundary up to and including the support edge.
     """
-    rmin, rmax = _require_sides(k, potential)
+    rmin, rmax = support_span(k, potential)
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (2 * k + 1,):
         raise ValueError(f"ground state has length {phi.shape}, expected {2 * k + 1}")
@@ -204,7 +192,7 @@ def ground_energy_lower_bound(
     side: SideCorrections, k: int, potential: Potential
 ) -> float:
     """(1/2 - left) * side energy left + (1/2 - right) * side energy right."""
-    rmin, rmax = _require_sides(k, potential)
+    rmin, rmax = support_span(k, potential)
     return (0.5 - side.left) * dirichlet_ground_energy(k + rmin) + (
         0.5 - side.right
     ) * dirichlet_ground_energy(k - rmax)
@@ -214,7 +202,7 @@ def side_correction_product(
     side: SideCorrections, potential: Potential, k: int
 ) -> float:
     """(left + right) * smallest strength * k; bounded above over sweeps."""
-    _require_sides(k, potential)
+    support_span(k, potential)
     return side.total * potential.strength_min * k
 
 
@@ -225,7 +213,7 @@ def cosine_pieces(k: int, potential: Potential) -> tuple[np.ndarray, np.ndarray]
     site at the support edge (where it vanishes), scaled by direct summation
     to squared norm 1/2, and zero outside its side.
     """
-    rmin, rmax = _require_sides(k, potential)
+    rmin, rmax = support_span(k, potential)
     n = 2 * k + 1
     left = np.zeros(n)
     right = np.zeros(n)
@@ -254,7 +242,7 @@ def build_trial_state(k: int, potential: Potential, epsilon: float = 1.0) -> Tri
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    rmin, rmax = _require_sides(k, potential)
+    support_span(k, potential)
     n = 2 * k + 1
 
     floor_energy = dirichlet_ground_energy(k) / (2.0 + epsilon)
@@ -279,16 +267,10 @@ def build_trial_state(k: int, potential: Potential, epsilon: float = 1.0) -> Tri
             f"mixing weight (k = {k})"
         )
     vector.flags.writeable = False
-
-    # A = 2 * sum cos^2 over each side, recovered from the stored pieces
-    norm_left = 2.0 * float(np.dot(left, left))  # == 1 by construction
-    m_left, m_right = k + rmin, k - rmax
     return TrialState(
         epsilon=float(epsilon),
         floor_energy=floor_energy,
         floor_amplitude=amp,
-        norm_left=(2 * m_left + 1) / 2.0 * norm_left,
-        norm_right=(2 * m_right + 1) / 2.0 * (2.0 * float(np.dot(right, right))),
         mixing=mixing,
         piece_sum=piece_sum,
         vector=vector,
@@ -299,7 +281,7 @@ def ground_energy_upper_bound(
     trial: TrialState, k: int, potential: Potential
 ) -> float:
     """(1-b)/2 * (sum of the two side energies) + b * floor energy."""
-    rmin, rmax = _require_sides(k, potential)
+    rmin, rmax = support_span(k, potential)
     b = trial.mixing
     return 0.5 * (1.0 - b) * (
         dirichlet_ground_energy(k + rmin) + dirichlet_ground_energy(k - rmax)
@@ -308,14 +290,14 @@ def ground_energy_upper_bound(
 
 def mixing_weight_product(trial: TrialState, potential: Potential, k: int) -> float:
     """mixing * total strength * k; bounded below over sweeps."""
-    _require_sides(k, potential)
+    support_span(k, potential)
     return trial.mixing * potential.strength_sum * k
 
 
 def excited_energy_bounds(k: int, potential: Potential) -> tuple[float, float]:
     """Sandwich for the first excited energy: Dirichlet energy of the full
     path below, the larger of the two side energies above."""
-    rmin, rmax = _require_sides(k, potential)
+    rmin, rmax = support_span(k, potential)
     lower = dirichlet_ground_energy(k)
     upper = max(
         dirichlet_ground_energy(k + rmin), dirichlet_ground_energy(k - rmax)
@@ -373,7 +355,7 @@ def evaluate_bounds(
     only holds asymptotically, so below ``k_min`` it is evaluated but marked
     non-applicable.
     """
-    rmin, rmax = _require_sides(k, potential)
+    rmin, rmax = support_span(k, potential)
     if result.lambda1 is None or result.gap is None:
         raise ValueError("bounds need both low eigenvalues; use spectrum_low()")
     phi = np.asarray(result.ground_state, dtype=float)

@@ -56,14 +56,14 @@ class RunConfig:
 
 def parse_potential_spec(s: str) -> Potential:
     """Parse ``site:strength[,site:strength]*``; ``none`` is the empty
-    baseline.  Errors name the offending token (1-based)."""
+    baseline.  Parse errors name the offending token (1-based);
+    ``build_potential`` then validates the pairs, naming token i as pair i."""
     compact = "".join(s.split())
     if compact.lower() == "none":
         return build_potential([], empty_baseline=True)
     if not compact:
         raise ValueError("empty potential spec (use 'none' for the free baseline)")
     pairs: list[tuple[int, float]] = []
-    seen: set[int] = set()
     for i, token in enumerate(compact.split(","), start=1):
         parts = token.split(":")
         if len(parts) != 2:
@@ -76,11 +76,6 @@ def parse_potential_spec(s: str) -> Potential:
             strength = float(parts[1])
         except ValueError:
             raise ValueError(f"bad strength at token {i} ({parts[1]!r})") from None
-        if not math.isfinite(strength) or strength <= 0:
-            raise ValueError(f"non-positive strength at token {i}")
-        if site in seen:
-            raise ValueError(f"duplicate site {site} at token {i}")
-        seen.add(site)
         pairs.append((site, strength))
     return build_potential(pairs)
 
@@ -249,6 +244,8 @@ def _cmd_verify_bounds(cfg: RunConfig) -> int:
     grid = cfg.k_grid if cfg.k_grid is not None else ([cfg.k] if cfg.k else None)
     if not grid:
         raise ValueError("verify-bounds requires --k-grid or --k")
+    if not (math.isfinite(cfg.epsilon) and cfg.epsilon > 0):
+        raise ValueError(f"--epsilon must be finite and positive, got {cfg.epsilon}")
     potential = parse_potential_spec(cfg.potential_spec)
     if potential.is_empty:
         raise ValueError("verify-bounds needs a non-empty potential")
@@ -318,7 +315,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alphas", default=None, metavar="A,B,C",
                    help="comma-separated strength scale factors")
     p.add_argument("--epsilon", type=float, default=1.0,
-                   help="trial-state floor parameter (default 1)")
+                   help="trial-state floor parameter, finite and > 0 (default 1)")
     p.add_argument("--k-min", type=int, default=10,
                    help="threshold for asymptotic-only checks (default 10)")
     p.add_argument("--out", default=None, metavar="PATH",

@@ -12,6 +12,7 @@ operation is a pure function.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "TridiagonalOperator",
     "build_path",
     "build_potential",
+    "support_span",
     "assemble_hamiltonian",
     "apply_operator",
     "quadratic_form",
@@ -51,7 +53,7 @@ class PathGraph:
 
 @dataclass(frozen=True)
 class Potential:
-    """Finite map site -> strength with all strengths > 0.
+    """Finite map site -> strength with all strengths finite and > 0.
 
     The empty potential (free Laplacian baseline) is only available through
     ``build_potential([], empty_baseline=True)``; bound evaluations reject it.
@@ -101,12 +103,11 @@ class Potential:
         return 0.0
 
     def scaled(self, factor: float) -> "Potential":
-        """Potential with every strength multiplied by ``factor`` > 0."""
+        """Potential with every strength multiplied by ``factor``; the
+        scaled strengths are validated by ``build_potential``."""
         if self.is_empty:
             raise ValueError("cannot scale the empty baseline potential")
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return Potential(tuple((s, a * factor) for s, a in self.entries))
+        return build_potential([(s, a * factor) for s, a in self.entries])
 
     def spec_string(self) -> str:
         """Inverse of the CLI spec syntax, ``none`` for the empty baseline."""
@@ -161,8 +162,10 @@ def build_potential(
 ) -> Potential:
     """Potential from (site, strength) pairs.
 
-    Strengths must be strictly positive and sites pairwise distinct.  An
-    empty list is only accepted with ``empty_baseline=True`` (free Laplacian).
+    The one validator of potentials: sites must be pairwise distinct
+    integers and strengths finite and strictly positive; errors name the
+    offending pair by its 1-based position.  An empty list is only accepted
+    with ``empty_baseline=True`` (free Laplacian).
     """
     pairs = list(pairs)
     if not pairs:
@@ -170,37 +173,52 @@ def build_potential(
             raise ValueError("empty potential requires empty_baseline=True")
         return Potential(())
     seen: set[int] = set()
-    for site, strength in pairs:
+    for i, (site, strength) in enumerate(pairs, start=1):
         if int(site) != site:
-            raise ValueError(f"site {site!r} is not an integer")
+            raise ValueError(f"pair {i}: site {site!r} is not an integer")
         if site in seen:
-            raise ValueError(f"duplicate site {site}")
+            raise ValueError(f"pair {i}: duplicate site {site}")
         seen.add(int(site))
-        if not strength > 0:
-            raise ValueError(f"non-positive strength {strength} at site {site}")
+        if not math.isfinite(strength):
+            raise ValueError(f"pair {i}: non-finite strength {strength} at site {site}")
+        if strength <= 0:
+            raise ValueError(
+                f"pair {i}: non-positive strength {strength} at site {site}"
+            )
     entries = tuple(sorted((int(s), float(a)) for s, a in pairs))
     return Potential(entries)
+
+
+def support_span(k: int, potential: Potential) -> tuple[int, int]:
+    """(site_min, site_max) of a non-empty potential on the path -k..k.
+
+    The support must leave a non-empty sub-path on each side:
+    k + site_min >= 1 and k - site_max >= 1 (required by the bound
+    evaluations); raises ValueError otherwise.
+    """
+    if potential.is_empty:
+        raise ValueError("the empty baseline has no support; need a non-empty potential")
+    rmin, rmax = potential.site_min, potential.site_max
+    if rmin < -k or rmax > k:
+        raise ValueError(
+            f"potential sites {rmin}..{rmax} outside vertex range -{k}..{k}"
+        )
+    if k + rmin < 1 or k - rmax < 1:
+        raise ValueError(
+            f"potential support {rmin}..{rmax} leaves an empty side sub-path "
+            f"(need k + site_min >= 1 and k - site_max >= 1, k = {k})"
+        )
+    return rmin, rmax
 
 
 def assemble_hamiltonian(graph: PathGraph, potential: Potential) -> TridiagonalOperator:
     """Tridiagonal operator diag(v) = degree(v) + strength(v), offdiag = -1.
 
-    For non-empty potentials the support must leave a non-empty sub-path on
-    each side: k + site_min >= 1 and k - site_max >= 1 (required downstream
-    by the bound evaluations).
+    A non-empty potential must pass ``support_span``.
     """
     k, n = graph.k, graph.n
     if not potential.is_empty:
-        rmin, rmax = potential.site_min, potential.site_max
-        if rmin < -k or rmax > k:
-            raise ValueError(
-                f"potential sites {rmin}..{rmax} outside vertex range -{k}..{k}"
-            )
-        if k + rmin < 1 or k - rmax < 1:
-            raise ValueError(
-                f"potential support {rmin}..{rmax} leaves an empty side sub-path "
-                f"(need k + site_min >= 1 and k - site_max >= 1, k = {k})"
-            )
+        support_span(k, potential)
     diag = np.full(n, 2.0)
     diag[0] = diag[-1] = 1.0
     for site, strength in potential.entries:

@@ -10,7 +10,7 @@ axes, and evaluates the cubic band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -235,20 +235,15 @@ def cubic_band_check(
     pot = series.potential
     if pot is None or pot.is_empty:
         raise ValueError("cubic band check requires a non-empty potential")
-    pts = _usable(series)
-    if len(pts) < 3:
-        raise ValueError(f"cubic band check needs >= 3 usable points, have {len(pts)}")
     fit = fit_power_law(series, band_k_min=band_k_min)
+    pts = _usable(series)
     band_min, band_max = _band(pts, 3, band_k_min)
-    fit = ScalingFit(
-        exponent=fit.exponent,
-        prefactor=fit.prefactor,
-        r_squared=fit.r_squared,
+    fit = replace(
+        fit,
         band_min=band_min,
         band_max=band_max,
         band_ratio=band_max / band_min,
         band_power=3,
-        points_excluded=fit.points_excluded,
     )
     if pot.sites == (0,):
         applicable = True

@@ -118,11 +118,16 @@ class TestCosinePieces:
 
     def test_normalizers_match_closed_form(self):
         # sum of cos^2((i+1/2) pi/(2m+1)) over i=0..m equals (2m+1)/4,
-        # hence each normalizer equals (2m+1)/2
+        # hence each piece is its raw cosine over sqrt((2m+1)/2)
+        k = 10
         pot = build_potential([(-2, 5.0), (3, 7.0)])
-        trial = build_trial_state(10, pot, 1.0)
-        assert trial.norm_left == pytest.approx((2 * 8 + 1) / 2.0, abs=1e-10)
-        assert trial.norm_right == pytest.approx((2 * 7 + 1) / 2.0, abs=1e-10)
+        left, right = cosine_pieces(k, pot)
+        # i counts sites away from the path end: left from -k, right from k
+        for piece, m in ((left[: k - 2 + 1], k - 2), (right[3 + k :][::-1], k - 3)):
+            raw = np.cos((np.arange(m + 1) + 0.5) * math.pi / (2 * m + 1))
+            np.testing.assert_allclose(
+                piece, raw / math.sqrt((2 * m + 1) / 2.0), rtol=0, atol=1e-12
+            )
 
     def test_piece_sum_matches_closed_form(self):
         # sum of cos((i+1/2) x), x = pi/(2m+1), equals cot(x/2)/2

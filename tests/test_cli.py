@@ -1,11 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from pathgap import fit_power_law, gap_series, geometric_grid
 from pathgap.cli import main, parse_k_grid, parse_potential_spec, to_json
 from pathgap.operators import build_potential
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 class TestParsePotentialSpec:
@@ -23,10 +26,13 @@ class TestParsePotentialSpec:
         assert parse_potential_spec(" NONE ").is_empty
 
     def test_nonpositive_strength_names_token(self):
-        with pytest.raises(ValueError, match="non-positive strength at token 1"):
+        # build_potential names token i of the spec as pair i
+        with pytest.raises(ValueError, match="pair 1: non-positive strength"):
             parse_potential_spec("0:0")
-        with pytest.raises(ValueError, match="non-positive strength at token 2"):
+        with pytest.raises(ValueError, match="pair 2: non-positive strength"):
             parse_potential_spec("0:1,-1:-3")
+        with pytest.raises(ValueError, match="pair 2: non-finite strength"):
+            parse_potential_spec("0:1,-1:inf")
 
     def test_malformed_token(self):
         with pytest.raises(ValueError, match="malformed token 1"):
@@ -37,7 +43,7 @@ class TestParsePotentialSpec:
             parse_potential_spec("0:1,1:y")
 
     def test_duplicate_site(self):
-        with pytest.raises(ValueError, match="duplicate site 0 at token 2"):
+        with pytest.raises(ValueError, match="pair 2: duplicate site 0"):
             parse_potential_spec("0:1,0:2")
 
     def test_empty_string(self):
@@ -175,6 +181,11 @@ class TestCommands:
     def test_bad_potential_exits_two(self, capsys):
         assert main(["spectrum", "--k", "5", "--potential", "0:-1"]) == 2
         assert "pathgap:" in capsys.readouterr().err
+        for epsilon in ("nan", "inf", "0", "-1"):
+            code = main(["verify-bounds", "--potential", "0:1", "--k", "20",
+                         "--epsilon", epsilon, "--no-timestamp"])
+            assert code == 2, epsilon
+            assert "--epsilon must be finite and positive" in capsys.readouterr().err
 
 
 class TestFitCommand:
@@ -212,3 +223,37 @@ class TestDeterminism:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_golden_bytes(self, tmp_path):
+        """Output matches the committed files in tests/data/golden byte for byte.
+
+        The files were written from the repository root by::
+
+            pathgap spectrum --k 20 --potential 0:1 --format json \\
+                --no-timestamp --out tests/data/golden/spectrum.json
+            pathgap gap-scan --potential 0:1 --k-grid 20:80:geometric:4 \\
+                --no-timestamp --out tests/data/golden/gap-scan.csv
+            pathgap fit tests/data/golden/gap-scan.csv \\
+                --no-timestamp --out tests/data/golden/fit.json
+            pathgap alpha-scan --potential 0:1 --k 30 --alphas 0.5,1,4 \\
+                --no-timestamp --out tests/data/golden/alpha-scan.csv
+            pathgap verify-bounds --potential=-2:5,3:7 --k-grid 50:100:linear:2 \\
+                --no-timestamp --out tests/data/golden/verify-bounds.json
+
+        Regenerate them only for an intended change of the output, and say so.
+        """
+        cases = {
+            "spectrum.json": ["spectrum", "--k", "20", "--potential", "0:1",
+                              "--format", "json"],
+            "gap-scan.csv": ["gap-scan", "--potential", "0:1", "--k-grid",
+                             "20:80:geometric:4"],
+            "fit.json": ["fit", str(GOLDEN / "gap-scan.csv")],
+            "alpha-scan.csv": ["alpha-scan", "--potential", "0:1", "--k", "30",
+                               "--alphas", "0.5,1,4"],
+            "verify-bounds.json": ["verify-bounds", "--potential=-2:5,3:7",
+                                   "--k-grid", "50:100:linear:2"],
+        }
+        for name, args in cases.items():
+            out = tmp_path / name
+            assert main(args + ["--no-timestamp", "--out", str(out)]) == 0, name
+            assert out.read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -56,14 +56,32 @@ class TestBuildPotential:
         assert p.strength_sum == 7.0
 
     def test_nonpositive_strength(self):
-        with pytest.raises(ValueError, match="non-positive strength"):
-            build_potential([(0, -1.0)])
-        with pytest.raises(ValueError, match="non-positive strength"):
-            build_potential([(0, 0.0)])
+        # errors name the offending pair by its 1-based position
+        for pairs, message in (
+            ([(0, -1.0)], "pair 1: non-positive strength"),
+            ([(0, 0.0)], "pair 1: non-positive strength"),
+            ([(1, 2.0), (0, -3.0)], "pair 2: non-positive strength"),
+            ([(0, math.inf)], "pair 1: non-finite strength"),
+            ([(0, -math.inf)], "pair 1: non-finite strength"),
+            ([(1, 2.0), (0, math.nan)], "pair 2: non-finite strength"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build_potential(pairs)
 
     def test_duplicate_site(self):
-        with pytest.raises(ValueError, match="duplicate site"):
-            build_potential([(0, 1.0), (0, 2.0)])
+        for pairs, message in (
+            ([(0, 1.0), (0, 2.0)], "pair 2: duplicate site 0"),
+            ([(-1, 1.0), (2, 1.0), (-1, 3.0)], "pair 3: duplicate site -1"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build_potential(pairs)
+
+    def test_scaled_strengths_are_validated(self):
+        p = build_potential([(0, 1.5)])
+        assert p.scaled(2.0).entries == ((0, 3.0),)
+        for factor in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="pair 1: non-"):
+                p.scaled(factor)
 
     def test_empty_needs_flag(self):
         with pytest.raises(ValueError):
