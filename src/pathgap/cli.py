@@ -4,9 +4,13 @@ Commands::
 
     spectrum       two lowest eigenvalues, gap, and ground-state summary
     gap-scan       gap sweep over a k grid, CSV (or JSON)
-    alpha-scan     gap at fixed k for a list of strength scale factors
+    alpha-scan     gap at fixed k for a list of strength scale factors, CSV
     verify-bounds  evaluate every analytic bound over a grid, JSON report
     fit            power-law fit of a gap-scan CSV, JSON
+
+Each command takes only the options its handler reads (``_COMMANDS``), plus
+``--out`` and ``--no-timestamp``; any other option, or an abbreviated one,
+exits 2.
 
 Exit codes: 0 success / all applicable checks hold, 1 a bound check failed,
 2 input or parse error, 3 numerical non-convergence.
@@ -16,13 +20,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .bounds import evaluate_bounds
-from .eigensolver import ConvergenceError, PositivityError, spectrum_low
+from .eigensolver import DEFAULT_REL_TOL, ConvergenceError, PositivityError, spectrum_low
 from .operators import Potential, assemble_hamiltonian, build_path, build_potential
 from .scaling import (
     GapSeries,
@@ -34,24 +37,7 @@ from .scaling import (
     series_to_csv,
 )
 
-__all__ = ["RunConfig", "parse_potential_spec", "parse_k_grid", "run", "main"]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    potential_spec: str = "none"
-    k: int | None = None
-    k_grid: list[int] | None = None
-    alphas: list[float] | None = None
-    epsilon: float = 1.0
-    k_min: int = 10
-    out: str | None = None
-    fmt: str = "csv"
-    timestamp: bool = True
-    rel_tol: float = 1e-14
-    band_k_min: int = 100
-    input_path: str | None = None
+__all__ = ["parse_potential_spec", "parse_k_grid", "main"]
 
 
 def parse_potential_spec(s: str) -> Potential:
@@ -147,16 +133,24 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    if cfg.k is None:
+def _emit_json(payload: dict, args: argparse.Namespace) -> None:
+    """JSON report to ``--out``, led by a "generated" field unless
+    ``--no-timestamp``."""
+    if args.timestamp:
+        payload = {"generated": _now(), **payload}
+    _emit(to_json(payload) + "\n", args.out)
+
+
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.k is None:
         raise ValueError("spectrum requires --k")
-    potential = parse_potential_spec(cfg.potential_spec)
-    op = assemble_hamiltonian(build_path(cfg.k), potential)
-    res = spectrum_low(op, rel_tol=cfg.rel_tol)
+    potential = parse_potential_spec(args.potential)
+    op = assemble_hamiltonian(build_path(args.k), potential)
+    res = spectrum_low(op, rel_tol=args.rel_tol)
     phi = res.ground_state
     n = op.n
     payload = {
-        "k": cfg.k,
+        "k": args.k,
         "n": n,
         "potential": potential.spec_string(),
         "lambda0": res.lambda0,
@@ -167,22 +161,23 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
         "precision_limited": res.precision_limited,
         "ground_state_min": float(np.min(phi)),
         "ground_state_max": float(np.max(phi)),
-        "ground_state_at_origin": float(phi[cfg.k]),
+        "ground_state_at_origin": float(phi[args.k]),
     }
-    if cfg.fmt == "json":
-        _emit(to_json(payload) + "\n", cfg.out)
+    if args.fmt == "json":
+        _emit(to_json(payload) + "\n", args.out)
     else:
         lines = [f"{key} = {_json_scalar(val)}" for key, val in payload.items()]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _cmd_gap_scan(cfg: RunConfig) -> int:
-    if cfg.k_grid is None:
+def _cmd_gap_scan(args: argparse.Namespace) -> int:
+    if args.k_grid is None:
         raise ValueError("gap-scan requires --k-grid")
-    potential = parse_potential_spec(cfg.potential_spec)
-    series = gap_series(potential, cfg.k_grid)
-    if cfg.fmt == "json":
+    k_values = parse_k_grid(args.k_grid)
+    potential = parse_potential_spec(args.potential)
+    series = gap_series(potential, k_values, rel_tol=args.rel_tol)
+    if args.fmt == "json":
         payload = {
             "potential": potential.spec_string(),
             "points": [
@@ -197,136 +192,114 @@ def _cmd_gap_scan(cfg: RunConfig) -> int:
                 for pt in series.points
             ],
         }
-        if cfg.timestamp:
-            payload = {"generated": _now(), **payload}
-        _emit(to_json(payload) + "\n", cfg.out)
+        _emit_json(payload, args)
     else:
-        _emit(series_to_csv(series, _now() if cfg.timestamp else None), cfg.out)
+        _emit(series_to_csv(series, _now() if args.timestamp else None), args.out)
     return 0
 
 
-def _cmd_alpha_scan(cfg: RunConfig) -> int:
-    if cfg.k is None:
+def _cmd_alpha_scan(args: argparse.Namespace) -> int:
+    if args.k is None:
         raise ValueError("alpha-scan requires --k")
-    if not cfg.alphas:
+    if not args.alphas:
         raise ValueError("alpha-scan requires --alphas")
-    base = parse_potential_spec(cfg.potential_spec)
+    alphas = [float(a) for a in args.alphas.split(",")]
+    base = parse_potential_spec(args.potential)
     if base.is_empty:
         raise ValueError("alpha-scan needs a non-empty base potential to scale")
-    n = 2 * cfg.k + 1
-    rows = []
-    for a in cfg.alphas:
-        op = assemble_hamiltonian(build_path(cfg.k), base.scaled(a))
-        res = spectrum_low(op, rel_tol=cfg.rel_tol)
-        rows.append((a, res.gap, a * n**3 * res.gap, res.precision_limited))
+    n = 2 * args.k + 1
     lines = []
-    if cfg.timestamp:
+    if args.timestamp:
         lines.append(f"# generated {_now()}")
     lines.append("alpha,k,n,gap,alpha_n3_gap,precision_limited")
-    for a, gap, scaled, flag in rows:
-        lines.append(
-            ",".join(
-                [
-                    format(a, ".17g"),
-                    str(cfg.k),
-                    str(n),
-                    format(gap, ".17g"),
-                    format(scaled, ".17g"),
-                    "true" if flag else "false",
-                ]
-            )
-        )
-    _emit("\n".join(lines) + "\n", cfg.out)
+    for a in alphas:
+        op = assemble_hamiltonian(build_path(args.k), base.scaled(a))
+        res = spectrum_low(op, rel_tol=args.rel_tol)
+        row = (a, args.k, n, res.gap, a * n**3 * res.gap, res.precision_limited)
+        lines.append(",".join(_json_scalar(v) for v in row))
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _cmd_verify_bounds(cfg: RunConfig) -> int:
-    grid = cfg.k_grid if cfg.k_grid is not None else ([cfg.k] if cfg.k else None)
-    if not grid:
+def _cmd_verify_bounds(args: argparse.Namespace) -> int:
+    if args.k_grid is not None:
+        grid = parse_k_grid(args.k_grid)
+    elif args.k is not None:
+        grid = [args.k]
+    else:
         raise ValueError("verify-bounds requires --k-grid or --k")
-    if not (math.isfinite(cfg.epsilon) and cfg.epsilon > 0):
-        raise ValueError(f"--epsilon must be finite and positive, got {cfg.epsilon}")
-    potential = parse_potential_spec(cfg.potential_spec)
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        raise ValueError(f"--epsilon must be finite and positive, got {args.epsilon}")
+    potential = parse_potential_spec(args.potential)
     if potential.is_empty:
         raise ValueError("verify-bounds needs a non-empty potential")
     reports = []
     for k in grid:
         op = assemble_hamiltonian(build_path(k), potential)
-        res = spectrum_low(op, rel_tol=cfg.rel_tol)
-        reports.append(evaluate_bounds(k, potential, res, cfg.epsilon, cfg.k_min))
+        res = spectrum_low(op, rel_tol=args.rel_tol)
+        reports.append(evaluate_bounds(k, potential, res, args.epsilon, args.k_min))
     all_hold = all(rep.all_hold for rep in reports)
     payload = {
         "potential": potential.spec_string(),
-        "epsilon": cfg.epsilon,
-        "k_min": cfg.k_min,
+        "epsilon": args.epsilon,
+        "k_min": args.k_min,
         "all_hold": all_hold,
         "points": [rep.to_dict() for rep in reports],
     }
-    if cfg.timestamp:
-        payload = {"generated": _now(), **payload}
-    _emit(to_json(payload) + "\n", cfg.out)
+    _emit_json(payload, args)
     return 0 if all_hold else 1
 
 
-def _cmd_fit(cfg: RunConfig) -> int:
-    if not cfg.input_path:
-        raise ValueError("fit requires a gap-scan CSV path")
-    if cfg.input_path == "-":
+def _cmd_fit(args: argparse.Namespace) -> int:
+    if args.input == "-":
         text = sys.stdin.read()
     else:
         try:
-            with open(cfg.input_path) as fh:
+            with open(args.input) as fh:
                 text = fh.read()
         except OSError as err:
-            raise ValueError(f"cannot read {cfg.input_path}: {err}") from None
+            raise ValueError(f"cannot read {args.input}: {err}") from None
     series: GapSeries = series_from_csv(text)
-    fit = fit_power_law(series, band_k_min=cfg.band_k_min)
+    fit = fit_power_law(series, band_k_min=args.band_k_min)
     payload = fit.to_dict()
     payload["points_used"] = len(series.points) - fit.points_excluded
-    if cfg.timestamp:
-        payload = {"generated": _now(), **payload}
-    _emit(to_json(payload) + "\n", cfg.out)
+    _emit_json(payload, args)
     return 0
 
 
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "gap-scan": _cmd_gap_scan,
-    "alpha-scan": _cmd_alpha_scan,
-    "verify-bounds": _cmd_verify_bounds,
-    "fit": _cmd_fit,
+_OPTIONS = {
+    "input": dict(metavar="CSV", help="gap-scan CSV path or -"),
+    "--potential": dict(
+        default="none", metavar="SPEC",
+        help="site:strength[,site:strength]* or 'none'; use --potential=SPEC "
+             "when SPEC starts with a negative site"),
+    "--k": dict(type=int, default=None, help="half-width of the path"),
+    "--k-grid": dict(default=None, metavar="MIN:MAX:KIND:COUNT",
+                     help="k sweep, KIND is geometric or linear"),
+    "--alphas": dict(default=None, metavar="A,B,C",
+                     help="comma-separated strength scale factors"),
+    "--epsilon": dict(type=float, default=1.0,
+                      help="trial-state floor parameter, finite and > 0 (default 1)"),
+    "--k-min": dict(type=int, default=10,
+                    help="threshold for asymptotic-only checks (default 10)"),
+    "--format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
+    "--tol": dict(dest="rel_tol", type=float, default=DEFAULT_REL_TOL, metavar="REL",
+                  help="relative bisection tolerance, finite and > 0 (default 1e-14)"),
+    "--band-k-min": dict(type=int, default=100,
+                         help="smallest k entering band statistics (default 100)"),
 }
 
-
-def run(config: RunConfig) -> int:
-    """Execute one validated configuration; returns the process exit code."""
-    if config.command not in _COMMANDS:
-        raise ValueError(f"unknown command {config.command!r}")
-    return _COMMANDS[config.command](config)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--potential", default="none", metavar="SPEC",
-                   help="site:strength[,site:strength]* or 'none'; use "
-                        "--potential=SPEC when SPEC starts with a negative site")
-    p.add_argument("--k", type=int, default=None, help="half-width of the path")
-    p.add_argument("--k-grid", default=None, metavar="MIN:MAX:KIND:COUNT",
-                   help="k sweep, KIND is geometric or linear")
-    p.add_argument("--alphas", default=None, metavar="A,B,C",
-                   help="comma-separated strength scale factors")
-    p.add_argument("--epsilon", type=float, default=1.0,
-                   help="trial-state floor parameter, finite and > 0 (default 1)")
-    p.add_argument("--k-min", type=int, default=10,
-                   help="threshold for asymptotic-only checks (default 10)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="output file (default stdout)")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    p.add_argument("--no-timestamp", dest="timestamp", action="store_false",
-                   help="omit the timestamp line/field for reproducible bytes")
-    p.add_argument("--tol", dest="rel_tol", type=float, default=1e-14, metavar="REL",
-                   help="relative bisection tolerance (default 1e-14)")
-    p.add_argument("--band-k-min", type=int, default=100,
-                   help="smallest k entering band statistics (default 100)")
+_COMMANDS = (
+    ("spectrum", _cmd_spectrum, "two lowest eigenvalues and gap at one (k, potential)",
+     ("--potential", "--k", "--format", "--tol")),
+    ("gap-scan", _cmd_gap_scan, "gap sweep over a k grid",
+     ("--potential", "--k-grid", "--format", "--tol")),
+    ("alpha-scan", _cmd_alpha_scan, "gap at fixed k across strength scale factors",
+     ("--potential", "--k", "--alphas", "--tol")),
+    ("verify-bounds", _cmd_verify_bounds, "evaluate all analytic bounds over a grid",
+     ("--potential", "--k", "--k-grid", "--epsilon", "--k-min", "--tol")),
+    ("fit", _cmd_fit, "power-law fit of a gap-scan CSV", ("input", "--band-k-min")),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -335,39 +308,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral gaps of discrete Schrodinger operators on path graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "two lowest eigenvalues and gap at one (k, potential)"),
-        ("gap-scan", "gap sweep over a k grid"),
-        ("alpha-scan", "gap at fixed k across strength scale factors"),
-        ("verify-bounds", "evaluate all analytic bounds over a grid"),
-        ("fit", "power-law fit of a gap-scan CSV"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "fit":
-            p.add_argument("input", metavar="CSV", help="gap-scan CSV path or -")
+    for name, handler, help_text, options in _COMMANDS:
+        # no abbreviations: one would let gap-scan take --k as --k-grid
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.add_argument("--out", default=None, metavar="PATH",
+                       help="output file (default stdout)")
+        p.add_argument("--no-timestamp", dest="timestamp", action="store_false",
+                       help="omit the timestamp line/field for reproducible bytes")
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            potential_spec=args.potential,
-            k=args.k,
-            k_grid=parse_k_grid(args.k_grid) if args.k_grid else None,
-            alphas=[float(a) for a in args.alphas.split(",")] if args.alphas else None,
-            epsilon=args.epsilon,
-            k_min=args.k_min,
-            out=args.out,
-            fmt=args.fmt,
-            timestamp=args.timestamp,
-            rel_tol=args.rel_tol,
-            band_k_min=args.band_k_min,
-            input_path=getattr(args, "input", None),
-        )
-        return run(cfg)
+        return args.handler(args)
     except (ConvergenceError, PositivityError) as err:
         print(f"pathgap: numerical failure: {err}", file=sys.stderr)
         return 3

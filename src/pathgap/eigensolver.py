@@ -91,8 +91,8 @@ def _eigenvalue_bracket(
     n = op.n
     if not 0 <= index <= n - 1:
         raise ValueError(f"eigenvalue index {index} out of range 0..{n - 1}")
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     subst = EPS * _pivot_scale(op)
     lo, hi = _kernels.bisect_bracket(
         op.diag, _offsq(op), index, 0.0, op.norm_bound, rel_tol, LAMBDA_FLOOR, subst

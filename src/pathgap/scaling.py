@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .eigensolver import (
+    DEFAULT_REL_TOL,
     ConvergenceError,
     PositivityError,
     dirichlet_ground_energy,
@@ -117,8 +118,11 @@ def _check_grid(lo: int, hi: int, count: int) -> None:
         raise ValueError(f"grid needs count >= 1, got {count}")
 
 
-def gap_series(potential: Potential, k_values: list[int]) -> GapSeries:
-    """spectrum_low over the given k values (sorted, duplicates rejected).
+def gap_series(
+    potential: Potential, k_values: list[int], rel_tol: float = DEFAULT_REL_TOL
+) -> GapSeries:
+    """spectrum_low at ``rel_tol`` over the given k values (sorted,
+    duplicates rejected).
 
     A failure at any point aborts the sweep, naming the offending k.
     """
@@ -129,7 +133,7 @@ def gap_series(potential: Potential, k_values: list[int]) -> GapSeries:
     for k in ks:
         op = assemble_hamiltonian(build_path(k), potential)
         try:
-            res = spectrum_low(op)
+            res = spectrum_low(op, rel_tol=rel_tol)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"gap sweep aborted at k = {k}: {err}", err.residual

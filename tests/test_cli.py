@@ -187,6 +187,52 @@ class TestCommands:
             assert code == 2, epsilon
             assert "--epsilon must be finite and positive" in capsys.readouterr().err
 
+    def test_gap_scan_passes_tol_to_the_solver(self, capsys):
+        assert main(["spectrum", "--k", "20", "--potential", "0:1", "--tol", "1e-8"]) == 0
+        spectrum = capsys.readouterr().out
+        lambda0 = next(line.split(" = ")[1] for line in spectrum.splitlines()
+                       if line.startswith("lambda0 ="))
+        assert main(["gap-scan", "--potential", "0:1", "--k-grid", "20:20:linear:1",
+                     "--tol", "1e-8", "--no-timestamp"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == "20"
+        assert row[3] == lambda0
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--k", "5", "--potential", "0:1"],
+        ["gap-scan", "--potential", "0:1", "--k-grid", "5:6:linear:2"],
+    ], ids=["spectrum", "gap-scan"])
+    def test_nonfinite_tol_exits_two(self, args, tol, capsys):
+        assert main(args + ["--tol", tol]) == 2
+        assert "rel_tol must be finite and positive" in capsys.readouterr().err
+
+    def test_verify_bounds_k_zero_reaches_build_path(self, capsys):
+        assert main(["verify-bounds", "--potential", "0:1", "--k", "0"]) == 2
+        assert "half-width k must be a positive integer" in capsys.readouterr().err
+
+
+class TestOptionSets:
+    @pytest.mark.parametrize("args", [
+        ["fit", "scan.csv", "--k", "5"],
+        ["fit", "scan.csv", "--tol", "1e-8"],
+        ["alpha-scan", "--potential", "0:1", "--k", "5", "--alphas", "1",
+         "--format", "json"],
+        ["spectrum", "--k", "5", "--alphas", "1"],
+        ["spectrum", "--k", "5", "--epsilon", "2"],
+        ["gap-scan", "--k-grid", "5:6:linear:2", "--epsilon", "2"],
+        ["gap-scan", "--k-grid", "5:6:linear:2", "--band-k-min", "5"],
+        # an abbreviation of --k-grid
+        ["gap-scan", "--k", "20"],
+        ["verify-bounds", "--potential", "0:1", "--k", "5", "--format", "json"],
+        ["verify-bounds", "--potential", "0:1", "--k", "5", "--alphas", "1"],
+    ], ids=lambda args: f"{args[0]}-{args[-2]}")
+    def test_option_the_command_does_not_read_exits_two(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestFitCommand:
     def test_round_trip_matches_in_process(self, tmp_path, capsys):
