@@ -27,6 +27,7 @@ from .eigensolver import (
     SpectralResult,
     dirichlet_ground_energy,
     eigenvalue,
+    eigenvalues_low,
     free_spectrum,
     ground_state,
     spectrum_low,

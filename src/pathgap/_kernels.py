@@ -1,26 +1,20 @@
-"""Compiled inner loops of the tridiagonal eigensolver.
+"""Inner loops of the tridiagonal eigensolver, in plain Python.
 
-Every kernel is a plain Python function JIT-compiled with numba when
-available; without numba the same code runs interpreted (slow but
-identical results, numerics included).
+Every kernel reads its float64 arrays through ``memoryview`` and so
+computes on Python floats: the same IEEE double operations, in the same
+order, as indexing the arrays element by element, at a fraction of the cost
+of numpy scalar arithmetic.  Arrays the kernels return are built with
+``array.array("d")`` and handed out through ``np.frombuffer`` without a
+copy.
 """
 from __future__ import annotations
 
+import math
+from array import array
+
 import numpy as np
 
-try:
-    from numba import njit
 
-    def _jit(fn):
-        return njit(cache=True)(fn)
-
-except ImportError:
-
-    def _jit(fn):
-        return fn
-
-
-@_jit
 def sturm_count(diag, offsq, mu, subst):
     """Number of eigenvalues strictly below mu (signs of the LDL pivots).
 
@@ -29,14 +23,15 @@ def sturm_count(diag, offsq, mu, subst):
     (keeps the count strict and sturm_count(op, 0) == 0 for the singular
     free Laplacian).
     """
+    diag = memoryview(diag)
     count = 0
     d = diag[0] - mu
     if d == 0.0:
         d = subst
     if d < 0.0:
         count += 1
-    for i in range(1, diag.shape[0]):
-        d = (diag[i] - mu) - offsq[i - 1] / d
+    for a, b in zip(diag[1:], memoryview(offsq)):
+        d = (a - mu) - b / d
         if d == 0.0:
             d = subst
         if d < 0.0:
@@ -44,7 +39,6 @@ def sturm_count(diag, offsq, mu, subst):
     return count
 
 
-@_jit
 def bisect_bracket(diag, offsq, index, lo, hi, rel_tol, lam_floor, subst):
     """Shrink [lo, hi] around the index-th eigenvalue.
 
@@ -68,7 +62,6 @@ def bisect_bracket(diag, offsq, index, lo, hi, rel_tol, lam_floor, subst):
     return lo, hi
 
 
-@_jit
 def factor_shifted(diag, off, sigma, pivot_floor):
     """LU factorization (no pivoting) of the shifted matrix H - sigma*I.
 
@@ -76,42 +69,48 @@ def factor_shifted(diag, off, sigma, pivot_floor):
     ``pivot_floor`` is an overflow guard, orders of magnitude below any
     meaningful pivot: pivots below it (notably exact zeros) are replaced by
     +-pivot_floor with their sign kept, so the solve blows up along the
-    wanted near-null direction instead of producing inf/NaN.
+    wanted near-null direction instead of producing inf/NaN.  With
+    ``pivot_floor`` 0 an exact-zero pivot raises ZeroDivisionError.
     """
-    n = diag.shape[0]
-    piv = np.empty(n)
-    mult = np.empty(n - 1)
-    min_abs = np.inf
+    diag = memoryview(diag)
+    piv = array("d")
+    mult = array("d")
+    min_abs = math.inf
     d = diag[0] - sigma
     ad = abs(d)
     if ad < min_abs:
         min_abs = ad
-    if pivot_floor > 0.0 and ad < pivot_floor:
+    if ad < pivot_floor:
         d = pivot_floor if d >= 0.0 else -pivot_floor
-    piv[0] = d
-    for i in range(1, n):
-        m = off[i - 1] / piv[i - 1]
-        mult[i - 1] = m
-        d = (diag[i] - sigma) - m * off[i - 1]
+    piv.append(d)
+    for a, b in zip(diag[1:], memoryview(off)):
+        m = b / d
+        mult.append(m)
+        d = (a - sigma) - m * b
         ad = abs(d)
         if ad < min_abs:
             min_abs = ad
-        if pivot_floor > 0.0 and ad < pivot_floor:
+        if ad < pivot_floor:
             d = pivot_floor if d >= 0.0 else -pivot_floor
-        piv[i] = d
-    return piv, mult, min_abs
+        piv.append(d)
+    return np.frombuffer(piv), np.frombuffer(mult), min_abs
 
 
-@_jit
 def solve_factored(piv, mult, off, rhs):
     """Solve (H - sigma*I) x = rhs given the factor_shifted output."""
-    n = piv.shape[0]
-    y = np.empty(n)
-    y[0] = rhs[0]
-    for i in range(1, n):
-        y[i] = rhs[i] - mult[i - 1] * y[i - 1]
-    x = np.empty(n)
-    x[n - 1] = y[n - 1] / piv[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (y[i] - off[i] * x[i + 1]) / piv[i]
-    return x
+    rhs = memoryview(rhs)
+    y = array("d")
+    yi = rhs[0]
+    y.append(yi)
+    for r, m in zip(rhs[1:], memoryview(mult)):
+        yi = r - m * yi
+        y.append(yi)
+    piv = memoryview(piv)
+    x = array("d")
+    xi = yi / piv[-1]
+    x.append(xi)
+    for yi, o, p in zip(memoryview(y)[-2::-1], memoryview(off)[::-1], piv[-2::-1]):
+        xi = (yi - o * xi) / p
+        x.append(xi)
+    x.reverse()
+    return np.frombuffer(x)

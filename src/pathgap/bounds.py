@@ -356,8 +356,10 @@ def evaluate_bounds(
     non-applicable.
     """
     rmin, rmax = support_span(k, potential)
-    if result.lambda1 is None or result.gap is None:
-        raise ValueError("bounds need both low eigenvalues; use spectrum_low()")
+    if result.lambda1 is None or result.gap is None or result.ground_state is None:
+        raise ValueError(
+            "bounds need both low eigenvalues and the ground state; use spectrum_low()"
+        )
     phi = np.asarray(result.ground_state, dtype=float)
     lam0, lam1 = result.lambda0, result.lambda1
 

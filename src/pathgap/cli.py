@@ -25,7 +25,13 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bounds import evaluate_bounds
-from .eigensolver import DEFAULT_REL_TOL, ConvergenceError, PositivityError, spectrum_low
+from .eigensolver import (
+    DEFAULT_REL_TOL,
+    ConvergenceError,
+    PositivityError,
+    eigenvalues_low,
+    spectrum_low,
+)
 from .operators import Potential, assemble_hamiltonian, build_path, build_potential
 from .scaling import (
     GapSeries,
@@ -214,7 +220,7 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
     lines.append("alpha,k,n,gap,alpha_n3_gap,precision_limited")
     for a in alphas:
         op = assemble_hamiltonian(build_path(args.k), base.scaled(a))
-        res = spectrum_low(op, rel_tol=args.rel_tol)
+        res = eigenvalues_low(op, rel_tol=args.rel_tol)
         row = (a, args.k, n, res.gap, a * n**3 * res.gap, res.precision_limited)
         lines.append(",".join(_json_scalar(v) for v in row))
     _emit("\n".join(lines) + "\n", args.out)
@@ -222,6 +228,8 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
+    if args.k_grid is not None and args.k is not None:
+        raise ValueError("verify-bounds takes --k or --k-grid, not both")
     if args.k_grid is not None:
         grid = parse_k_grid(args.k_grid)
     elif args.k is not None:
@@ -284,7 +292,8 @@ _OPTIONS = {
                     help="threshold for asymptotic-only checks (default 10)"),
     "--format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
     "--tol": dict(dest="rel_tol", type=float, default=DEFAULT_REL_TOL, metavar="REL",
-                  help="relative bisection tolerance, finite and > 0 (default 1e-14)"),
+                  help="relative bisection tolerance, finite and > 0, at most 1e-8 "
+                       "where the ground state is computed (default 1e-14)"),
     "--band-k-min": dict(type=int, default=100,
                          help="smallest k entering band statistics (default 100)"),
 }

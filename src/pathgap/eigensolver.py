@@ -3,7 +3,10 @@ inverse iteration, and the closed-form eigenvalue oracles for path graphs.
 
 Only the two lowest eigenvalues and the ground state are ever needed, so
 eigenvalues are extracted one at a time by bisection on the Sturm count,
-which gives a certified bracket at any requested index.  Double precision
+which gives a certified bracket at any requested index.  The inner loops
+live in ``_kernels`` (plain Python over float64 buffers; the only backend).
+``eigenvalues_low`` stops there; ``spectrum_low`` adds the ground state by
+inverse iteration shifted to the bisection ground energy.  Double precision
 limits how small a spectral gap can be resolved; results whose gap falls
 below 10^3 ulp of the matrix norm bound carry ``precision_limited=True``
 and downstream fits drop such points.
@@ -11,7 +14,7 @@ and downstream fits drop such points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +28,7 @@ __all__ = [
     "sturm_count",
     "eigenvalue",
     "ground_state",
+    "eigenvalues_low",
     "spectrum_low",
     "dirichlet_ground_energy",
     "free_spectrum",
@@ -41,6 +45,11 @@ MAX_SWEEPS = 50
 # of magnitude; iterating until the vector stops moving removes admixture
 # that the residual test alone cannot see when the gap is small.
 CHANGE_TOL = 1e-12
+# loosest rel_tol spectrum_low accepts: its lambda0 is the inverse-iteration
+# shift, and looser shifts only waste MAX_SWEEPS sweeps before failing.
+# Probed points that converge at the default converge up to 3e-9; 1e-8
+# fails at some k = 5 points but converges from k = 20 on, so it stays.
+MAX_SHIFT_REL_TOL = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -59,13 +68,15 @@ class PositivityError(RuntimeError):
 class SpectralResult:
     """Low-lying spectrum of one operator.
 
-    ``lambda1``/``gap`` are None when only the ground state was requested.
+    ``lambda1``/``gap`` are None when only the ground state was requested
+    (``ground_state``), ``ground_state`` when only the eigenvalues were
+    (``eigenvalues_low``).
     ``precision_limited`` marks gaps at or below the double-precision noise
     floor; such gaps are reported but not trustworthy.
     """
 
     lambda0: float
-    ground_state: np.ndarray
+    ground_state: np.ndarray | None
     lambda1: float | None = None
     gap: float | None = None
     precision_limited: bool = False
@@ -176,26 +187,44 @@ def ground_state(
     return SpectralResult(lambda0=lam0, ground_state=v)
 
 
-def spectrum_low(
-    op: TridiagonalOperator,
-    rel_tol: float = DEFAULT_REL_TOL,
-    tol: float | None = None,
+def eigenvalues_low(
+    op: TridiagonalOperator, rel_tol: float = DEFAULT_REL_TOL
 ) -> SpectralResult:
-    """Two lowest eigenvalues, their gap, and the ground state."""
+    """Two lowest eigenvalues and their gap, without the ground state."""
     lo0, hi0 = _eigenvalue_bracket(op, 0, rel_tol)
     lo1, hi1 = _eigenvalue_bracket(op, 1, rel_tol)
     lam0 = 0.5 * (lo0 + hi0)
     lam1 = 0.5 * (lo1 + hi1)
     gap = lam1 - lam0
     limited = gap < GAP_ULP_FACTOR * math.ulp(op.norm_bound) or lo1 <= hi0
-    gs = ground_state(op, tol, _lambda0=lam0)
     return SpectralResult(
         lambda0=lam0,
-        ground_state=gs.ground_state,
+        ground_state=None,
         lambda1=lam1,
         gap=gap,
         precision_limited=limited,
     )
+
+
+def spectrum_low(
+    op: TridiagonalOperator,
+    rel_tol: float = DEFAULT_REL_TOL,
+    tol: float | None = None,
+) -> SpectralResult:
+    """Two lowest eigenvalues, their gap, and the ground state.
+
+    ``rel_tol`` above 1e-8 raises ValueError: the bisection ground energy
+    is the inverse-iteration shift, and a looser shift makes it fail.
+    """
+    # non-finite values are left to _eigenvalue_bracket's own check
+    if math.isfinite(rel_tol) and rel_tol > MAX_SHIFT_REL_TOL:
+        raise ValueError(
+            f"rel_tol must be at most {MAX_SHIFT_REL_TOL:g} when the ground state "
+            f"is computed, got {rel_tol}"
+        )
+    values = eigenvalues_low(op, rel_tol)
+    gs = ground_state(op, tol, _lambda0=values.lambda0)
+    return replace(values, ground_state=gs.ground_state)
 
 
 def dirichlet_ground_energy(m: int) -> float:

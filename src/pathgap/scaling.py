@@ -14,13 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigensolver import (
-    DEFAULT_REL_TOL,
-    ConvergenceError,
-    PositivityError,
-    dirichlet_ground_energy,
-    spectrum_low,
-)
+from .eigensolver import DEFAULT_REL_TOL, dirichlet_ground_energy, eigenvalues_low
 from .operators import Potential, assemble_hamiltonian, build_path
 
 __all__ = [
@@ -121,25 +115,15 @@ def _check_grid(lo: int, hi: int, count: int) -> None:
 def gap_series(
     potential: Potential, k_values: list[int], rel_tol: float = DEFAULT_REL_TOL
 ) -> GapSeries:
-    """spectrum_low at ``rel_tol`` over the given k values (sorted,
-    duplicates rejected).
-
-    A failure at any point aborts the sweep, naming the offending k.
-    """
+    """eigenvalues_low at ``rel_tol`` over the given k values (sorted,
+    duplicates rejected); no ground state is computed."""
     ks = sorted(k_values)
     if len(set(ks)) != len(ks):
         raise ValueError("k grid contains duplicates")
     points = []
     for k in ks:
         op = assemble_hamiltonian(build_path(k), potential)
-        try:
-            res = spectrum_low(op, rel_tol=rel_tol)
-        except ConvergenceError as err:
-            raise ConvergenceError(
-                f"gap sweep aborted at k = {k}: {err}", err.residual
-            ) from err
-        except PositivityError as err:
-            raise PositivityError(f"gap sweep aborted at k = {k}: {err}") from err
+        res = eigenvalues_low(op, rel_tol=rel_tol)
         points.append(
             GapPoint(
                 k=k,

@@ -211,6 +211,30 @@ class TestCommands:
         assert main(["verify-bounds", "--potential", "0:1", "--k", "0"]) == 2
         assert "half-width k must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["0.5", "10", "1e-6"])
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--k", "5", "--potential", "0:1"],
+        ["verify-bounds", "--potential", "0:1", "--k", "5", "--no-timestamp"],
+    ], ids=["spectrum", "verify-bounds"])
+    def test_tol_too_loose_for_the_ground_state_exits_two(self, args, tol, capsys):
+        assert main(args + ["--tol", tol]) == 2
+        assert "rel_tol must be at most 1e-08" in capsys.readouterr().err
+
+    def test_verify_bounds_rejects_k_with_k_grid(self, capsys):
+        code = main(["verify-bounds", "--potential", "0:1", "--k", "5",
+                     "--k-grid", "10:11:linear:2", "--no-timestamp"])
+        assert code == 2
+        assert "--k or --k-grid, not both" in capsys.readouterr().err
+
+    def test_gap_scan_needs_no_ground_state(self, capsys):
+        # the point where spectrum exits 3 (test_nonconvergence_exits_three):
+        # gap-scan reads only the eigenvalues and reports the gap as flagged
+        assert main(["gap-scan", "--potential", "0:1000000", "--k-grid",
+                     "200:201:linear:2", "--no-timestamp"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["200", "201"]
+        assert all(row.endswith(",true") for row in rows)
+
 
 class TestOptionSets:
     @pytest.mark.parametrize("args", [

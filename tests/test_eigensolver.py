@@ -13,6 +13,8 @@ from pathgap import (
     build_potential,
     dirichlet_ground_energy,
     eigenvalue,
+    eigenvalues_low,
+    evaluate_bounds,
     free_spectrum,
     ground_state,
     rayleigh_quotient,
@@ -231,3 +233,12 @@ class TestSpectrumLow:
         assert float(np.min(r.ground_state)) > 0.0
         # moderate strengths stay unflagged
         assert not spectrum_low(_op(1, [(0, 1e4)])).precision_limited
+
+    def test_eigenvalues_low_is_spectrum_low_without_the_vector(self):
+        op = _op(40, [(0, 2.0)])
+        values, full = eigenvalues_low(op), spectrum_low(op)
+        assert values.ground_state is None
+        assert (values.lambda0, values.lambda1, values.gap, values.precision_limited) == (
+            full.lambda0, full.lambda1, full.gap, full.precision_limited)
+        with pytest.raises(ValueError, match="ground state"):
+            evaluate_bounds(40, op.potential, values)
