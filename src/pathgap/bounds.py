@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensolver import SpectralResult, dirichlet_ground_energy
-from .operators import (
-    Potential,
-    assemble_hamiltonian,
-    build_path,
-    rayleigh_quotient,
-    support_span,
-)
+from .operators import Potential, TridiagonalOperator, rayleigh_quotient, support_span
 
 __all__ = [
     "SideCorrections",
@@ -342,24 +336,23 @@ def _leq(name: str, lhs: float, rhs: float, reason: str | None = None) -> BoundC
 
 
 def evaluate_bounds(
-    k: int,
-    potential: Potential,
+    op: TridiagonalOperator,
     result: SpectralResult,
     epsilon: float = 1.0,
     k_min: int = 10,
 ) -> BoundsReport:
-    """Evaluate every bound at one grid point.
+    """Evaluate every bound at one grid point: the operator ``op`` and its
+    ``spectrum_low(op)`` result.
 
     Component failures (e.g. a degenerate trial-state branch) are recorded
     as skipped checks rather than raised.  The excited-level upper bound
     only holds asymptotically, so below ``k_min`` it is evaluated but marked
     non-applicable.
     """
+    k, potential = op.k, op.potential
     rmin, rmax = support_span(k, potential)
-    if result.lambda1 is None or result.gap is None or result.ground_state is None:
-        raise ValueError(
-            "bounds need both low eigenvalues and the ground state; use spectrum_low()"
-        )
+    if result.ground_state is None:
+        raise ValueError("bounds need the ground state; use spectrum_low()")
     phi = np.asarray(result.ground_state, dtype=float)
     lam0, lam1 = result.lambda0, result.lambda1
 
@@ -421,7 +414,6 @@ def evaluate_bounds(
     )
 
     if trial is not None:
-        op = assemble_hamiltonian(build_path(k), potential)
         checks.append(
             _leq("trial_rayleigh_above_ground", lam0, rayleigh_quotient(op, trial.vector))
         )

@@ -10,7 +10,8 @@ Commands::
 
 Each command takes only the options its handler reads (``_COMMANDS``), plus
 ``--out`` and ``--no-timestamp``; any other option, or an abbreviated one,
-exits 2.
+exits 2.  The solver tolerance is not an option: every eigenvalue is
+bisected to the relative width ``eigensolver.REL_TOL``.
 
 Exit codes: 0 success / all applicable checks hold, 1 a bound check failed,
 2 input or parse error, 3 numerical non-convergence.
@@ -25,13 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bounds import evaluate_bounds
-from .eigensolver import (
-    DEFAULT_REL_TOL,
-    ConvergenceError,
-    PositivityError,
-    eigenvalues_low,
-    spectrum_low,
-)
+from .eigensolver import ConvergenceError, PositivityError, eigenvalues_low, spectrum_low
 from .operators import Potential, assemble_hamiltonian, build_path, build_potential
 from .scaling import (
     GapSeries,
@@ -152,7 +147,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         raise ValueError("spectrum requires --k")
     potential = parse_potential_spec(args.potential)
     op = assemble_hamiltonian(build_path(args.k), potential)
-    res = spectrum_low(op, rel_tol=args.rel_tol)
+    res = spectrum_low(op)
     phi = res.ground_state
     n = op.n
     payload = {
@@ -182,7 +177,7 @@ def _cmd_gap_scan(args: argparse.Namespace) -> int:
         raise ValueError("gap-scan requires --k-grid")
     k_values = parse_k_grid(args.k_grid)
     potential = parse_potential_spec(args.potential)
-    series = gap_series(potential, k_values, rel_tol=args.rel_tol)
+    series = gap_series(potential, k_values)
     if args.fmt == "json":
         payload = {
             "potential": potential.spec_string(),
@@ -220,7 +215,7 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
     lines.append("alpha,k,n,gap,alpha_n3_gap,precision_limited")
     for a in alphas:
         op = assemble_hamiltonian(build_path(args.k), base.scaled(a))
-        res = eigenvalues_low(op, rel_tol=args.rel_tol)
+        res = eigenvalues_low(op)
         row = (a, args.k, n, res.gap, a * n**3 * res.gap, res.precision_limited)
         lines.append(",".join(_json_scalar(v) for v in row))
     _emit("\n".join(lines) + "\n", args.out)
@@ -244,8 +239,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     reports = []
     for k in grid:
         op = assemble_hamiltonian(build_path(k), potential)
-        res = spectrum_low(op, rel_tol=args.rel_tol)
-        reports.append(evaluate_bounds(k, potential, res, args.epsilon, args.k_min))
+        reports.append(evaluate_bounds(op, spectrum_low(op), args.epsilon, args.k_min))
     all_hold = all(rep.all_hold for rep in reports)
     payload = {
         "potential": potential.spec_string(),
@@ -291,22 +285,19 @@ _OPTIONS = {
     "--k-min": dict(type=int, default=10,
                     help="threshold for asymptotic-only checks (default 10)"),
     "--format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
-    "--tol": dict(dest="rel_tol", type=float, default=DEFAULT_REL_TOL, metavar="REL",
-                  help="relative bisection tolerance, finite and > 0, at most 1e-8 "
-                       "where the ground state is computed (default 1e-14)"),
     "--band-k-min": dict(type=int, default=100,
                          help="smallest k entering band statistics (default 100)"),
 }
 
 _COMMANDS = (
     ("spectrum", _cmd_spectrum, "two lowest eigenvalues and gap at one (k, potential)",
-     ("--potential", "--k", "--format", "--tol")),
+     ("--potential", "--k", "--format")),
     ("gap-scan", _cmd_gap_scan, "gap sweep over a k grid",
-     ("--potential", "--k-grid", "--format", "--tol")),
+     ("--potential", "--k-grid", "--format")),
     ("alpha-scan", _cmd_alpha_scan, "gap at fixed k across strength scale factors",
-     ("--potential", "--k", "--alphas", "--tol")),
+     ("--potential", "--k", "--alphas")),
     ("verify-bounds", _cmd_verify_bounds, "evaluate all analytic bounds over a grid",
-     ("--potential", "--k", "--k-grid", "--epsilon", "--k-min", "--tol")),
+     ("--potential", "--k", "--k-grid", "--epsilon", "--k-min")),
     ("fit", _cmd_fit, "power-law fit of a gap-scan CSV", ("input", "--band-k-min")),
 )
 

@@ -3,8 +3,9 @@ inverse iteration, and the closed-form eigenvalue oracles for path graphs.
 
 Only the two lowest eigenvalues and the ground state are ever needed, so
 eigenvalues are extracted one at a time by bisection on the Sturm count,
-which gives a certified bracket at any requested index.  The inner loops
-live in ``_kernels`` (plain Python over float64 buffers; the only backend).
+which gives a certified bracket at any requested index, always bisected to
+the relative width ``REL_TOL`` = 1e-14.  The inner loops live in
+``_kernels`` (plain Python over float64 buffers; the only backend).
 ``eigenvalues_low`` stops there; ``spectrum_low`` adds the ground state by
 inverse iteration shifted to the bisection ground energy.  Double precision
 limits how small a spectral gap can be resolved; results whose gap falls
@@ -35,7 +36,9 @@ __all__ = [
 ]
 
 EPS = float(np.finfo(float).eps)
-DEFAULT_REL_TOL = 1e-14
+# relative width at which every eigenvalue bracket stops; the bracketed
+# ground energy is also the inverse-iteration shift
+REL_TOL = 1e-14
 LAMBDA_FLOOR = 1e-300
 RESIDUAL_SCALE = 1e-11
 GAP_ULP_FACTOR = 1e3
@@ -45,11 +48,6 @@ MAX_SWEEPS = 50
 # of magnitude; iterating until the vector stops moving removes admixture
 # that the residual test alone cannot see when the gap is small.
 CHANGE_TOL = 1e-12
-# loosest rel_tol spectrum_low accepts: its lambda0 is the inverse-iteration
-# shift, and looser shifts only waste MAX_SWEEPS sweeps before failing.
-# Probed points that converge at the default converge up to 3e-9; 1e-8
-# fails at some k = 5 points but converges from k = 20 on, so it stays.
-MAX_SHIFT_REL_TOL = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -68,18 +66,17 @@ class PositivityError(RuntimeError):
 class SpectralResult:
     """Low-lying spectrum of one operator.
 
-    ``lambda1``/``gap`` are None when only the ground state was requested
-    (``ground_state``), ``ground_state`` when only the eigenvalues were
+    ``ground_state`` is None when only the eigenvalues were requested
     (``eigenvalues_low``).
     ``precision_limited`` marks gaps at or below the double-precision noise
     floor; such gaps are reported but not trustworthy.
     """
 
     lambda0: float
-    ground_state: np.ndarray | None
-    lambda1: float | None = None
-    gap: float | None = None
-    precision_limited: bool = False
+    lambda1: float
+    gap: float
+    precision_limited: bool
+    ground_state: np.ndarray | None = None
 
 
 def _pivot_scale(op: TridiagonalOperator) -> float:
@@ -96,62 +93,49 @@ def sturm_count(op: TridiagonalOperator, mu: float) -> int:
     return int(_kernels.sturm_count(op.diag, _offsq(op), float(mu), subst))
 
 
-def _eigenvalue_bracket(
-    op: TridiagonalOperator, index: int, rel_tol: float
-) -> tuple[float, float]:
+def _eigenvalue_bracket(op: TridiagonalOperator, index: int) -> tuple[float, float]:
     n = op.n
     if not 0 <= index <= n - 1:
         raise ValueError(f"eigenvalue index {index} out of range 0..{n - 1}")
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
-        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     subst = EPS * _pivot_scale(op)
     lo, hi = _kernels.bisect_bracket(
-        op.diag, _offsq(op), index, 0.0, op.norm_bound, rel_tol, LAMBDA_FLOOR, subst
+        op.diag, _offsq(op), index, 0.0, op.norm_bound, REL_TOL, LAMBDA_FLOOR, subst
     )
     return float(lo), float(hi)
 
 
-def eigenvalue(op: TridiagonalOperator, index: int, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def eigenvalue(op: TridiagonalOperator, index: int) -> float:
     """The index-th smallest eigenvalue, midpoint of a certified bracket.
 
     The initial bracket is [0, 4 + max strength]; bisection stops once the
-    bracket width is below rel_tol * max(|midpoint|, 1e-300).
+    bracket width is below REL_TOL * max(|midpoint|, 1e-300).
     """
-    lo, hi = _eigenvalue_bracket(op, index, rel_tol)
+    lo, hi = _eigenvalue_bracket(op, index)
     return 0.5 * (lo + hi)
 
 
-def ground_state(
-    op: TridiagonalOperator,
-    tol: float | None = None,
-    _lambda0: float | None = None,
-) -> SpectralResult:
-    """Positive normalized ground state by inverse iteration.
+def ground_state(op: TridiagonalOperator, lambda0: float) -> np.ndarray:
+    """Positive normalized ground state by inverse iteration (read-only).
 
-    The shift is the bisection ground energy; if the shifted factorization
-    hits a pivot below 10^3 eps * scale the shift is nudged up by 2 ulp of
-    the norm bound and the factorization redone.  Tiny pivots beyond that
-    are kept as-is (they drive the solve along the wanted direction); only
-    a microscopic overflow floor replaces exact zeros.  Converged when
-    ||H v - lambda0 v|| <= tol (default 1e-11 * (4 + max strength)) and the
-    iterate has stopped moving.
+    ``lambda0`` is the shift: the bisection ground energy, ``eigenvalue(op,
+    0)``.  If the shifted factorization hits a pivot below 10^3 eps * scale
+    the shift is nudged up by 2 ulp of the norm bound and the factorization
+    redone.  Tiny pivots beyond that are kept as-is (they drive the solve
+    along the wanted direction); only a microscopic overflow floor replaces
+    exact zeros.  Converged when ||H v - lambda0 v|| <= 1e-11 * (4 + max
+    strength) and the iterate has stopped moving.
     """
-    if tol is None:
-        tol = RESIDUAL_SCALE * op.norm_bound
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    lam0 = eigenvalue(op, 0) if _lambda0 is None else _lambda0
-
+    tol = RESIDUAL_SCALE * op.norm_bound
     scale = _pivot_scale(op)
     pivot_min = 1e3 * EPS * scale
     overflow_floor = 1e-150 * scale
     nudge = 2.0 * math.ulp(op.norm_bound)
     piv, mult, min_abs = _kernels.factor_shifted(
-        op.diag, op.offdiag, lam0, overflow_floor
+        op.diag, op.offdiag, lambda0, overflow_floor
     )
     if min_abs < pivot_min:
         piv, mult, _ = _kernels.factor_shifted(
-            op.diag, op.offdiag, lam0 + nudge, overflow_floor
+            op.diag, op.offdiag, lambda0 + nudge, overflow_floor
         )
 
     n = op.n
@@ -169,7 +153,7 @@ def ground_state(
             w = -w
         change = float(np.linalg.norm(w - v))
         v = w
-        residual = float(np.linalg.norm(apply_operator(op, v) - lam0 * v))
+        residual = float(np.linalg.norm(apply_operator(op, v) - lambda0 * v))
         if residual <= tol and change <= CHANGE_TOL:
             break
     else:
@@ -184,47 +168,26 @@ def ground_state(
             f"positivity violated: ground-state entry {float(np.min(v)):.3e}"
         )
     v.flags.writeable = False
-    return SpectralResult(lambda0=lam0, ground_state=v)
+    return v
 
 
-def eigenvalues_low(
-    op: TridiagonalOperator, rel_tol: float = DEFAULT_REL_TOL
-) -> SpectralResult:
+def eigenvalues_low(op: TridiagonalOperator) -> SpectralResult:
     """Two lowest eigenvalues and their gap, without the ground state."""
-    lo0, hi0 = _eigenvalue_bracket(op, 0, rel_tol)
-    lo1, hi1 = _eigenvalue_bracket(op, 1, rel_tol)
+    lo0, hi0 = _eigenvalue_bracket(op, 0)
+    lo1, hi1 = _eigenvalue_bracket(op, 1)
     lam0 = 0.5 * (lo0 + hi0)
     lam1 = 0.5 * (lo1 + hi1)
     gap = lam1 - lam0
     limited = gap < GAP_ULP_FACTOR * math.ulp(op.norm_bound) or lo1 <= hi0
     return SpectralResult(
-        lambda0=lam0,
-        ground_state=None,
-        lambda1=lam1,
-        gap=gap,
-        precision_limited=limited,
+        lambda0=lam0, lambda1=lam1, gap=gap, precision_limited=limited
     )
 
 
-def spectrum_low(
-    op: TridiagonalOperator,
-    rel_tol: float = DEFAULT_REL_TOL,
-    tol: float | None = None,
-) -> SpectralResult:
-    """Two lowest eigenvalues, their gap, and the ground state.
-
-    ``rel_tol`` above 1e-8 raises ValueError: the bisection ground energy
-    is the inverse-iteration shift, and a looser shift makes it fail.
-    """
-    # non-finite values are left to _eigenvalue_bracket's own check
-    if math.isfinite(rel_tol) and rel_tol > MAX_SHIFT_REL_TOL:
-        raise ValueError(
-            f"rel_tol must be at most {MAX_SHIFT_REL_TOL:g} when the ground state "
-            f"is computed, got {rel_tol}"
-        )
-    values = eigenvalues_low(op, rel_tol)
-    gs = ground_state(op, tol, _lambda0=values.lambda0)
-    return replace(values, ground_state=gs.ground_state)
+def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
+    """Two lowest eigenvalues, their gap, and the ground state."""
+    values = eigenvalues_low(op)
+    return replace(values, ground_state=ground_state(op, values.lambda0))
 
 
 def dirichlet_ground_energy(m: int) -> float:

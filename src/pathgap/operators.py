@@ -96,12 +96,6 @@ class Potential:
     def strength_max(self) -> float:
         return max((a for _, a in self.entries), default=0.0)
 
-    def strength_at(self, site: int) -> float:
-        for s, a in self.entries:
-            if s == site:
-                return a
-        return 0.0
-
     def scaled(self, factor: float) -> "Potential":
         """Potential with every strength multiplied by ``factor``; the
         scaled strengths are validated by ``build_potential``."""
@@ -141,11 +135,6 @@ class TridiagonalOperator:
     def norm_bound(self) -> float:
         """Gershgorin-style bound: every eigenvalue lies in [0, 4 + max strength]."""
         return 4.0 + self.potential.strength_max
-
-    def index_of(self, site: int) -> int:
-        if not -self.k <= site <= self.k:
-            raise ValueError(f"site {site} outside vertex range -{self.k}..{self.k}")
-        return site + self.k
 
 
 def build_path(k: int) -> PathGraph:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigensolver import DEFAULT_REL_TOL, dirichlet_ground_energy, eigenvalues_low
+from .eigensolver import dirichlet_ground_energy, eigenvalues_low
 from .operators import Potential, assemble_hamiltonian, build_path
 
 __all__ = [
@@ -112,18 +112,16 @@ def _check_grid(lo: int, hi: int, count: int) -> None:
         raise ValueError(f"grid needs count >= 1, got {count}")
 
 
-def gap_series(
-    potential: Potential, k_values: list[int], rel_tol: float = DEFAULT_REL_TOL
-) -> GapSeries:
-    """eigenvalues_low at ``rel_tol`` over the given k values (sorted,
-    duplicates rejected); no ground state is computed."""
+def gap_series(potential: Potential, k_values: list[int]) -> GapSeries:
+    """eigenvalues_low over the given k values (sorted, duplicates
+    rejected); no ground state is computed."""
     ks = sorted(k_values)
     if len(set(ks)) != len(ks):
         raise ValueError("k grid contains duplicates")
     points = []
     for k in ks:
         op = assemble_hamiltonian(build_path(k), potential)
-        res = eigenvalues_low(op, rel_tol=rel_tol)
+        res = eigenvalues_low(op)
         points.append(
             GapPoint(
                 k=k,
@@ -280,7 +278,11 @@ def series_to_csv(series: GapSeries, timestamp: str | None = None) -> str:
 
 
 def series_from_csv(text: str) -> GapSeries:
-    """Inverse of series_to_csv (the potential itself is not recoverable)."""
+    """Inverse of series_to_csv (the potential itself is not recoverable).
+
+    Raises ValueError naming the row when a row has the wrong field count,
+    an n other than 2k+1, or a precision_limited other than true/false.
+    """
     rows = [
         line.strip()
         for line in text.splitlines()
@@ -295,14 +297,21 @@ def series_from_csv(text: str) -> GapSeries:
         fields = row.split(",")
         if len(fields) != 9:
             raise ValueError(f"malformed CSV row: {row!r}")
+        k, n, flag = int(fields[0]), int(fields[1]), fields[8]
+        if n != 2 * k + 1:
+            raise ValueError(f"CSV row {row!r}: n = {n} is not 2k+1 for k = {k}")
+        if flag not in ("true", "false"):
+            raise ValueError(
+                f"CSV row {row!r}: precision_limited must be true or false, got {flag!r}"
+            )
         points.append(
             GapPoint(
-                k=int(fields[0]),
-                n=int(fields[1]),
+                k=k,
+                n=n,
                 lambda0=float(fields[3]),
                 lambda1=float(fields[4]),
                 gap=float(fields[5]),
-                precision_limited=fields[8] == "true",
+                precision_limited=flag == "true",
             )
         )
     return GapSeries(potential=None, points=tuple(points))

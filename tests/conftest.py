@@ -37,7 +37,12 @@ def bound_reports(spectral):
     for spec in BOUND_POTENTIALS:
         pot = parse_potential_spec(spec)
         out[spec] = [
-            evaluate_bounds(k, pot, spectral(spec, k), epsilon=1.0, k_min=10)
+            evaluate_bounds(
+                assemble_hamiltonian(build_path(k), pot),
+                spectral(spec, k),
+                epsilon=1.0,
+                k_min=10,
+            )
             for k in ACCEPTANCE_GRID
         ]
     return out

@@ -40,8 +40,9 @@ def main() -> None:
         pot = parse_potential_spec(spec)
         ak, bk, scaled, epk3 = [], [], [], []
         for k in grid:
-            res = spectrum_low(assemble_hamiltonian(build_path(k), pot))
-            rep = evaluate_bounds(k, pot, res, epsilon=1.0, k_min=10)
+            op = assemble_hamiltonian(build_path(k), pot)
+            res = spectrum_low(op)
+            rep = evaluate_bounds(op, res, epsilon=1.0, k_min=10)
             ak.append(side_correction_product(rep.side, pot, k))
             bk.append(mixing_weight_product(rep.trial, pot, k))
             _, e_pot, s = single_site_diagnostics(res, pot, k)

@@ -26,10 +26,14 @@ from pathgap import (
 SQRT11 = math.sqrt(11.0)
 
 
+def _op_low(k, pairs):
+    op = assemble_hamiltonian(build_path(k), build_potential(pairs))
+    return op, spectrum_low(op)
+
+
 def _low(k, pairs):
-    pot = build_potential(pairs)
-    op = assemble_hamiltonian(build_path(k), pot)
-    return pot, spectrum_low(op)
+    op, res = _op_low(k, pairs)
+    return op.potential, res
 
 
 # exact 3x3 ground state for k=1, strength 5 at the origin
@@ -228,8 +232,8 @@ class TestSingleSiteDiagnostics:
 
 class TestEvaluateBounds:
     def test_small_exact_case(self):
-        pot, res = _low(1, [(0, 5.0)])
-        rep = evaluate_bounds(1, pot, res, epsilon=1.0, k_min=10)
+        op, res = _op_low(1, [(0, 5.0)])
+        rep = evaluate_bounds(op, res, epsilon=1.0, k_min=10)
         assert rep.all_hold
         names = {c.name for c in rep.checks}
         assert "side_correction_identity" in names
@@ -241,8 +245,8 @@ class TestEvaluateBounds:
 
     @pytest.mark.parametrize("pairs", [[(0, 1.0)], [(-2, 5.0), (3, 7.0)]])
     def test_medium_sweep_point(self, pairs):
-        pot, res = _low(200, pairs)
-        rep = evaluate_bounds(200, pot, res, epsilon=1.0, k_min=10)
+        op, res = _op_low(200, pairs)
+        rep = evaluate_bounds(op, res, epsilon=1.0, k_min=10)
         assert rep.all_hold
         assert all(c.applicable for c in rep.checks)
         assert rep.ground_lower <= res.lambda0 <= rep.ground_upper
@@ -251,25 +255,24 @@ class TestEvaluateBounds:
         assert rep.excited_lower - 1e-12 <= res.lambda1 <= rep.excited_upper + 1e-12
 
     def test_identity_reconstruction(self):
-        pot, res = _low(150, [(-1, 2.0), (0, 3.0), (1, 2.0)])
-        rep = evaluate_bounds(150, pot, res)
+        op, res = _op_low(150, [(-1, 2.0), (0, 3.0), (1, 2.0)])
+        rep = evaluate_bounds(op, res)
         check = next(c for c in rep.checks if c.name == "side_correction_identity")
         assert check.holds
         assert abs(check.lhs - check.rhs) <= 1e-10
 
     def test_trial_rayleigh_check(self):
-        pot, res = _low(80, [(0, 8.0)])
-        rep = evaluate_bounds(80, pot, res)
+        op, res = _op_low(80, [(0, 8.0)])
+        rep = evaluate_bounds(op, res)
         rq_check = next(c for c in rep.checks if c.name == "trial_rayleigh_above_ground")
         assert rq_check.holds
-        op = assemble_hamiltonian(build_path(80), pot)
         assert rq_check.rhs == pytest.approx(
             rayleigh_quotient(op, rep.trial.vector), rel=1e-12
         )
 
     def test_degenerate_trial_reported_as_skipped(self):
-        pot, res = _low(2, [(0, 0.0001)])
-        rep = evaluate_bounds(2, pot, res, epsilon=1.0, k_min=10)
+        op, res = _op_low(2, [(0, 0.0001)])
+        rep = evaluate_bounds(op, res, epsilon=1.0, k_min=10)
         upper = next(c for c in rep.checks if c.name == "ground_energy_upper_bound")
         assert upper.skipped_reason is not None and "degenerate" in upper.skipped_reason
         assert rep.ground_upper is None
@@ -278,8 +281,8 @@ class TestEvaluateBounds:
         assert rep.all_hold
 
     def test_json_serialization(self):
-        pot, res = _low(30, [(0, 1.0)])
-        rep = evaluate_bounds(30, pot, res)
+        op, res = _op_low(30, [(0, 1.0)])
+        rep = evaluate_bounds(op, res)
         payload = rep.to_dict()
         text = json.dumps(payload)
         parsed = json.loads(text)
@@ -293,4 +296,4 @@ class TestEvaluateBounds:
         op = assemble_hamiltonian(build_path(5), pot)
         res = spectrum_low(op)
         with pytest.raises(ValueError, match="non-empty"):
-            evaluate_bounds(5, pot, res)
+            evaluate_bounds(op, res)

@@ -17,6 +17,7 @@ from pathgap import (
     series_from_csv,
     series_to_csv,
 )
+from pathgap.scaling import CSV_HEADER
 
 SQRT11 = math.sqrt(11.0)
 
@@ -229,3 +230,14 @@ class TestCsvRoundTrip:
     def test_rejects_foreign_csv(self):
         with pytest.raises(ValueError, match="unrecognized"):
             series_from_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("100,7,1,1e-4,2e-4,1e-4,4,800,TRUE", r"n = 7 is not 2k\+1 for k = 100"),
+        ("100,201,1,1e-4,2e-4,1e-4,4,800,TRUE", "precision_limited must be true or false"),
+        ("100,201,1,1e-4,2e-4,1e-4,4,800,yes", "precision_limited must be true or false"),
+        ("100,201,1,1e-4,2e-4,1e-4,4,800,nope", "precision_limited must be true or false"),
+    ], ids=["bad-n", "TRUE", "yes", "nope"])
+    def test_rejects_bad_rows(self, row, message):
+        with pytest.raises(ValueError, match=message) as exc:
+            series_from_csv(CSV_HEADER + "\n" + row + "\n")
+        assert repr(row) in str(exc.value)
