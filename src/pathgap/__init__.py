@@ -34,18 +34,15 @@ from .eigensolver import (
     sturm_count,
 )
 from .operators import (
-    PathGraph,
     Potential,
     TridiagonalOperator,
     apply_operator,
     assemble_hamiltonian,
-    build_path,
     build_potential,
     quadratic_form,
     rayleigh_quotient,
 )
 from .scaling import (
-    GapPoint,
     GapSeries,
     ScalingFit,
     cubic_band_check,

@@ -110,13 +110,11 @@ class BoundsReport:
     """Every bound evaluated at one (k, potential) point."""
 
     k: int
-    n: int
     potential: Potential
     epsilon: float
     k_min: int
     lambda0: float
     lambda1: float
-    gap: float
     ground_lower: float
     ground_upper: float | None
     excited_lower: float
@@ -136,13 +134,13 @@ class BoundsReport:
     def to_dict(self) -> dict:
         d = {
             "k": self.k,
-            "n": self.n,
+            "n": 2 * self.k + 1,
             "potential": self.potential.spec_string(),
             "epsilon": self.epsilon,
             "k_min": self.k_min,
             "lambda0": self.lambda0,
             "lambda1": self.lambda1,
-            "gap": self.gap,
+            "gap": self.lambda1 - self.lambda0,
             "ground_lower": self.ground_lower,
             "ground_upper": self.ground_upper,
             "excited_lower": self.excited_lower,
@@ -300,15 +298,17 @@ def excited_energy_bounds(k: int, potential: Potential) -> tuple[float, float]:
 
 
 def single_site_diagnostics(
-    result: SpectralResult, potential: Potential, k: int
+    result: SpectralResult, potential: Potential
 ) -> tuple[float, float, float]:
-    """(phi(0), strength * phi(0)^2, strength * k^{3/2} * phi(0)).
+    """(phi(0), strength * phi(0)^2, strength * k^{3/2} * phi(0)) at the
+    half-width ``result.k``.
 
     Only defined for a potential supported on the origin alone; the last
     value stays bounded over k sweeps, the second falls off like k^-3.
     """
     if potential.is_empty or potential.sites != (0,):
         raise ValueError("diagnostics require a single-site potential at the origin")
+    k = result.k
     strength = potential.strength_sum
     phi0 = float(result.ground_state[k])
     return phi0, strength * phi0 * phi0, strength * k**1.5 * phi0
@@ -424,18 +424,16 @@ def evaluate_bounds(
     potential_energy: float | None = None
     if potential.sites == (0,):
         ground_at_origin, potential_energy, _ = single_site_diagnostics(
-            result, potential, k
+            result, potential
         )
 
     return BoundsReport(
         k=k,
-        n=2 * k + 1,
         potential=potential,
         epsilon=epsilon,
         k_min=k_min,
         lambda0=lam0,
         lambda1=lam1,
-        gap=result.gap,
         ground_lower=lower,
         ground_upper=upper,
         excited_lower=exc_lower,

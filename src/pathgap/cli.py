@@ -27,7 +27,7 @@ import numpy as np
 
 from .bounds import evaluate_bounds
 from .eigensolver import ConvergenceError, PositivityError, eigenvalues_low, spectrum_low
-from .operators import Potential, assemble_hamiltonian, build_path, build_potential
+from .operators import Potential, assemble_hamiltonian, build_potential
 from .scaling import (
     GapSeries,
     fit_power_law,
@@ -146,7 +146,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.k is None:
         raise ValueError("spectrum requires --k")
     potential = parse_potential_spec(args.potential)
-    op = assemble_hamiltonian(build_path(args.k), potential)
+    op = assemble_hamiltonian(args.k, potential)
     res = spectrum_low(op)
     phi = res.ground_state
     n = op.n
@@ -214,7 +214,7 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
         lines.append(f"# generated {_now()}")
     lines.append("alpha,k,n,gap,alpha_n3_gap,precision_limited")
     for a in alphas:
-        op = assemble_hamiltonian(build_path(args.k), base.scaled(a))
+        op = assemble_hamiltonian(args.k, base.scaled(a))
         res = eigenvalues_low(op)
         row = (a, args.k, n, res.gap, a * n**3 * res.gap, res.precision_limited)
         lines.append(",".join(_json_scalar(v) for v in row))
@@ -238,7 +238,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
         raise ValueError("verify-bounds needs a non-empty potential")
     reports = []
     for k in grid:
-        op = assemble_hamiltonian(build_path(k), potential)
+        op = assemble_hamiltonian(k, potential)
         reports.append(evaluate_bounds(op, spectrum_low(op), args.epsilon, args.k_min))
     all_hold = all(rep.all_hold for rep in reports)
     payload = {

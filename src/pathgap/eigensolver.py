@@ -7,10 +7,12 @@ which gives a certified bracket at any requested index, always bisected to
 the relative width ``REL_TOL`` = 1e-14.  The inner loops live in
 ``_kernels`` (plain Python over float64 buffers; the only backend).
 ``eigenvalues_low`` stops there; ``spectrum_low`` adds the ground state by
-inverse iteration shifted to the bisection ground energy.  Double precision
-limits how small a spectral gap can be resolved; results whose gap falls
-below 10^3 ulp of the matrix norm bound carry ``precision_limited=True``
-and downstream fits drop such points.
+inverse iteration shifted to the bisection ground energy.  Both return a
+``SpectralResult``: the half-width k, the two eigenvalues and the flag,
+with ``n`` and ``gap`` derived from them.  Double precision limits how
+small a spectral gap can be resolved; results whose gap falls below 10^3
+ulp of the matrix norm bound carry ``precision_limited=True`` and
+downstream fits drop such points.
 """
 from __future__ import annotations
 
@@ -64,7 +66,8 @@ class PositivityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Low-lying spectrum of one operator.
+    """Low-lying spectrum of the operator on the path -k..k: the record of
+    one grid point.
 
     ``ground_state`` is None when only the eigenvalues were requested
     (``eigenvalues_low``).
@@ -72,11 +75,19 @@ class SpectralResult:
     floor; such gaps are reported but not trustworthy.
     """
 
+    k: int
     lambda0: float
     lambda1: float
-    gap: float
     precision_limited: bool
     ground_state: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return 2 * self.k + 1
+
+    @property
+    def gap(self) -> float:
+        return self.lambda1 - self.lambda0
 
 
 def _pivot_scale(op: TridiagonalOperator) -> float:
@@ -180,7 +191,7 @@ def eigenvalues_low(op: TridiagonalOperator) -> SpectralResult:
     gap = lam1 - lam0
     limited = gap < GAP_ULP_FACTOR * math.ulp(op.norm_bound) or lo1 <= hi0
     return SpectralResult(
-        lambda0=lam0, lambda1=lam1, gap=gap, precision_limited=limited
+        k=op.k, lambda0=lam0, lambda1=lam1, precision_limited=limited
     )
 
 

@@ -1,9 +1,10 @@
-"""Path graphs, compactly supported potentials, and tridiagonal Hamiltonians.
+"""Compactly supported potentials and the tridiagonal Hamiltonians on a path.
 
-The configuration space is the path graph on vertices -k..k (an odd number
-n = 2k+1 of sites).  The operator of interest is the unweighted graph
-Laplacian plus a diagonal potential supported on finitely many sites, which
-is symmetric tridiagonal: diagonal = vertex degree + potential strength,
+The configuration space is the path on the integer sites -k..k (an odd
+number n = 2k+1 of sites), so an operator is fully described by
+``(k, potential)``.  It is the unweighted path Laplacian plus a diagonal
+potential supported on finitely many sites, which is symmetric tridiagonal:
+diagonal = vertex degree (1 at the two ends, 2 inside) + potential strength,
 off-diagonal = -1 on every edge.
 
 Sites are the public coordinate system; internally arrays are 0-indexed with
@@ -18,10 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "PathGraph",
     "Potential",
     "TridiagonalOperator",
-    "build_path",
     "build_potential",
     "support_span",
     "assemble_hamiltonian",
@@ -29,26 +28,6 @@ __all__ = [
     "quadratic_form",
     "rayleigh_quotient",
 ]
-
-
-@dataclass(frozen=True)
-class PathGraph:
-    """Path graph on the integer sites -k..k."""
-
-    k: int
-
-    @property
-    def n(self) -> int:
-        return 2 * self.k + 1
-
-    @property
-    def vertices(self) -> range:
-        return range(-self.k, self.k + 1)
-
-    def degree(self, site: int) -> int:
-        if not -self.k <= site <= self.k:
-            raise ValueError(f"site {site} outside vertex range -{self.k}..{self.k}")
-        return 1 if abs(site) == self.k else 2
 
 
 @dataclass(frozen=True)
@@ -137,13 +116,6 @@ class TridiagonalOperator:
         return 4.0 + self.potential.strength_max
 
 
-def build_path(k: int) -> PathGraph:
-    """Path graph with 2k+1 vertices -k..k; rejects k < 1."""
-    if int(k) != k or k < 1:
-        raise ValueError(f"half-width k must be a positive integer, got {k}")
-    return PathGraph(int(k))
-
-
 def build_potential(
     pairs: list[tuple[int, float]] | tuple[tuple[int, float], ...],
     *,
@@ -200,12 +172,17 @@ def support_span(k: int, potential: Potential) -> tuple[int, int]:
     return rmin, rmax
 
 
-def assemble_hamiltonian(graph: PathGraph, potential: Potential) -> TridiagonalOperator:
-    """Tridiagonal operator diag(v) = degree(v) + strength(v), offdiag = -1.
+def assemble_hamiltonian(k: int, potential: Potential) -> TridiagonalOperator:
+    """Tridiagonal operator on the path -k..k: diag(v) = degree(v) +
+    strength(v), offdiag = -1.
 
-    A non-empty potential must pass ``support_span``.
+    Rejects a half-width k that is not a positive integer; a non-empty
+    potential must pass ``support_span``.
     """
-    k, n = graph.k, graph.n
+    if int(k) != k or k < 1:
+        raise ValueError(f"half-width k must be a positive integer, got {k}")
+    k = int(k)
+    n = 2 * k + 1
     if not potential.is_empty:
         support_span(k, potential)
     diag = np.full(n, 2.0)

@@ -5,7 +5,8 @@ pi^2 / n^2; any non-empty compactly supported potential pushes the decay to
 order n^-3, with n^3 * gap confined to a band proportional to 1 / total
 strength in the single-site case.  This module runs the (k, strength)
 sweeps, forms the scaled sequences n^p * gap, fits power laws on log-log
-axes, and evaluates the cubic band.
+axes, and evaluates the cubic band.  A grid point is the ``SpectralResult``
+that ``eigenvalues_low`` returns for it; k, n and the gap are read from it.
 """
 from __future__ import annotations
 
@@ -14,11 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigensolver import dirichlet_ground_energy, eigenvalues_low
-from .operators import Potential, assemble_hamiltonian, build_path
+from .eigensolver import SpectralResult, dirichlet_ground_energy, eigenvalues_low
+from .operators import Potential, assemble_hamiltonian
 
 __all__ = [
-    "GapPoint",
     "GapSeries",
     "ScalingFit",
     "geometric_grid",
@@ -36,29 +36,16 @@ CSV_HEADER = "k,n,alpha_sum,lambda0,lambda1,gap,gap_n2,gap_n3,precision_limited"
 
 
 @dataclass(frozen=True)
-class GapPoint:
-    k: int
-    n: int
-    lambda0: float
-    lambda1: float
-    gap: float
-    precision_limited: bool
-
-
-@dataclass(frozen=True)
 class GapSeries:
-    """Gap sweep over strictly increasing k for one fixed potential.
+    """Gap sweep for one fixed potential: one ``SpectralResult`` per k, in
+    strictly increasing k, without ground states.
 
     ``potential`` is None for series re-read from CSV (only the total
     strength survives serialization, in the alpha_sum column).
     """
 
     potential: Potential | None
-    points: tuple[GapPoint, ...]
-
-    @property
-    def alpha_sum(self) -> float:
-        return self.potential.strength_sum if self.potential is not None else math.nan
+    points: tuple[SpectralResult, ...]
 
 
 @dataclass(frozen=True)
@@ -71,9 +58,12 @@ class ScalingFit:
     r_squared: float
     band_min: float
     band_max: float
-    band_ratio: float
     band_power: int
     points_excluded: int
+
+    @property
+    def band_ratio(self) -> float:
+        return self.band_max / self.band_min
 
     def to_dict(self) -> dict:
         return {
@@ -118,21 +108,8 @@ def gap_series(potential: Potential, k_values: list[int]) -> GapSeries:
     ks = sorted(k_values)
     if len(set(ks)) != len(ks):
         raise ValueError("k grid contains duplicates")
-    points = []
-    for k in ks:
-        op = assemble_hamiltonian(build_path(k), potential)
-        res = eigenvalues_low(op)
-        points.append(
-            GapPoint(
-                k=k,
-                n=2 * k + 1,
-                lambda0=res.lambda0,
-                lambda1=res.lambda1,
-                gap=res.gap,
-                precision_limited=res.precision_limited,
-            )
-        )
-    return GapSeries(potential=potential, points=tuple(points))
+    points = tuple(eigenvalues_low(assemble_hamiltonian(k, potential)) for k in ks)
+    return GapSeries(potential=potential, points=points)
 
 
 def scaled_sequence(series: GapSeries, p: float) -> list[tuple[int, float]]:
@@ -140,11 +117,11 @@ def scaled_sequence(series: GapSeries, p: float) -> list[tuple[int, float]]:
     return [(pt.k, pt.n**p * pt.gap) for pt in series.points]
 
 
-def _usable(series: GapSeries) -> list[GapPoint]:
+def _usable(series: GapSeries) -> list[SpectralResult]:
     return [pt for pt in series.points if not pt.precision_limited and pt.gap > 0]
 
 
-def _band(points: list[GapPoint], power: int, band_k_min: int) -> tuple[float, float]:
+def _band(points: list[SpectralResult], power: int, band_k_min: int) -> tuple[float, float]:
     vals = [pt.n**power * pt.gap for pt in points if pt.k >= band_k_min]
     if not vals:
         vals = [pt.n**power * pt.gap for pt in points]
@@ -183,7 +160,6 @@ def fit_power_law(series: GapSeries, band_k_min: int = 100) -> ScalingFit:
         r_squared=r_squared,
         band_min=band_min,
         band_max=band_max,
-        band_ratio=band_max / band_min,
         band_power=power,
         points_excluded=len(series.points) - len(pts),
     )
@@ -224,13 +200,7 @@ def cubic_band_check(
     fit = fit_power_law(series, band_k_min=band_k_min)
     pts = _usable(series)
     band_min, band_max = _band(pts, 3, band_k_min)
-    fit = replace(
-        fit,
-        band_min=band_min,
-        band_max=band_max,
-        band_ratio=band_max / band_min,
-        band_power=3,
-    )
+    fit = replace(fit, band_min=band_min, band_max=band_max, band_power=3)
     if pot.sites == (0,):
         applicable = True
     else:
@@ -255,16 +225,14 @@ def series_to_csv(series: GapSeries, timestamp: str | None = None) -> str:
     if timestamp is not None:
         lines.append(f"# generated {timestamp}")
     lines.append(CSV_HEADER)
-    alpha_sum = series.alpha_sum
-    if math.isnan(alpha_sum):
-        alpha_sum = 0.0
+    strength_sum = 0.0 if series.potential is None else series.potential.strength_sum
     for pt in series.points:
         lines.append(
             ",".join(
                 [
                     str(pt.k),
                     str(pt.n),
-                    format(alpha_sum, ".17g"),
+                    format(strength_sum, ".17g"),
                     format(pt.lambda0, ".17g"),
                     format(pt.lambda1, ".17g"),
                     format(pt.gap, ".17g"),
@@ -281,7 +249,9 @@ def series_from_csv(text: str) -> GapSeries:
     """Inverse of series_to_csv (the potential itself is not recoverable).
 
     Raises ValueError naming the row when a row has the wrong field count,
-    an n other than 2k+1, or a precision_limited other than true/false.
+    a field that does not parse, a k below 1 or not above the previous
+    row's, an n other than 2k+1, a gap other than lambda1 - lambda0, or a
+    precision_limited other than true/false.
     """
     rows = [
         line.strip()
@@ -292,26 +262,41 @@ def series_from_csv(text: str) -> GapSeries:
         raise ValueError(
             f"unrecognized gap-scan CSV (expected header {CSV_HEADER!r})"
         )
-    points = []
+    points: list[SpectralResult] = []
     for row in rows[1:]:
         fields = row.split(",")
         if len(fields) != 9:
             raise ValueError(f"malformed CSV row: {row!r}")
-        k, n, flag = int(fields[0]), int(fields[1]), fields[8]
+        try:
+            k, n = int(fields[0]), int(fields[1])
+            lam0, lam1, gap = float(fields[3]), float(fields[4]), float(fields[5])
+        except ValueError as err:
+            raise ValueError(f"CSV row {row!r}: {err}") from None
+        flag = fields[8]
+        if k < 1:
+            raise ValueError(
+                f"CSV row {row!r}: half-width k must be a positive integer, got {k}"
+            )
+        if points and k <= points[-1].k:
+            raise ValueError(
+                f"CSV row {row!r}: k = {k} does not exceed the previous row's "
+                f"k = {points[-1].k}"
+            )
         if n != 2 * k + 1:
             raise ValueError(f"CSV row {row!r}: n = {n} is not 2k+1 for k = {k}")
+        # exact: gap-scan writes all three with 17 significant digits
+        if gap != lam1 - lam0:
+            raise ValueError(
+                f"CSV row {row!r}: gap = {gap!r} is not lambda1 - lambda0 = "
+                f"{lam1 - lam0!r}"
+            )
         if flag not in ("true", "false"):
             raise ValueError(
                 f"CSV row {row!r}: precision_limited must be true or false, got {flag!r}"
             )
         points.append(
-            GapPoint(
-                k=k,
-                n=n,
-                lambda0=float(fields[3]),
-                lambda1=float(fields[4]),
-                gap=float(fields[5]),
-                precision_limited=flag == "true",
+            SpectralResult(
+                k=k, lambda0=lam0, lambda1=lam1, precision_limited=flag == "true"
             )
         )
     return GapSeries(potential=None, points=tuple(points))

@@ -2,7 +2,6 @@ import pytest
 
 from pathgap import (
     assemble_hamiltonian,
-    build_path,
     evaluate_bounds,
     geometric_grid,
     spectrum_low,
@@ -24,7 +23,7 @@ def spectral():
         key = (spec, k)
         if key not in cache:
             pot = parse_potential_spec(spec)
-            cache[key] = spectrum_low(assemble_hamiltonian(build_path(k), pot))
+            cache[key] = spectrum_low(assemble_hamiltonian(k, pot))
         return cache[key]
 
     return get
@@ -38,7 +37,7 @@ def bound_reports(spectral):
         pot = parse_potential_spec(spec)
         out[spec] = [
             evaluate_bounds(
-                assemble_hamiltonian(build_path(k), pot),
+                assemble_hamiltonian(k, pot),
                 spectral(spec, k),
                 epsilon=1.0,
                 k_min=10,

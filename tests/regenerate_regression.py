@@ -10,7 +10,6 @@ from pathlib import Path
 
 from pathgap import (
     assemble_hamiltonian,
-    build_path,
     build_trial_state,
     evaluate_bounds,
     geometric_grid,
@@ -40,12 +39,12 @@ def main() -> None:
         pot = parse_potential_spec(spec)
         ak, bk, scaled, epk3 = [], [], [], []
         for k in grid:
-            op = assemble_hamiltonian(build_path(k), pot)
+            op = assemble_hamiltonian(k, pot)
             res = spectrum_low(op)
             rep = evaluate_bounds(op, res, epsilon=1.0, k_min=10)
             ak.append(side_correction_product(rep.side, pot, k))
             bk.append(mixing_weight_product(rep.trial, pot, k))
-            _, e_pot, s = single_site_diagnostics(res, pot, k)
+            _, e_pot, s = single_site_diagnostics(res, pot)
             scaled.append(s)
             epk3.append(e_pot * k**3)
         payload["potentials"][spec] = {

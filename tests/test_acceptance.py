@@ -14,7 +14,6 @@ import pytest
 
 from pathgap import (
     assemble_hamiltonian,
-    build_path,
     build_potential,
     build_trial_state,
     cosine_pieces,
@@ -29,7 +28,7 @@ from pathgap import (
     spectrum_low,
 )
 from pathgap.cli import main, parse_k_grid, parse_potential_spec
-from pathgap.scaling import GapPoint, GapSeries
+from pathgap.scaling import GapSeries
 
 from conftest import ACCEPTANCE_GRID, ALPHA_SET, BOUND_POTENTIALS
 
@@ -50,13 +49,11 @@ def _within_regression(observed: float, pinned: float) -> bool:
 def test_criterion_01_eigensolver_oracle():
     worst = 0.0
     for k in range(1, 51):
-        op = assemble_hamiltonian(
-            build_path(k), build_potential([], empty_baseline=True)
-        )
+        op = assemble_hamiltonian(k, build_potential([], empty_baseline=True))
         oracle = free_spectrum(k)
         for i in range(op.n):
             worst = max(worst, abs(eigenvalue(op, i) - oracle[i]))
-    op5 = assemble_hamiltonian(build_path(1), build_potential([(0, 5.0)]))
+    op5 = assemble_hamiltonian(1, build_potential([(0, 5.0)]))
     worst = max(worst, abs(eigenvalue(op5, 0) - (4.0 - math.sqrt(11.0))))
     worst = max(worst, abs(eigenvalue(op5, 1) - 1.0))
     _report(1, "eigensolver oracle equivalence", worst <= 1e-12,
@@ -67,7 +64,7 @@ def test_criterion_02_pinned_center_identity():
     worst = 0.0
     for alpha in (0.5, 1.0, 10.0, 1e4):
         for k in range(1, 51):
-            op = assemble_hamiltonian(build_path(k), build_potential([(0, alpha)]))
+            op = assemble_hamiltonian(k, build_potential([(0, alpha)]))
             worst = max(worst, abs(eigenvalue(op, 1) - dirichlet_ground_energy(k)))
     _report(2, "second eigenvalue vs pinned-center closed form", worst <= 1e-12,
             f"worst abs err {worst:.2e} <= 1e-12")
@@ -142,11 +139,8 @@ def test_criterion_07_inverse_strength_band(spectral):
         pts = []
         for k in ACCEPTANCE_GRID:
             res = spectral(spec, k)
-            n = 2 * k + 1
-            band.append(alpha * n**3 * res.gap)
-            pts.append(
-                GapPoint(k, n, res.lambda0, res.lambda1, res.gap, res.precision_limited)
-            )
+            band.append(alpha * res.n**3 * res.gap)
+            pts.append(res)
         series = GapSeries(potential=parse_potential_spec(spec), points=tuple(pts))
         exponents[alpha] = fit_power_law(series).exponent
     ratio = max(band) / min(band)
@@ -167,7 +161,7 @@ def test_criterion_08_origin_diagnostics(spectral, bound_reports):
         epk3_vals = []
         for k in ACCEPTANCE_GRID:
             res = spectral(spec, k)
-            _, e_pot, scaled = single_site_diagnostics(res, pot, k)
+            _, e_pot, scaled = single_site_diagnostics(res, pot)
             scaled_vals.append(scaled)
             epk3_vals.append(e_pot * k**3)
         pins = REGRESSION["potentials"][spec]
@@ -197,7 +191,7 @@ def test_criterion_09_trial_state_integrity(spectral, bound_reports):
                 abs(float(np.dot(left, left)) - 0.5),
                 abs(float(np.dot(right, right)) - 0.5),
             )
-            op = assemble_hamiltonian(build_path(rep.k), pot)
+            op = assemble_hamiltonian(rep.k, pot)
             res = spectral(spec, rep.k)
             rayleigh_ok &= rayleigh_quotient(op, trial.vector) >= res.lambda0
     ok = worst_norm <= 1e-12 and worst_piece <= 1e-12 and rayleigh_ok

@@ -6,7 +6,6 @@ import pytest
 
 from pathgap import (
     assemble_hamiltonian,
-    build_path,
     build_potential,
     build_trial_state,
     compute_side_corrections,
@@ -27,7 +26,7 @@ SQRT11 = math.sqrt(11.0)
 
 
 def _op_low(k, pairs):
-    op = assemble_hamiltonian(build_path(k), build_potential(pairs))
+    op = assemble_hamiltonian(k, build_potential(pairs))
     return op, spectrum_low(op)
 
 
@@ -219,7 +218,7 @@ class TestExcitedBounds:
 class TestSingleSiteDiagnostics:
     def test_exact_3x3(self):
         pot, res = _low(1, [(0, 5.0)])
-        phi0, e_pot, scaled = single_site_diagnostics(res, pot, 1)
+        phi0, e_pot, scaled = single_site_diagnostics(res, pot)
         assert phi0 == pytest.approx(_PHI3[1], abs=1e-10)
         assert e_pot == pytest.approx(5.0 * _PHI3[1] ** 2, abs=1e-9)
         assert scaled == pytest.approx(5.0 * phi0, abs=1e-9)
@@ -227,7 +226,7 @@ class TestSingleSiteDiagnostics:
     def test_multi_site_rejected(self):
         pot, res = _low(10, [(-1, 1.0), (1, 1.0)])
         with pytest.raises(ValueError, match="single-site"):
-            single_site_diagnostics(res, pot, 10)
+            single_site_diagnostics(res, pot)
 
 
 class TestEvaluateBounds:
@@ -293,7 +292,7 @@ class TestEvaluateBounds:
 
     def test_empty_potential_rejected(self):
         pot = build_potential([], empty_baseline=True)
-        op = assemble_hamiltonian(build_path(5), pot)
+        op = assemble_hamiltonian(5, pot)
         res = spectrum_low(op)
         with pytest.raises(ValueError, match="non-empty"):
             evaluate_bounds(op, res)

@@ -291,12 +291,20 @@ class TestFitCommand:
         assert main(["fit", "/nonexistent/scan.csv"]) == 2
 
     def test_bad_row_exits_two(self, tmp_path, capsys):
-        # four good rows: without the row check the fit would run
-        row = "100,7,1,1e-4,2e-4,1e-4,4,800,TRUE"
-        scan = tmp_path / "scan.csv"
-        scan.write_text((GOLDEN / "gap-scan.csv").read_text() + row + "\n")
-        assert main(["fit", str(scan), "--no-timestamp"]) == 2
-        assert repr(row) in capsys.readouterr().err
+        # four good rows (k = 20..80): without the row checks the fit would run
+        golden = (GOLDEN / "gap-scan.csv").read_text()
+        last = golden.splitlines()[-1]
+        for row in (
+            "100,7,1,1e-4,2e-4,1e-4,4,800,TRUE",
+            "0,1,1,1e-4,2e-4,1e-4,4,800,false",
+            "2x0,41,1,1e-4,2e-4,1e-4,4,800,false",
+            last,
+            "100,201,1,0.1,0.2,5,202010,40804010,false",
+        ):
+            scan = tmp_path / "scan.csv"
+            scan.write_text(golden + row + "\n")
+            assert main(["fit", str(scan), "--no-timestamp"]) == 2, row
+            assert repr(row) in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -9,7 +9,6 @@ from pathgap import (
     ConvergenceError,
     apply_operator,
     assemble_hamiltonian,
-    build_path,
     build_potential,
     dirichlet_ground_energy,
     eigenvalue,
@@ -26,9 +25,7 @@ SQRT11 = math.sqrt(11.0)
 
 
 def _op(k, pairs):
-    return assemble_hamiltonian(
-        build_path(k), build_potential(pairs, empty_baseline=not pairs)
-    )
+    return assemble_hamiltonian(k, build_potential(pairs, empty_baseline=not pairs))
 
 
 def _dense(op):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pathgap import (
     apply_operator,
     assemble_hamiltonian,
-    build_path,
     build_potential,
     eigenvalue,
     quadratic_form,
@@ -17,30 +16,7 @@ from pathgap import (
 
 
 def _op(k, pairs):
-    return assemble_hamiltonian(
-        build_path(k), build_potential(pairs, empty_baseline=not pairs)
-    )
-
-
-class TestBuildPath:
-    def test_smallest(self):
-        g = build_path(1)
-        assert g.n == 3
-        assert list(g.vertices) == [-1, 0, 1]
-
-    def test_degrees(self):
-        g = build_path(2)
-        assert g.n == 5
-        assert g.degree(-2) == g.degree(2) == 1
-        assert g.degree(0) == g.degree(1) == 2
-
-    def test_large(self):
-        assert build_path(1000).n == 2001
-
-    @pytest.mark.parametrize("k", [0, -1, 2.5])
-    def test_rejects(self, k):
-        with pytest.raises(ValueError):
-            build_path(k)
+    return assemble_hamiltonian(k, build_potential(pairs, empty_baseline=not pairs))
 
 
 class TestBuildPotential:
@@ -94,6 +70,21 @@ class TestBuildPotential:
 
 
 class TestAssemble:
+    @pytest.mark.parametrize("k", [1, 2, 1000])
+    def test_diagonal_is_degree_plus_strength(self, k):
+        # degree 1 at the two ends, 2 inside, plus the strength at site 0
+        op = _op(k, [(0, 0.5)])
+        diag = [1.0] + [2.0] * (2 * k - 1) + [1.0]
+        diag[k] += 0.5
+        assert op.n == 2 * k + 1
+        assert op.diag.tolist() == diag
+        assert op.offdiag.tolist() == [-1.0] * (2 * k)
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5])
+    def test_rejects_bad_k(self, k):
+        with pytest.raises(ValueError, match="half-width k must be a positive integer"):
+            assemble_hamiltonian(k, build_potential([], empty_baseline=True))
+
     def test_free_laplacian(self):
         op = _op(1, [])
         assert op.diag.tolist() == [1.0, 2.0, 1.0]

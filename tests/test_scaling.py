@@ -3,8 +3,8 @@ import math
 import pytest
 
 from pathgap import (
-    GapPoint,
     GapSeries,
+    SpectralResult,
     build_potential,
     cubic_band_check,
     dirichlet_ground_energy,
@@ -24,12 +24,10 @@ SQRT11 = math.sqrt(11.0)
 
 def _synthetic(prefactor, exponent, ks, flagged=()):
     pts = tuple(
-        GapPoint(
+        SpectralResult(
             k=k,
-            n=2 * k + 1,
             lambda0=0.0,
             lambda1=prefactor * (2 * k + 1) ** exponent,
-            gap=prefactor * (2 * k + 1) ** exponent,
             precision_limited=k in flagged,
         )
         for k in ks
@@ -236,8 +234,19 @@ class TestCsvRoundTrip:
         ("100,201,1,1e-4,2e-4,1e-4,4,800,TRUE", "precision_limited must be true or false"),
         ("100,201,1,1e-4,2e-4,1e-4,4,800,yes", "precision_limited must be true or false"),
         ("100,201,1,1e-4,2e-4,1e-4,4,800,nope", "precision_limited must be true or false"),
-    ], ids=["bad-n", "TRUE", "yes", "nope"])
+        ("0,1,1,1e-4,2e-4,1e-4,4,800,false", "half-width k must be a positive integer, got 0"),
+        ("2x0,41,1,1e-4,2e-4,1e-4,4,800,false", "invalid literal for int.*'2x0'"),
+        ("20,4.1e1,1,1e-4,2e-4,1e-4,4,800,false", "invalid literal for int.*'4.1e1'"),
+        ("20,41,1,1e-4,2e-4,1x-4,4,800,false", "could not convert string to float: '1x-4'"),
+        ("10,21,1,1e-4,2e-4,1e-4,4,800,false\n10,21,1,1e-4,2e-4,1e-4,4,800,false",
+         "k = 10 does not exceed the previous row's k = 10"),
+        ("20,41,1,1e-4,2e-4,1e-4,4,800,false\n10,21,1,1e-4,2e-4,1e-4,4,800,false",
+         "k = 10 does not exceed the previous row's k = 20"),
+        ("20,41,1,0.1,0.2,5,2101,344605,false", "gap = 5.0 is not lambda1 - lambda0 = 0.1"),
+    ], ids=["bad-n", "TRUE", "yes", "nope", "k-zero", "k-not-int", "n-not-int",
+            "gap-not-float", "k-repeated", "k-decreasing", "gap-mismatch"])
     def test_rejects_bad_rows(self, row, message):
+        # the error names the offending row, the last one given
         with pytest.raises(ValueError, match=message) as exc:
             series_from_csv(CSV_HEADER + "\n" + row + "\n")
-        assert repr(row) in str(exc.value)
+        assert repr(row.splitlines()[-1]) in str(exc.value)
