@@ -6,6 +6,11 @@ order, as indexing the arrays element by element, at a fraction of the cost
 of numpy scalar arithmetic.  Arrays the kernels return are built with
 ``array.array("d")`` and handed out through ``np.frombuffer`` without a
 copy.
+
+A bisection step only asks whether the count at the midpoint reaches
+``index + 1``, and the count only grows along a sweep, so ``bisect_bracket``
+stops each Sturm sweep at the site where it does.  The brackets, and so
+every result, stay bit-identical to the full-sweep reference loops.
 """
 from __future__ import annotations
 
@@ -15,27 +20,36 @@ from array import array
 import numpy as np
 
 
-def sturm_count(diag, offsq, mu, subst):
+def sturm_count(diag, offsq, mu, subst, stop=0):
     """Number of eigenvalues strictly below mu (signs of the LDL pivots).
 
     ``subst`` replaces exact-zero pivots; it is positive so that an
     eigenvalue of a leading principal submatrix equal to mu is not counted
     (keeps the count strict and sturm_count(op, 0) == 0 for the singular
-    free Laplacian).
+    free Laplacian).  The sweep returns as soon as the count reaches
+    ``stop``, so it returns min(count, stop); the default 0 counts all n
+    sites.  ``diag - mu`` is taken once per sweep by numpy, the same IEEE
+    subtraction per element as inside the loop.
     """
-    diag = memoryview(diag)
+    shifted = memoryview(diag - mu)
     count = 0
-    d = diag[0] - mu
-    if d == 0.0:
-        d = subst
-    if d < 0.0:
-        count += 1
-    for a, b in zip(diag[1:], memoryview(offsq)):
-        d = (a - mu) - b / d
+    d = shifted[0]
+    if d <= 0.0:  # one test per site: -0.0 takes subst, NaN neither branch
         if d == 0.0:
             d = subst
-        if d < 0.0:
-            count += 1
+        else:
+            count = 1
+            if count == stop:
+                return count
+    for s, b in zip(shifted[1:], memoryview(offsq)):
+        d = s - b / d
+        if d <= 0.0:
+            if d == 0.0:
+                d = subst
+            else:
+                count += 1
+                if count == stop:
+                    return count
     return count
 
 
@@ -44,8 +58,10 @@ def bisect_bracket(diag, offsq, index, lo, hi, rel_tol, lam_floor, subst):
 
     Requires count(lo) <= index < count(hi) on entry.  Stops when the width
     drops below rel_tol * max(|midpoint|, lam_floor) or no representable
-    midpoint remains.
+    midpoint remains.  Each step's sweep stops once its count reaches
+    ``index + 1``; the brackets are bit-identical to full-count bisection.
     """
+    stop = index + 1
     while True:
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
@@ -55,7 +71,7 @@ def bisect_bracket(diag, offsq, index, lo, hi, rel_tol, lam_floor, subst):
             scale = lam_floor
         if hi - lo <= rel_tol * scale:
             break
-        if sturm_count(diag, offsq, mid, subst) >= index + 1:
+        if sturm_count(diag, offsq, mid, subst, stop) == stop:
             hi = mid
         else:
             lo = mid

@@ -1,7 +1,11 @@
-"""The README's library example runs, and every exported name exists."""
+"""The README's library example runs, every exported name exists, and
+``pathgap.__main__`` runs the CLI only when run as ``python -m pathgap``."""
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,10 +14,7 @@ import pathgap
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# every module but __main__, which runs the CLI on import
-MODULES = sorted(
-    m.name for m in pkgutil.iter_modules(pathgap.__path__) if m.name != "__main__"
-)
+MODULES = sorted(m.name for m in pkgutil.iter_modules(pathgap.__path__))
 
 
 def test_readme_library_example_runs():
@@ -30,3 +31,21 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(f"pathgap.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(pathgap.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_importing_main_does_not_run_the_cli():
+    proc = _python("-c", "import pathgap.__main__")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_python_m_pathgap_help_exits_0():
+    proc = _python("-m", "pathgap", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage:")

@@ -11,7 +11,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pathgap import _kernels
+from pathgap import _kernels, eigensolver
+from pathgap.cli import parse_potential_spec
+from pathgap.operators import assemble_hamiltonian
 
 
 def _ref_sturm_count(diag, offsq, mu, subst):
@@ -142,6 +144,9 @@ def test_sturm_count_matches_reference(matrix, shift):
         with np.errstate(all="ignore"):  # the reference warns where both overflow
             want = _ref_sturm_count(diag, offsq, mu, SUBST)
         assert _kernels.sturm_count(diag, offsq, mu, SUBST) == want
+        # a sweep that stops at count ``cap`` returns the full count clipped
+        for cap in range(1, diag.shape[0] + 2):
+            assert _kernels.sturm_count(diag, offsq, mu, SUBST, cap) == min(want, cap)
 
 
 @settings(max_examples=100, deadline=None)
@@ -158,6 +163,18 @@ def test_bisect_bracket_matches_reference(matrix, index, digits):
     with np.errstate(all="ignore"):
         want = _ref_bisect_bracket(*args)
     assert _bits(_kernels.bisect_bracket(*args)) == _bits(want)
+
+
+def test_bisect_bracket_matches_reference_on_the_paper_operator():
+    # the benchmark's size, n = 3201; the hypothesis cases above have
+    # n <= 24, where a sweep seldom stops early
+    op = assemble_hamiltonian(1600, parse_potential_spec("0:1"))
+    offsq = op.offdiag * op.offdiag
+    subst = eigensolver.EPS * eigensolver._pivot_scale(op)
+    for index in (0, 1):
+        args = (op.diag, offsq, index, 0.0, op.norm_bound,
+                eigensolver.REL_TOL, eigensolver.LAMBDA_FLOOR, subst)
+        assert _bits(_kernels.bisect_bracket(*args)) == _bits(_ref_bisect_bracket(*args))
 
 
 @settings(max_examples=150, deadline=None)
