@@ -19,6 +19,7 @@ from .bounds import (
     ground_energy_upper_bound,
     mixing_weight_product,
     side_correction_product,
+    side_energies,
     single_site_diagnostics,
 )
 from .eigensolver import (

@@ -31,6 +31,7 @@ __all__ = [
     "TrialState",
     "BoundCheck",
     "BoundsReport",
+    "side_energies",
     "compute_side_corrections",
     "ground_energy_lower_bound",
     "side_correction_product",
@@ -42,6 +43,14 @@ __all__ = [
     "single_site_diagnostics",
     "evaluate_bounds",
 ]
+
+# the trial state's floor parameter: the floor energy is the Dirichlet
+# ground energy of the full path over 2 + EPSILON
+EPSILON = 1.0
+
+# the excited-level upper bound only holds asymptotically; below this k it
+# is evaluated but marked non-applicable
+K_MIN = 10
 
 # comparison slack for inequalities that the theory allows to be attained
 # with equality (e.g. the excited-level sandwich is exact for single-site
@@ -71,12 +80,11 @@ class TrialState:
 
     ``mixing`` is the weight of the floor, solving the normalization
     relation in closed form; ``floor_energy`` is the energy scale of the
-    floor (Dirichlet ground energy of the full path over 2 + epsilon) and
-    ``floor_amplitude`` its unit-mixing height 1/sqrt(total strength) times
-    sqrt(floor_energy).
+    floor (Dirichlet ground energy of the full path over 2 + ``EPSILON``)
+    and ``floor_amplitude`` its unit-mixing height 1/sqrt(total strength)
+    times sqrt(floor_energy).
     """
 
-    epsilon: float
     floor_energy: float
     floor_amplitude: float
     mixing: float
@@ -111,14 +119,11 @@ class BoundsReport:
 
     k: int
     potential: Potential
-    epsilon: float
-    k_min: int
     lambda0: float
     lambda1: float
     ground_lower: float
     ground_upper: float | None
     excited_lower: float
-    excited_upper: float
     side_energy_min: float
     side_energy_max: float
     side: SideCorrections
@@ -126,6 +131,11 @@ class BoundsReport:
     checks: list[BoundCheck]
     ground_at_origin: float | None = None
     potential_energy: float | None = None
+
+    @property
+    def excited_upper(self) -> float:
+        """The excited-level upper bound: the larger side energy."""
+        return self.side_energy_max
 
     @property
     def all_hold(self) -> bool:
@@ -136,8 +146,8 @@ class BoundsReport:
             "k": self.k,
             "n": 2 * self.k + 1,
             "potential": self.potential.spec_string(),
-            "epsilon": self.epsilon,
-            "k_min": self.k_min,
+            "epsilon": EPSILON,
+            "k_min": K_MIN,
             "lambda0": self.lambda0,
             "lambda1": self.lambda1,
             "gap": self.lambda1 - self.lambda0,
@@ -157,6 +167,13 @@ class BoundsReport:
             d["ground_at_origin"] = self.ground_at_origin
             d["potential_energy"] = self.potential_energy
         return d
+
+
+def side_energies(k: int, potential: Potential) -> tuple[float, float]:
+    """Dirichlet ground energies of the free sub-paths left of r_min and
+    right of r_max, each with a Dirichlet site at the support edge."""
+    rmin, rmax = support_span(k, potential)
+    return dirichlet_ground_energy(k + rmin), dirichlet_ground_energy(k - rmax)
 
 
 def compute_side_corrections(
@@ -184,10 +201,8 @@ def ground_energy_lower_bound(
     side: SideCorrections, k: int, potential: Potential
 ) -> float:
     """(1/2 - left) * side energy left + (1/2 - right) * side energy right."""
-    rmin, rmax = support_span(k, potential)
-    return (0.5 - side.left) * dirichlet_ground_energy(k + rmin) + (
-        0.5 - side.right
-    ) * dirichlet_ground_energy(k - rmax)
+    theta_left, theta_right = side_energies(k, potential)
+    return (0.5 - side.left) * theta_left + (0.5 - side.right) * theta_right
 
 
 def side_correction_product(
@@ -224,7 +239,7 @@ def cosine_pieces(k: int, potential: Potential) -> tuple[np.ndarray, np.ndarray]
     return left, right
 
 
-def build_trial_state(k: int, potential: Potential, epsilon: float = 1.0) -> TrialState:
+def build_trial_state(k: int, potential: Potential) -> TrialState:
     """Assemble the trial state and solve the normalization relation.
 
     The mixing weight solves  b = 2 sqrt((1-b) b) * a * S + (2k+1) b a^2
@@ -232,18 +247,16 @@ def build_trial_state(k: int, potential: Potential, epsilon: float = 1.0) -> Tri
     b = 4 a^2 S^2 / ((1 - (2k+1) a^2)^2 + 4 a^2 S^2), valid on the branch
     (2k+1) a^2 < 1.  The assembled vector is verified to have unit norm.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
     support_span(k, potential)
     n = 2 * k + 1
 
-    floor_energy = dirichlet_ground_energy(k) / (2.0 + epsilon)
+    floor_energy = dirichlet_ground_energy(k) / (2.0 + EPSILON)
     amp = math.sqrt(floor_energy / potential.strength_sum)
     if n * amp * amp >= 1.0:
         raise ValueError(
             f"degenerate mixing branch: (2k+1) * floor_amplitude^2 = "
             f"{n * amp * amp:.6g} >= 1 (k = {k}, total strength = "
-            f"{potential.strength_sum:g}, epsilon = {epsilon:g})"
+            f"{potential.strength_sum:g}, epsilon = {EPSILON:g})"
         )
 
     left, right = cosine_pieces(k, potential)
@@ -260,7 +273,6 @@ def build_trial_state(k: int, potential: Potential, epsilon: float = 1.0) -> Tri
         )
     vector.flags.writeable = False
     return TrialState(
-        epsilon=float(epsilon),
         floor_energy=floor_energy,
         floor_amplitude=amp,
         mixing=mixing,
@@ -273,11 +285,9 @@ def ground_energy_upper_bound(
     trial: TrialState, k: int, potential: Potential
 ) -> float:
     """(1-b)/2 * (sum of the two side energies) + b * floor energy."""
-    rmin, rmax = support_span(k, potential)
+    theta_left, theta_right = side_energies(k, potential)
     b = trial.mixing
-    return 0.5 * (1.0 - b) * (
-        dirichlet_ground_energy(k + rmin) + dirichlet_ground_energy(k - rmax)
-    ) + b * trial.floor_energy
+    return 0.5 * (1.0 - b) * (theta_left + theta_right) + b * trial.floor_energy
 
 
 def mixing_weight_product(trial: TrialState, potential: Potential, k: int) -> float:
@@ -289,12 +299,7 @@ def mixing_weight_product(trial: TrialState, potential: Potential, k: int) -> fl
 def excited_energy_bounds(k: int, potential: Potential) -> tuple[float, float]:
     """Sandwich for the first excited energy: Dirichlet energy of the full
     path below, the larger of the two side energies above."""
-    rmin, rmax = support_span(k, potential)
-    lower = dirichlet_ground_energy(k)
-    upper = max(
-        dirichlet_ground_energy(k + rmin), dirichlet_ground_energy(k - rmax)
-    )
-    return lower, upper
+    return dirichlet_ground_energy(k), max(side_energies(k, potential))
 
 
 def single_site_diagnostics(
@@ -335,30 +340,21 @@ def _leq(name: str, lhs: float, rhs: float, reason: str | None = None) -> BoundC
     return BoundCheck(name, lhs, rhs, bool(lhs <= rhs + slack), reason)
 
 
-def evaluate_bounds(
-    op: TridiagonalOperator,
-    result: SpectralResult,
-    epsilon: float = 1.0,
-    k_min: int = 10,
-) -> BoundsReport:
+def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsReport:
     """Evaluate every bound at one grid point: the operator ``op`` and its
-    ``spectrum_low(op)`` result.
+    ``spectrum_low(op)`` result, with the trial state at ``EPSILON``.
 
     Component failures (e.g. a degenerate trial-state branch) are recorded
     as skipped checks rather than raised.  The excited-level upper bound
-    only holds asymptotically, so below ``k_min`` it is evaluated but marked
-    non-applicable.
+    only holds asymptotically, so below ``K_MIN`` it is evaluated but
+    marked non-applicable.
     """
     k, potential = op.k, op.potential
-    rmin, rmax = support_span(k, potential)
+    theta_left, theta_right = side_energies(k, potential)
     if result.ground_state is None:
         raise ValueError("bounds need the ground state; use spectrum_low()")
     phi = np.asarray(result.ground_state, dtype=float)
     lam0, lam1 = result.lambda0, result.lambda1
-
-    theta_left = dirichlet_ground_energy(k + rmin)
-    theta_right = dirichlet_ground_energy(k - rmax)
-    theta_min, theta_max = min(theta_left, theta_right), max(theta_left, theta_right)
 
     side = compute_side_corrections(phi, potential, k)
     lower = ground_energy_lower_bound(side, k, potential)
@@ -368,7 +364,7 @@ def evaluate_bounds(
     upper: float | None = None
     trial_error: str | None = None
     try:
-        trial = build_trial_state(k, potential, epsilon)
+        trial = build_trial_state(k, potential)
         upper = ground_energy_upper_bound(trial, k, potential)
     except (ValueError, RuntimeError) as err:
         trial_error = str(err)
@@ -390,7 +386,7 @@ def evaluate_bounds(
     else:
         checks.append(BoundCheck("ground_energy_upper_bound", lam0, math.nan, False, trial_error))
     checks.append(_leq("excited_energy_lower_bound", exc_lower, lam1))
-    reason = None if k >= k_min else f"k = {k} below k_min = {k_min} (asymptotic check)"
+    reason = None if k >= K_MIN else f"k = {k} below k_min = {K_MIN} (asymptotic check)"
     checks.append(_leq("excited_energy_upper_bound", lam1, exc_upper, reason))
     checks.append(_leq("ground_energy_pair_mean", 2.0 * lam0, theta_left + theta_right))
 
@@ -403,7 +399,7 @@ def evaluate_bounds(
         )
     )
 
-    expanded = _expanded_side_total(phi, k, rmin, rmax)
+    expanded = _expanded_side_total(phi, k, potential.site_min, potential.site_max)
     checks.append(
         BoundCheck(
             "side_correction_identity",
@@ -430,16 +426,13 @@ def evaluate_bounds(
     return BoundsReport(
         k=k,
         potential=potential,
-        epsilon=epsilon,
-        k_min=k_min,
         lambda0=lam0,
         lambda1=lam1,
         ground_lower=lower,
         ground_upper=upper,
         excited_lower=exc_lower,
-        excited_upper=exc_upper,
-        side_energy_min=theta_min,
-        side_energy_max=theta_max,
+        side_energy_min=min(theta_left, theta_right),
+        side_energy_max=max(theta_left, theta_right),
         side=side,
         trial=trial,
         checks=checks,

@@ -3,15 +3,18 @@
 Commands::
 
     spectrum       two lowest eigenvalues, gap, and ground-state summary
-    gap-scan       gap sweep over a k grid, CSV (or JSON)
+    gap-scan       gap sweep over a k grid, CSV
     alpha-scan     gap at fixed k for a list of strength scale factors, CSV
     verify-bounds  evaluate every analytic bound over a grid, JSON report
     fit            power-law fit of a gap-scan CSV, JSON
 
 Each command takes only the options its handler reads (``_COMMANDS``), plus
 ``--out`` and ``--no-timestamp``; any other option, or an abbreviated one,
-exits 2.  The solver tolerance is not an option: every eigenvalue is
-bisected to the relative width ``eigensolver.REL_TOL``.
+exits 2.  The solver tolerance and the bound and fit settings are not
+options: every eigenvalue is bisected to the relative width
+``eigensolver.REL_TOL``, the trial state uses ``bounds.EPSILON``, the
+asymptotic check starts at ``bounds.K_MIN`` and band statistics at
+``scaling.BAND_K_MIN``.
 
 Exit codes: 0 success / all applicable checks hold, 1 a bound check failed,
 2 input or parse error, 3 numerical non-convergence.
@@ -25,7 +28,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import evaluate_bounds
+from .bounds import EPSILON, K_MIN, evaluate_bounds
 from .eigensolver import ConvergenceError, PositivityError, eigenvalues_low, spectrum_low
 from .operators import Potential, assemble_hamiltonian, build_potential
 from .scaling import (
@@ -178,24 +181,7 @@ def _cmd_gap_scan(args: argparse.Namespace) -> int:
     k_values = parse_k_grid(args.k_grid)
     potential = parse_potential_spec(args.potential)
     series = gap_series(potential, k_values)
-    if args.fmt == "json":
-        payload = {
-            "potential": potential.spec_string(),
-            "points": [
-                {
-                    "k": pt.k,
-                    "n": pt.n,
-                    "lambda0": pt.lambda0,
-                    "lambda1": pt.lambda1,
-                    "gap": pt.gap,
-                    "precision_limited": pt.precision_limited,
-                }
-                for pt in series.points
-            ],
-        }
-        _emit_json(payload, args)
-    else:
-        _emit(series_to_csv(series, _now() if args.timestamp else None), args.out)
+    _emit(series_to_csv(series, _now() if args.timestamp else None), args.out)
     return 0
 
 
@@ -231,20 +217,18 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
         grid = [args.k]
     else:
         raise ValueError("verify-bounds requires --k-grid or --k")
-    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
-        raise ValueError(f"--epsilon must be finite and positive, got {args.epsilon}")
     potential = parse_potential_spec(args.potential)
     if potential.is_empty:
         raise ValueError("verify-bounds needs a non-empty potential")
     reports = []
     for k in grid:
         op = assemble_hamiltonian(k, potential)
-        reports.append(evaluate_bounds(op, spectrum_low(op), args.epsilon, args.k_min))
+        reports.append(evaluate_bounds(op, spectrum_low(op)))
     all_hold = all(rep.all_hold for rep in reports)
     payload = {
         "potential": potential.spec_string(),
-        "epsilon": args.epsilon,
-        "k_min": args.k_min,
+        "epsilon": EPSILON,
+        "k_min": K_MIN,
         "all_hold": all_hold,
         "points": [rep.to_dict() for rep in reports],
     }
@@ -262,7 +246,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         except OSError as err:
             raise ValueError(f"cannot read {args.input}: {err}") from None
     series: GapSeries = series_from_csv(text)
-    fit = fit_power_law(series, band_k_min=args.band_k_min)
+    fit = fit_power_law(series)
     payload = fit.to_dict()
     payload["points_used"] = len(series.points) - fit.points_excluded
     _emit_json(payload, args)
@@ -280,25 +264,19 @@ _OPTIONS = {
                      help="k sweep, KIND is geometric or linear"),
     "--alphas": dict(default=None, metavar="A,B,C",
                      help="comma-separated strength scale factors"),
-    "--epsilon": dict(type=float, default=1.0,
-                      help="trial-state floor parameter, finite and > 0 (default 1)"),
-    "--k-min": dict(type=int, default=10,
-                    help="threshold for asymptotic-only checks (default 10)"),
     "--format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
-    "--band-k-min": dict(type=int, default=100,
-                         help="smallest k entering band statistics (default 100)"),
 }
 
 _COMMANDS = (
     ("spectrum", _cmd_spectrum, "two lowest eigenvalues and gap at one (k, potential)",
      ("--potential", "--k", "--format")),
     ("gap-scan", _cmd_gap_scan, "gap sweep over a k grid",
-     ("--potential", "--k-grid", "--format")),
+     ("--potential", "--k-grid")),
     ("alpha-scan", _cmd_alpha_scan, "gap at fixed k across strength scale factors",
      ("--potential", "--k", "--alphas")),
     ("verify-bounds", _cmd_verify_bounds, "evaluate all analytic bounds over a grid",
-     ("--potential", "--k", "--k-grid", "--epsilon", "--k-min")),
-    ("fit", _cmd_fit, "power-law fit of a gap-scan CSV", ("input", "--band-k-min")),
+     ("--potential", "--k", "--k-grid")),
+    ("fit", _cmd_fit, "power-law fit of a gap-scan CSV", ("input",)),
 )
 
 

@@ -90,17 +90,13 @@ class SpectralResult:
         return self.lambda1 - self.lambda0
 
 
-def _pivot_scale(op: TridiagonalOperator) -> float:
-    return float(np.max(np.abs(op.diag))) + 2.0
-
-
 def _offsq(op: TridiagonalOperator) -> np.ndarray:
     return op.offdiag * op.offdiag
 
 
 def sturm_count(op: TridiagonalOperator, mu: float) -> int:
     """Number of eigenvalues of ``op`` strictly below ``mu``."""
-    subst = EPS * _pivot_scale(op)
+    subst = EPS * op.norm_bound
     return int(_kernels.sturm_count(op.diag, _offsq(op), float(mu), subst))
 
 
@@ -108,7 +104,7 @@ def _eigenvalue_bracket(op: TridiagonalOperator, index: int) -> tuple[float, flo
     n = op.n
     if not 0 <= index <= n - 1:
         raise ValueError(f"eigenvalue index {index} out of range 0..{n - 1}")
-    subst = EPS * _pivot_scale(op)
+    subst = EPS * op.norm_bound
     lo, hi = _kernels.bisect_bracket(
         op.diag, _offsq(op), index, 0.0, op.norm_bound, REL_TOL, LAMBDA_FLOOR, subst
     )
@@ -129,17 +125,16 @@ def ground_state(op: TridiagonalOperator, lambda0: float) -> np.ndarray:
     """Positive normalized ground state by inverse iteration (read-only).
 
     ``lambda0`` is the shift: the bisection ground energy, ``eigenvalue(op,
-    0)``.  If the shifted factorization hits a pivot below 10^3 eps * scale
-    the shift is nudged up by 2 ulp of the norm bound and the factorization
-    redone.  Tiny pivots beyond that are kept as-is (they drive the solve
-    along the wanted direction); only a microscopic overflow floor replaces
-    exact zeros.  Converged when ||H v - lambda0 v|| <= 1e-11 * (4 + max
+    0)``.  If the shifted factorization hits a pivot below 10^3 eps times
+    the norm bound, the shift is nudged up by 2 ulp of the norm bound and
+    the factorization redone.  Tiny pivots beyond that are kept as-is
+    (they drive the solve along the wanted direction); only a microscopic
+    overflow floor replaces exact zeros.  Converged when ||H v - lambda0 v|| <= 1e-11 * (4 + max
     strength) and the iterate has stopped moving.
     """
     tol = RESIDUAL_SCALE * op.norm_bound
-    scale = _pivot_scale(op)
-    pivot_min = 1e3 * EPS * scale
-    overflow_floor = 1e-150 * scale
+    pivot_min = 1e3 * EPS * op.norm_bound
+    overflow_floor = 1e-150 * op.norm_bound
     nudge = 2.0 * math.ulp(op.norm_bound)
     piv, mult, min_abs = _kernels.factor_shifted(
         op.diag, op.offdiag, lambda0, overflow_floor

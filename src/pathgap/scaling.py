@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bounds import side_energies
 from .eigensolver import SpectralResult, dirichlet_ground_energy, eigenvalues_low
 from .operators import Potential, assemble_hamiltonian
 
@@ -33,6 +34,10 @@ __all__ = [
 ]
 
 CSV_HEADER = "k,n,alpha_sum,lambda0,lambda1,gap,gap_n2,gap_n3,precision_limited"
+
+# band statistics use the points with k >= BAND_K_MIN, or every usable
+# point when none reaches it
+BAND_K_MIN = 100
 
 
 @dataclass(frozen=True)
@@ -121,20 +126,20 @@ def _usable(series: GapSeries) -> list[SpectralResult]:
     return [pt for pt in series.points if not pt.precision_limited and pt.gap > 0]
 
 
-def _band(points: list[SpectralResult], power: int, band_k_min: int) -> tuple[float, float]:
-    vals = [pt.n**power * pt.gap for pt in points if pt.k >= band_k_min]
+def _band(points: list[SpectralResult], power: int) -> tuple[float, float]:
+    vals = [pt.n**power * pt.gap for pt in points if pt.k >= BAND_K_MIN]
     if not vals:
         vals = [pt.n**power * pt.gap for pt in points]
     return min(vals), max(vals)
 
 
-def fit_power_law(series: GapSeries, band_k_min: int = 100) -> ScalingFit:
+def fit_power_law(series: GapSeries) -> ScalingFit:
     """Ordinary least squares of log gap against log n.
 
     Flagged (precision-limited) points are excluded; at least 3 usable
     points are required.  Band statistics are taken over the scaled
     sequence at the fitted exponent rounded to the nearest integer, using
-    points with k >= band_k_min (all usable points if none qualify).
+    points with k >= ``BAND_K_MIN`` (all usable points if none qualify).
     """
     pts = _usable(series)
     if len(pts) < 3:
@@ -153,7 +158,7 @@ def fit_power_law(series: GapSeries, band_k_min: int = 100) -> ScalingFit:
     else:
         r_squared = 1.0 - ss_res / ss_tot
     power = int(round(-float(exponent)))
-    band_min, band_max = _band(pts, power, band_k_min)
+    band_min, band_max = _band(pts, power)
     return ScalingFit(
         exponent=float(exponent),
         prefactor=float(math.exp(intercept)),
@@ -182,9 +187,7 @@ def fit_inverse_alpha(samples: list[tuple[float, float]]) -> tuple[float, float]
     return c, float(np.max(rel))
 
 
-def cubic_band_check(
-    series: GapSeries, band_k_min: int = 100
-) -> tuple[ScalingFit, bool]:
+def cubic_band_check(series: GapSeries) -> tuple[ScalingFit, bool]:
     """Band of n^3 * gap over the sweep, plus whether the lower band is
     asymptotically meaningful.
 
@@ -197,20 +200,17 @@ def cubic_band_check(
     pot = series.potential
     if pot is None or pot.is_empty:
         raise ValueError("cubic band check requires a non-empty potential")
-    fit = fit_power_law(series, band_k_min=band_k_min)
+    fit = fit_power_law(series)
     pts = _usable(series)
-    band_min, band_max = _band(pts, 3, band_k_min)
+    band_min, band_max = _band(pts, 3)
     fit = replace(fit, band_min=band_min, band_max=band_max, band_power=3)
     if pot.sites == (0,):
         applicable = True
     else:
-        rmin, rmax = pot.site_min, pot.site_max
         margin = math.inf
         for pt in pts:
             k = pt.k
-            theta_max = max(
-                dirichlet_ground_energy(k + rmin), dirichlet_ground_energy(k - rmax)
-            )
+            theta_max = max(side_energies(k, pot))
             dge_k = dirichlet_ground_energy(k)
             margin = min(
                 margin, dge_k / (pot.strength_sum * k) + dge_k - theta_max
@@ -250,8 +250,9 @@ def series_from_csv(text: str) -> GapSeries:
 
     Raises ValueError naming the row when a row has the wrong field count,
     a field that does not parse, a k below 1 or not above the previous
-    row's, an n other than 2k+1, a gap other than lambda1 - lambda0, or a
-    precision_limited other than true/false.
+    row's, an n other than 2k+1, a gap other than lambda1 - lambda0, a
+    precision_limited other than true/false, or a gap_n2 / gap_n3 other
+    than n**2 * gap / n**3 * gap.
     """
     rows = [
         line.strip()
@@ -269,7 +270,8 @@ def series_from_csv(text: str) -> GapSeries:
             raise ValueError(f"malformed CSV row: {row!r}")
         try:
             k, n = int(fields[0]), int(fields[1])
-            lam0, lam1, gap = float(fields[3]), float(fields[4]), float(fields[5])
+            float(fields[2])  # alpha_sum: parsed, not kept
+            lam0, lam1, gap, gap_n2, gap_n3 = (float(f) for f in fields[3:8])
         except ValueError as err:
             raise ValueError(f"CSV row {row!r}: {err}") from None
         flag = fields[8]
@@ -284,7 +286,7 @@ def series_from_csv(text: str) -> GapSeries:
             )
         if n != 2 * k + 1:
             raise ValueError(f"CSV row {row!r}: n = {n} is not 2k+1 for k = {k}")
-        # exact: gap-scan writes all three with 17 significant digits
+        # exact: gap-scan writes every float with 17 significant digits
         if gap != lam1 - lam0:
             raise ValueError(
                 f"CSV row {row!r}: gap = {gap!r} is not lambda1 - lambda0 = "
@@ -294,6 +296,12 @@ def series_from_csv(text: str) -> GapSeries:
             raise ValueError(
                 f"CSV row {row!r}: precision_limited must be true or false, got {flag!r}"
             )
+        for name, scaled, p in (("gap_n2", gap_n2, 2), ("gap_n3", gap_n3, 3)):
+            if scaled != n**p * gap:
+                raise ValueError(
+                    f"CSV row {row!r}: {name} = {scaled!r} is not n**{p} * gap = "
+                    f"{n**p * gap!r}"
+                )
         points.append(
             SpectralResult(
                 k=k, lambda0=lam0, lambda1=lam1, precision_limited=flag == "true"

@@ -36,12 +36,7 @@ def bound_reports(spectral):
     for spec in BOUND_POTENTIALS:
         pot = parse_potential_spec(spec)
         out[spec] = [
-            evaluate_bounds(
-                assemble_hamiltonian(k, pot),
-                spectral(spec, k),
-                epsilon=1.0,
-                k_min=10,
-            )
+            evaluate_bounds(assemble_hamiltonian(k, pot), spectral(spec, k))
             for k in ACCEPTANCE_GRID
         ]
     return out

@@ -41,7 +41,7 @@ def main() -> None:
         for k in grid:
             op = assemble_hamiltonian(k, pot)
             res = spectrum_low(op)
-            rep = evaluate_bounds(op, res, epsilon=1.0, k_min=10)
+            rep = evaluate_bounds(op, res)
             ak.append(side_correction_product(rep.side, pot, k))
             bk.append(mixing_weight_product(rep.trial, pot, k))
             _, e_pot, s = single_site_diagnostics(res, pot)
@@ -53,7 +53,7 @@ def main() -> None:
             "origin_scaled_max": max(scaled),
             "potential_energy_k3_max": max(epk3),
         }
-    trial = build_trial_state(10, parse_potential_spec("0:1"), 1.0)
+    trial = build_trial_state(10, parse_potential_spec("0:1"))
     payload["trial_mixing_k10_alpha1"] = trial.mixing
 
     out = Path(__file__).parent / "data" / "regression_values.json"

@@ -125,7 +125,7 @@ def test_criterion_06_correction_products(bound_reports):
         ok &= _within_regression(ak_max, pins["ak_product_max"])
         ok &= _within_regression(bk_min, pins["bk_product_min"])
         details.append(f"{spec}: ak_max={ak_max:.4f} bk_min={bk_min:.4f}")
-    trial = build_trial_state(10, parse_potential_spec("0:1"), 1.0)
+    trial = build_trial_state(10, parse_potential_spec("0:1"))
     ok &= _within_regression(trial.mixing, REGRESSION["trial_mixing_k10_alpha1"])
     _report(6, "side-correction and mixing-weight products", ok,
             "; ".join(details) + " vs pinned +-20%")
@@ -203,7 +203,7 @@ def test_criterion_09_trial_state_integrity(spectral, bound_reports):
 def test_criterion_10_cli_contract(tmp_path, capsys):
     code = main(
         ["verify-bounds", "--potential", "0:1", "--k-grid", "100:1600:geometric:16",
-         "--epsilon", "1", "--no-timestamp", "--out", str(tmp_path / "vb.json")]
+         "--no-timestamp", "--out", str(tmp_path / "vb.json")]
     )
     verify_ok = code == 0
 

@@ -135,7 +135,7 @@ class TestCosinePieces:
     def test_piece_sum_matches_closed_form(self):
         # sum of cos((i+1/2) x), x = pi/(2m+1), equals cot(x/2)/2
         pot = build_potential([(-2, 5.0), (3, 7.0)])
-        trial = build_trial_state(10, pot, 1.0)
+        trial = build_trial_state(10, pot)
         expected = 0.0
         for m in (8, 7):
             expected += math.sqrt(2.0 / (2 * m + 1)) * 0.5 / math.tan(
@@ -147,7 +147,7 @@ class TestCosinePieces:
 class TestTrialState:
     def test_basic_properties(self):
         pot = build_potential([(0, 1.0)])
-        trial = build_trial_state(10, pot, 1.0)
+        trial = build_trial_state(10, pot)
         assert 0.0 < trial.mixing < 1.0
         assert float(np.dot(trial.vector, trial.vector)) == pytest.approx(1.0, abs=1e-12)
         assert trial.floor_energy == pytest.approx(dirichlet_ground_energy(10) / 3.0)
@@ -156,41 +156,37 @@ class TestTrialState:
         # b = 2 sqrt((1-b) b) a S + (2k+1) b a^2
         for k, pairs in [(10, [(0, 1.0)]), (50, [(-2, 5.0), (3, 7.0)])]:
             pot = build_potential(pairs)
-            t = build_trial_state(k, pot, 1.0)
+            t = build_trial_state(k, pot)
             b, a, s = t.mixing, t.floor_amplitude, t.piece_sum
             rhs = 2.0 * math.sqrt((1.0 - b) * b) * a * s + (2 * k + 1) * b * a * a
             assert b == pytest.approx(rhs, rel=1e-12)
 
     def test_strong_potential_kills_mixing(self):
         pot = build_potential([(0, 1e9)])
-        trial = build_trial_state(10, pot, 1.0)
+        trial = build_trial_state(10, pot)
         assert trial.mixing < 1e-6
 
     def test_degenerate_branch_rejected(self):
         with pytest.raises(ValueError, match="degenerate mixing branch"):
-            build_trial_state(1, build_potential([(0, 0.001)]), 1.0)
-
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            build_trial_state(10, build_potential([(0, 1.0)]), 0.0)
+            build_trial_state(1, build_potential([(0, 0.001)]))
 
 
 class TestGroundUpperBound:
     def test_above_ground_energy_3x3(self):
         pot, res = _low(1, [(0, 5.0)])
-        trial = build_trial_state(1, pot, 1.0)
+        trial = build_trial_state(1, pot)
         assert ground_energy_upper_bound(trial, 1, pot) >= res.lambda0
 
     def test_zero_mixing_limit_is_side_mean(self):
         pot = build_potential([(0, 1e12)])
-        trial = build_trial_state(9, pot, 1.0)
+        trial = build_trial_state(9, pot)
         bound = ground_energy_upper_bound(trial, 9, pot)
         mean = dirichlet_ground_energy(9)  # both sides equal for J={0}
         assert bound == pytest.approx(mean, rel=1e-5)
 
     def test_product_positive(self):
         pot = build_potential([(0, 1.0)])
-        trial = build_trial_state(20, pot, 1.0)
+        trial = build_trial_state(20, pot)
         assert mixing_weight_product(trial, pot, 20) > 0.0
 
 
@@ -232,7 +228,7 @@ class TestSingleSiteDiagnostics:
 class TestEvaluateBounds:
     def test_small_exact_case(self):
         op, res = _op_low(1, [(0, 5.0)])
-        rep = evaluate_bounds(op, res, epsilon=1.0, k_min=10)
+        rep = evaluate_bounds(op, res)
         assert rep.all_hold
         names = {c.name for c in rep.checks}
         assert "side_correction_identity" in names
@@ -245,7 +241,7 @@ class TestEvaluateBounds:
     @pytest.mark.parametrize("pairs", [[(0, 1.0)], [(-2, 5.0), (3, 7.0)]])
     def test_medium_sweep_point(self, pairs):
         op, res = _op_low(200, pairs)
-        rep = evaluate_bounds(op, res, epsilon=1.0, k_min=10)
+        rep = evaluate_bounds(op, res)
         assert rep.all_hold
         assert all(c.applicable for c in rep.checks)
         assert rep.ground_lower <= res.lambda0 <= rep.ground_upper
@@ -271,7 +267,7 @@ class TestEvaluateBounds:
 
     def test_degenerate_trial_reported_as_skipped(self):
         op, res = _op_low(2, [(0, 0.0001)])
-        rep = evaluate_bounds(op, res, epsilon=1.0, k_min=10)
+        rep = evaluate_bounds(op, res)
         upper = next(c for c in rep.checks if c.name == "ground_energy_upper_bound")
         assert upper.skipped_reason is not None and "degenerate" in upper.skipped_reason
         assert rep.ground_upper is None

@@ -170,7 +170,7 @@ def test_bisect_bracket_matches_reference_on_the_paper_operator():
     # n <= 24, where a sweep seldom stops early
     op = assemble_hamiltonian(1600, parse_potential_spec("0:1"))
     offsq = op.offdiag * op.offdiag
-    subst = eigensolver.EPS * eigensolver._pivot_scale(op)
+    subst = eigensolver.EPS * op.norm_bound
     for index in (0, 1):
         args = (op.diag, offsq, index, 0.0, op.norm_bound,
                 eigensolver.REL_TOL, eigensolver.LAMBDA_FLOOR, subst)

@@ -114,8 +114,9 @@ class TestScaledSequence:
 
 class TestFitPowerLaw:
     def test_exact_cubic(self):
+        # no k reaches BAND_K_MIN, so the band spans every usable point
         series = _synthetic(7.0, -3.0, [10, 20, 40, 80])
-        fit = fit_power_law(series, band_k_min=0)
+        fit = fit_power_law(series)
         assert fit.exponent == pytest.approx(-3.0, abs=1e-12)
         assert fit.prefactor == pytest.approx(7.0, rel=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -124,7 +125,7 @@ class TestFitPowerLaw:
 
     def test_excludes_flagged_points(self):
         series = _synthetic(7.0, -3.0, [10, 20, 40, 80], flagged={20})
-        fit = fit_power_law(series, band_k_min=0)
+        fit = fit_power_law(series)
         assert fit.points_excluded == 1
         assert fit.exponent == pytest.approx(-3.0, abs=1e-12)
 
@@ -238,13 +239,26 @@ class TestCsvRoundTrip:
         ("2x0,41,1,1e-4,2e-4,1e-4,4,800,false", "invalid literal for int.*'2x0'"),
         ("20,4.1e1,1,1e-4,2e-4,1e-4,4,800,false", "invalid literal for int.*'4.1e1'"),
         ("20,41,1,1e-4,2e-4,1x-4,4,800,false", "could not convert string to float: '1x-4'"),
-        ("10,21,1,1e-4,2e-4,1e-4,4,800,false\n10,21,1,1e-4,2e-4,1e-4,4,800,false",
+        ("10,21,1,0.25,0.75,0.5,220.5,4630.5,false\n10,21,1,1e-4,2e-4,1e-4,4,800,false",
          "k = 10 does not exceed the previous row's k = 10"),
-        ("20,41,1,1e-4,2e-4,1e-4,4,800,false\n10,21,1,1e-4,2e-4,1e-4,4,800,false",
+        ("20,41,1,0.25,0.75,0.5,840.5,34460.5,false\n10,21,1,1e-4,2e-4,1e-4,4,800,false",
          "k = 10 does not exceed the previous row's k = 20"),
         ("20,41,1,0.1,0.2,5,2101,344605,false", "gap = 5.0 is not lambda1 - lambda0 = 0.1"),
+        # n = 201, gap = 0.5: n**2 * gap = 20200.5 and n**3 * gap = 4060300.5 exactly
+        ("100,201,abc,0.25,0.75,0.5,20200.5,4060300.5,false",
+         "could not convert string to float: 'abc'"),
+        ("100,201,1,0.25,0.75,0.5,abc,4060300.5,false",
+         "could not convert string to float: 'abc'"),
+        ("100,201,1,0.25,0.75,0.5,20200.5,abc,false",
+         "could not convert string to float: 'abc'"),
+        ("100,201,1,0.25,0.75,0.5,20200,4060300.5,false",
+         r"gap_n2 = 20200.0 is not n\*\*2 \* gap = 20200.5"),
+        ("100,201,1,0.25,0.75,0.5,20200.5,4060300,false",
+         r"gap_n3 = 4060300.0 is not n\*\*3 \* gap = 4060300.5"),
     ], ids=["bad-n", "TRUE", "yes", "nope", "k-zero", "k-not-int", "n-not-int",
-            "gap-not-float", "k-repeated", "k-decreasing", "gap-mismatch"])
+            "gap-not-float", "k-repeated", "k-decreasing", "gap-mismatch",
+            "alpha-sum-not-float", "gap-n2-not-float", "gap-n3-not-float",
+            "gap-n2-mismatch", "gap-n3-mismatch"])
     def test_rejects_bad_rows(self, row, message):
         # the error names the offending row, the last one given
         with pytest.raises(ValueError, match=message) as exc:
