@@ -115,80 +115,105 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Every bound evaluated at one (k, potential) point."""
+    """Every bound evaluated at one grid point: the potential, the point's
+    ``spectrum_low`` result and what ``evaluate_bounds`` built from them.
 
-    k: int
+    The bounds are read off the checks that compare them with the spectrum.
+    """
+
     potential: Potential
-    lambda0: float
-    lambda1: float
-    ground_lower: float
-    ground_upper: float | None
-    excited_lower: float
-    side_energy_min: float
-    side_energy_max: float
+    result: SpectralResult
     side: SideCorrections
     trial: TrialState | None
     checks: list[BoundCheck]
-    ground_at_origin: float | None = None
-    potential_energy: float | None = None
+
+    @property
+    def k(self) -> int:
+        return self.result.k
+
+    def _check(self, name: str) -> BoundCheck:
+        return next(c for c in self.checks if c.name == name)
+
+    @property
+    def ground_lower(self) -> float:
+        return self._check("ground_energy_lower_bound").lhs
+
+    @property
+    def ground_upper(self) -> float | None:
+        """None when the trial state is degenerate."""
+        return None if self.trial is None else self._check("ground_energy_upper_bound").rhs
+
+    @property
+    def excited_lower(self) -> float:
+        return self._check("excited_energy_lower_bound").lhs
 
     @property
     def excited_upper(self) -> float:
-        """The excited-level upper bound: the larger side energy."""
-        return self.side_energy_max
+        """The larger side energy."""
+        return self._check("excited_energy_upper_bound").rhs
 
     @property
     def all_hold(self) -> bool:
         return all(c.holds for c in self.checks if c.applicable)
 
     def to_dict(self) -> dict:
+        res = self.result
         d = {
             "k": self.k,
-            "n": 2 * self.k + 1,
+            "n": res.n,
             "potential": self.potential.spec_string(),
             "epsilon": EPSILON,
             "k_min": K_MIN,
-            "lambda0": self.lambda0,
-            "lambda1": self.lambda1,
-            "gap": self.lambda1 - self.lambda0,
+            "lambda0": res.lambda0,
+            "lambda1": res.lambda1,
+            "gap": res.gap,
             "ground_lower": self.ground_lower,
             "ground_upper": self.ground_upper,
             "excited_lower": self.excited_lower,
             "excited_upper": self.excited_upper,
-            "side_energy_min": self.side_energy_min,
-            "side_energy_max": self.side_energy_max,
+            "side_energy_min": min(side_energies(self.k, self.potential)),
+            "side_energy_max": self.excited_upper,
             "side_correction_left": self.side.left,
             "side_correction_right": self.side.right,
             "mixing_weight": None if self.trial is None else self.trial.mixing,
             "all_hold": self.all_hold,
             "checks": [c.to_dict() for c in self.checks],
         }
-        if self.ground_at_origin is not None:
-            d["ground_at_origin"] = self.ground_at_origin
-            d["potential_energy"] = self.potential_energy
+        if self.potential.sites == (0,):
+            d["ground_at_origin"], d["potential_energy"], _ = single_site_diagnostics(
+                res, self.potential
+            )
         return d
 
 
 def side_energies(k: int, potential: Potential) -> tuple[float, float]:
     """Dirichlet ground energies of the free sub-paths left of r_min and
-    right of r_max, each with a Dirichlet site at the support edge."""
+    right of r_max, each with a Dirichlet site at the support edge.
+
+    Checks the support with ``support_span``: a caller without an operator
+    (``scaling.cubic_band_check``, given any ``GapSeries``) has not checked it.
+    """
     rmin, rmax = support_span(k, potential)
     return dirichlet_ground_energy(k + rmin), dirichlet_ground_energy(k - rmax)
 
 
-def compute_side_corrections(
-    phi: np.ndarray, potential: Potential, k: int
-) -> SideCorrections:
+def _side_energies(op: TridiagonalOperator) -> tuple[float, float]:
+    """``side_energies(op.k, op.potential)`` without its support check,
+    which ``assemble_hamiltonian`` has made."""
+    k, pot = op.k, op.potential
+    return dirichlet_ground_energy(k + pot.site_min), dirichlet_ground_energy(k - pot.site_max)
+
+
+def compute_side_corrections(op: TridiagonalOperator, phi: np.ndarray) -> SideCorrections:
     """Half-mass deficits 1/2 - sum over each side of |phi(j) - phi(edge)|^2.
 
-    ``phi`` must be the positive normalized ground state for (k, potential);
-    the sums run from the boundary up to and including the support edge.
+    ``phi`` must be the positive normalized ground state of ``op``; the sums
+    run from the boundary up to and including the support edge.
     """
-    rmin, rmax = support_span(k, potential)
+    i_min, i_max = op.potential.site_min + op.k, op.potential.site_max + op.k
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != (2 * k + 1,):
-        raise ValueError(f"ground state has length {phi.shape}, expected {2 * k + 1}")
-    i_min, i_max = rmin + k, rmax + k
+    if phi.shape != (op.n,):
+        raise ValueError(f"ground state has length {phi.shape}, expected {op.n}")
     dl = phi[: i_min + 1] - phi[i_min]
     dr = phi[i_max:] - phi[i_max]
     return SideCorrections(
@@ -197,33 +222,27 @@ def compute_side_corrections(
     )
 
 
-def ground_energy_lower_bound(
-    side: SideCorrections, k: int, potential: Potential
-) -> float:
+def ground_energy_lower_bound(op: TridiagonalOperator, side: SideCorrections) -> float:
     """(1/2 - left) * side energy left + (1/2 - right) * side energy right."""
-    theta_left, theta_right = side_energies(k, potential)
+    theta_left, theta_right = _side_energies(op)
     return (0.5 - side.left) * theta_left + (0.5 - side.right) * theta_right
 
 
-def side_correction_product(
-    side: SideCorrections, potential: Potential, k: int
-) -> float:
+def side_correction_product(op: TridiagonalOperator, side: SideCorrections) -> float:
     """(left + right) * smallest strength * k; bounded above over sweeps."""
-    support_span(k, potential)
-    return side.total * potential.strength_min * k
+    return side.total * op.potential.strength_min * op.k
 
 
-def cosine_pieces(k: int, potential: Potential) -> tuple[np.ndarray, np.ndarray]:
+def cosine_pieces(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
     """The two half-path cosine profiles as full-length vectors.
 
     Each piece is the ground profile of its free sub-path with a Dirichlet
     site at the support edge (where it vanishes), scaled by direct summation
     to squared norm 1/2, and zero outside its side.
     """
-    rmin, rmax = support_span(k, potential)
-    n = 2 * k + 1
-    left = np.zeros(n)
-    right = np.zeros(n)
+    k, rmin, rmax = op.k, op.potential.site_min, op.potential.site_max
+    left = np.zeros(op.n)
+    right = np.zeros(op.n)
 
     m_left = k + rmin
     j = np.arange(-k, rmin + 1)
@@ -239,7 +258,7 @@ def cosine_pieces(k: int, potential: Potential) -> tuple[np.ndarray, np.ndarray]
     return left, right
 
 
-def build_trial_state(k: int, potential: Potential) -> TrialState:
+def build_trial_state(op: TridiagonalOperator) -> TrialState:
     """Assemble the trial state and solve the normalization relation.
 
     The mixing weight solves  b = 2 sqrt((1-b) b) * a * S + (2k+1) b a^2
@@ -247,19 +266,18 @@ def build_trial_state(k: int, potential: Potential) -> TrialState:
     b = 4 a^2 S^2 / ((1 - (2k+1) a^2)^2 + 4 a^2 S^2), valid on the branch
     (2k+1) a^2 < 1.  The assembled vector is verified to have unit norm.
     """
-    support_span(k, potential)
-    n = 2 * k + 1
+    k, n, strength_sum = op.k, op.n, op.potential.strength_sum
+    left, right = cosine_pieces(op)
 
     floor_energy = dirichlet_ground_energy(k) / (2.0 + EPSILON)
-    amp = math.sqrt(floor_energy / potential.strength_sum)
+    amp = math.sqrt(floor_energy / strength_sum)
     if n * amp * amp >= 1.0:
         raise ValueError(
             f"degenerate mixing branch: (2k+1) * floor_amplitude^2 = "
             f"{n * amp * amp:.6g} >= 1 (k = {k}, total strength = "
-            f"{potential.strength_sum:g}, epsilon = {EPSILON:g})"
+            f"{strength_sum:g}, epsilon = {EPSILON:g})"
         )
 
-    left, right = cosine_pieces(k, potential)
     piece_sum = float(np.sum(left) + np.sum(right))
     a2s2 = 4.0 * amp * amp * piece_sum * piece_sum
     mixing = a2s2 / ((1.0 - n * amp * amp) ** 2 + a2s2)
@@ -281,25 +299,22 @@ def build_trial_state(k: int, potential: Potential) -> TrialState:
     )
 
 
-def ground_energy_upper_bound(
-    trial: TrialState, k: int, potential: Potential
-) -> float:
+def ground_energy_upper_bound(op: TridiagonalOperator, trial: TrialState) -> float:
     """(1-b)/2 * (sum of the two side energies) + b * floor energy."""
-    theta_left, theta_right = side_energies(k, potential)
+    theta_left, theta_right = _side_energies(op)
     b = trial.mixing
     return 0.5 * (1.0 - b) * (theta_left + theta_right) + b * trial.floor_energy
 
 
-def mixing_weight_product(trial: TrialState, potential: Potential, k: int) -> float:
+def mixing_weight_product(op: TridiagonalOperator, trial: TrialState) -> float:
     """mixing * total strength * k; bounded below over sweeps."""
-    support_span(k, potential)
-    return trial.mixing * potential.strength_sum * k
+    return trial.mixing * op.potential.strength_sum * op.k
 
 
-def excited_energy_bounds(k: int, potential: Potential) -> tuple[float, float]:
+def excited_energy_bounds(op: TridiagonalOperator) -> tuple[float, float]:
     """Sandwich for the first excited energy: Dirichlet energy of the full
     path below, the larger of the two side energies above."""
-    return dirichlet_ground_energy(k), max(side_energies(k, potential))
+    return dirichlet_ground_energy(op.k), max(_side_energies(op))
 
 
 def single_site_diagnostics(
@@ -319,9 +334,10 @@ def single_site_diagnostics(
     return phi0, strength * phi0 * phi0, strength * k**1.5 * phi0
 
 
-def _expanded_side_total(phi: np.ndarray, k: int, rmin: int, rmax: int) -> float:
+def _expanded_side_total(op: TridiagonalOperator, phi: np.ndarray) -> float:
     """Side-correction total rewritten through ground-state sums (used as a
     consistency check on the direct definition)."""
+    k, rmin, rmax = op.k, op.potential.site_min, op.potential.site_max
     i_min, i_max = rmin + k, rmax + k
     support_sq = float(np.dot(phi[i_min : i_max + 1], phi[i_min : i_max + 1]))
     left_sum = float(np.sum(phi[:i_min]))
@@ -350,22 +366,22 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
     marked non-applicable.
     """
     k, potential = op.k, op.potential
-    theta_left, theta_right = side_energies(k, potential)
+    theta_left, theta_right = _side_energies(op)
     if result.ground_state is None:
         raise ValueError("bounds need the ground state; use spectrum_low()")
     phi = np.asarray(result.ground_state, dtype=float)
     lam0, lam1 = result.lambda0, result.lambda1
 
-    side = compute_side_corrections(phi, potential, k)
-    lower = ground_energy_lower_bound(side, k, potential)
-    exc_lower, exc_upper = excited_energy_bounds(k, potential)
+    side = compute_side_corrections(op, phi)
+    lower = ground_energy_lower_bound(op, side)
+    exc_lower, exc_upper = excited_energy_bounds(op)
 
     trial: TrialState | None = None
     upper: float | None = None
     trial_error: str | None = None
     try:
-        trial = build_trial_state(k, potential)
-        upper = ground_energy_upper_bound(trial, k, potential)
+        trial = build_trial_state(op)
+        upper = ground_energy_upper_bound(op, trial)
     except (ValueError, RuntimeError) as err:
         trial_error = str(err)
 
@@ -399,7 +415,7 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
         )
     )
 
-    expanded = _expanded_side_total(phi, k, potential.site_min, potential.site_max)
+    expanded = _expanded_side_total(op, phi)
     checks.append(
         BoundCheck(
             "side_correction_identity",
@@ -416,26 +432,4 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
     else:
         checks.append(BoundCheck("trial_rayleigh_above_ground", lam0, math.nan, False, trial_error))
 
-    ground_at_origin: float | None = None
-    potential_energy: float | None = None
-    if potential.sites == (0,):
-        ground_at_origin, potential_energy, _ = single_site_diagnostics(
-            result, potential
-        )
-
-    return BoundsReport(
-        k=k,
-        potential=potential,
-        lambda0=lam0,
-        lambda1=lam1,
-        ground_lower=lower,
-        ground_upper=upper,
-        excited_lower=exc_lower,
-        side_energy_min=min(theta_left, theta_right),
-        side_energy_max=max(theta_left, theta_right),
-        side=side,
-        trial=trial,
-        checks=checks,
-        ground_at_origin=ground_at_origin,
-        potential_energy=potential_energy,
-    )
+    return BoundsReport(potential, result, side, trial, checks)

@@ -2,7 +2,8 @@
 
 Commands::
 
-    spectrum       two lowest eigenvalues, gap, and ground-state summary
+    spectrum       two lowest eigenvalues, gap, and ground-state summary, as
+                   ``key = value`` lines (``--format text``, the default) or JSON
     gap-scan       gap sweep over a k grid, CSV
     alpha-scan     gap at fixed k for a list of strength scale factors, CSV
     verify-bounds  evaluate every analytic bound over a grid, JSON report
@@ -209,28 +210,23 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
-    if args.k_grid is not None and args.k is not None:
-        raise ValueError("verify-bounds takes --k or --k-grid, not both")
-    if args.k_grid is not None:
-        grid = parse_k_grid(args.k_grid)
-    elif args.k is not None:
-        grid = [args.k]
-    else:
-        raise ValueError("verify-bounds requires --k-grid or --k")
+    if args.k_grid is None:
+        raise ValueError("verify-bounds requires --k-grid")
+    grid = parse_k_grid(args.k_grid)
     potential = parse_potential_spec(args.potential)
     if potential.is_empty:
         raise ValueError("verify-bounds needs a non-empty potential")
-    reports = []
+    points = []
     for k in grid:
         op = assemble_hamiltonian(k, potential)
-        reports.append(evaluate_bounds(op, spectrum_low(op)))
-    all_hold = all(rep.all_hold for rep in reports)
+        points.append(evaluate_bounds(op, spectrum_low(op)).to_dict())
+    all_hold = all(point["all_hold"] for point in points)
     payload = {
         "potential": potential.spec_string(),
         "epsilon": EPSILON,
         "k_min": K_MIN,
         "all_hold": all_hold,
-        "points": [rep.to_dict() for rep in reports],
+        "points": points,
     }
     _emit_json(payload, args)
     return 0 if all_hold else 1
@@ -264,7 +260,7 @@ _OPTIONS = {
                      help="k sweep, KIND is geometric or linear"),
     "--alphas": dict(default=None, metavar="A,B,C",
                      help="comma-separated strength scale factors"),
-    "--format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
+    "--format": dict(dest="fmt", choices=("text", "json"), default="text"),
 }
 
 _COMMANDS = (
@@ -275,7 +271,7 @@ _COMMANDS = (
     ("alpha-scan", _cmd_alpha_scan, "gap at fixed k across strength scale factors",
      ("--potential", "--k", "--alphas")),
     ("verify-bounds", _cmd_verify_bounds, "evaluate all analytic bounds over a grid",
-     ("--potential", "--k", "--k-grid")),
+     ("--potential", "--k-grid")),
     ("fit", _cmd_fit, "power-law fit of a gap-scan CSV", ("input",)),
 )
 

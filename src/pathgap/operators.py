@@ -83,14 +83,19 @@ class Potential:
         return build_potential([(s, a * factor) for s, a in self.entries])
 
     def spec_string(self) -> str:
-        """Inverse of the CLI spec syntax, ``none`` for the empty baseline."""
+        """Inverse of the CLI spec syntax, ``none`` for the empty baseline.
+
+        Each strength is written with ``:g`` when that reads back as the
+        same float, and with ``repr`` otherwise.
+        """
         if self.is_empty:
             return "none"
-        return ",".join(f"{s}:{a:g}" for s, a in self.entries)
+        return ",".join(f"{s}:{a:g}" if float(f"{a:g}") == a else f"{s}:{a!r}"
+                        for s, a in self.entries)
 
     def _require_nonempty(self) -> None:
         if self.is_empty:
-            raise ValueError("empty baseline potential has no support")
+            raise ValueError("the empty baseline has no support; need a non-empty potential")
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,6 @@ def support_span(k: int, potential: Potential) -> tuple[int, int]:
     k + site_min >= 1 and k - site_max >= 1 (required by the bound
     evaluations); raises ValueError otherwise.
     """
-    if potential.is_empty:
-        raise ValueError("the empty baseline has no support; need a non-empty potential")
     rmin, rmax = potential.site_min, potential.site_max
     if rmin < -k or rmax > k:
         raise ValueError(

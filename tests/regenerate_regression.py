@@ -42,8 +42,8 @@ def main() -> None:
             op = assemble_hamiltonian(k, pot)
             res = spectrum_low(op)
             rep = evaluate_bounds(op, res)
-            ak.append(side_correction_product(rep.side, pot, k))
-            bk.append(mixing_weight_product(rep.trial, pot, k))
+            ak.append(side_correction_product(op, rep.side))
+            bk.append(mixing_weight_product(op, rep.trial))
             _, e_pot, s = single_site_diagnostics(res, pot)
             scaled.append(s)
             epk3.append(e_pot * k**3)
@@ -53,7 +53,7 @@ def main() -> None:
             "origin_scaled_max": max(scaled),
             "potential_energy_k3_max": max(epk3),
         }
-    trial = build_trial_state(10, parse_potential_spec("0:1"))
+    trial = build_trial_state(assemble_hamiltonian(10, parse_potential_spec("0:1")))
     payload["trial_mixing_k10_alpha1"] = trial.mixing
 
     out = Path(__file__).parent / "data" / "regression_values.json"

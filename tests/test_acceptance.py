@@ -111,21 +111,17 @@ def test_criterion_06_correction_products(bound_reports):
     details = []
     for spec in ("0:1", "0:8"):
         pot = parse_potential_spec(spec)
-        ak = [
-            side_correction_product(rep.side, pot, rep.k)
-            for rep in bound_reports[spec]
-        ]
-        bk = [
-            mixing_weight_product(rep.trial, pot, rep.k)
-            for rep in bound_reports[spec]
-        ]
+        reports = bound_reports[spec]
+        ops = [assemble_hamiltonian(rep.k, pot) for rep in reports]
+        ak = [side_correction_product(op, rep.side) for op, rep in zip(ops, reports)]
+        bk = [mixing_weight_product(op, rep.trial) for op, rep in zip(ops, reports)]
         ak_max, bk_min = max(ak), min(bk)
         ok &= math.isfinite(ak_max) and bk_min > 0.0
         pins = REGRESSION["potentials"][spec]
         ok &= _within_regression(ak_max, pins["ak_product_max"])
         ok &= _within_regression(bk_min, pins["bk_product_min"])
         details.append(f"{spec}: ak_max={ak_max:.4f} bk_min={bk_min:.4f}")
-    trial = build_trial_state(10, parse_potential_spec("0:1"))
+    trial = build_trial_state(assemble_hamiltonian(10, parse_potential_spec("0:1")))
     ok &= _within_regression(trial.mixing, REGRESSION["trial_mixing_k10_alpha1"])
     _report(6, "side-correction and mixing-weight products", ok,
             "; ".join(details) + " vs pinned +-20%")
@@ -174,7 +170,7 @@ def test_criterion_08_origin_diagnostics(spectral, bound_reports):
             "; ".join(details) + " vs pinned +-20%")
 
 
-def test_criterion_09_trial_state_integrity(spectral, bound_reports):
+def test_criterion_09_trial_state_integrity(bound_reports):
     worst_norm = 0.0
     worst_piece = 0.0
     rayleigh_ok = True
@@ -185,15 +181,14 @@ def test_criterion_09_trial_state_integrity(spectral, bound_reports):
             worst_norm = max(
                 worst_norm, abs(float(np.dot(trial.vector, trial.vector)) - 1.0)
             )
-            left, right = cosine_pieces(rep.k, pot)
+            op = assemble_hamiltonian(rep.k, pot)
+            left, right = cosine_pieces(op)
             worst_piece = max(
                 worst_piece,
                 abs(float(np.dot(left, left)) - 0.5),
                 abs(float(np.dot(right, right)) - 0.5),
             )
-            op = assemble_hamiltonian(rep.k, pot)
-            res = spectral(spec, rep.k)
-            rayleigh_ok &= rayleigh_quotient(op, trial.vector) >= res.lambda0
+            rayleigh_ok &= rayleigh_quotient(op, trial.vector) >= rep.result.lambda0
     ok = worst_norm <= 1e-12 and worst_piece <= 1e-12 and rayleigh_ok
     _report(9, "trial-state integrity", ok,
             f"worst |norm^2-1| {worst_norm:.1e}, worst piece dev {worst_piece:.1e}, "

@@ -18,6 +18,7 @@ from pathgap import (
     mixing_weight_product,
     rayleigh_quotient,
     side_correction_product,
+    side_energies,
     single_site_diagnostics,
     spectrum_low,
 )
@@ -25,14 +26,13 @@ from pathgap import (
 SQRT11 = math.sqrt(11.0)
 
 
+def _op(k, pairs):
+    return assemble_hamiltonian(k, build_potential(pairs))
+
+
 def _op_low(k, pairs):
-    op = assemble_hamiltonian(k, build_potential(pairs))
+    op = _op(k, pairs)
     return op, spectrum_low(op)
-
-
-def _low(k, pairs):
-    op, res = _op_low(k, pairs)
-    return op.potential, res
 
 
 # exact 3x3 ground state for k=1, strength 5 at the origin
@@ -43,38 +43,39 @@ _A1_EXACT = 0.5 - (_PHI3[0] - _PHI3[1]) ** 2
 
 class TestSideCorrections:
     def test_exact_3x3(self):
-        pot, res = _low(1, [(0, 5.0)])
-        side = compute_side_corrections(res.ground_state, pot, 1)
+        op, res = _op_low(1, [(0, 5.0)])
+        side = compute_side_corrections(op, res.ground_state)
         assert side.left == pytest.approx(_A1_EXACT, abs=1e-10)
         assert side.right == pytest.approx(_A1_EXACT, abs=1e-10)
 
     def test_symmetric_potential_gives_equal_sides(self):
-        pot, res = _low(30, [(-1, 2.0), (0, 3.0), (1, 2.0)])
-        side = compute_side_corrections(res.ground_state, pot, 30)
+        op, res = _op_low(30, [(-1, 2.0), (0, 3.0), (1, 2.0)])
+        side = compute_side_corrections(op, res.ground_state)
         assert side.left == pytest.approx(side.right, abs=1e-11)
 
     def test_dirichlet_limit_vanishes(self):
-        pot, res = _low(1, [(0, 1e6)])
-        side = compute_side_corrections(res.ground_state, pot, 1)
+        op, res = _op_low(1, [(0, 1e6)])
+        side = compute_side_corrections(op, res.ground_state)
         assert abs(side.left) < 1e-4
 
     def test_total_in_unit_interval(self):
         for k, pairs in [(10, [(0, 1.0)]), (60, [(-2, 5.0), (3, 7.0)])]:
-            pot, res = _low(k, pairs)
-            side = compute_side_corrections(res.ground_state, pot, k)
+            op, res = _op_low(k, pairs)
+            side = compute_side_corrections(op, res.ground_state)
             assert 0.0 <= side.total <= 1.0
 
     def test_empty_potential_rejected(self):
-        pot = build_potential([], empty_baseline=True)
+        # assemble_hamiltonian accepts the empty baseline; the bounds do not
+        op = assemble_hamiltonian(1, build_potential([], empty_baseline=True))
         with pytest.raises(ValueError, match="non-empty"):
-            compute_side_corrections(np.ones(3) / math.sqrt(3), pot, 1)
+            compute_side_corrections(op, np.ones(3) / math.sqrt(3))
 
 
 class TestGroundLowerBound:
     def test_exact_3x3_value(self):
-        pot, res = _low(1, [(0, 5.0)])
-        side = compute_side_corrections(res.ground_state, pot, 1)
-        bound = ground_energy_lower_bound(side, 1, pot)
+        op, res = _op_low(1, [(0, 5.0)])
+        side = compute_side_corrections(op, res.ground_state)
+        bound = ground_energy_lower_bound(op, side)
         # both side energies equal 1 here
         assert bound == pytest.approx(2.0 * (0.5 - _A1_EXACT), abs=1e-9)
         assert bound <= res.lambda0
@@ -82,37 +83,35 @@ class TestGroundLowerBound:
     def test_formula_with_zero_corrections(self):
         from pathgap.bounds import SideCorrections
 
-        pot = build_potential([(0, 2.0)])
-        bound = ground_energy_lower_bound(SideCorrections(0.0, 0.0), 7, pot)
+        bound = ground_energy_lower_bound(_op(7, [(0, 2.0)]), SideCorrections(0.0, 0.0))
         assert bound == pytest.approx(dirichlet_ground_energy(7), abs=1e-15)
 
     def test_degenerate_corrections_give_zero(self):
         from pathgap.bounds import SideCorrections
 
-        pot = build_potential([(0, 2.0)])
-        assert ground_energy_lower_bound(SideCorrections(0.5, 0.5), 7, pot) == 0.0
+        op = _op(7, [(0, 2.0)])
+        assert ground_energy_lower_bound(op, SideCorrections(0.5, 0.5)) == 0.0
 
     def test_side_subpath_precondition(self):
-        from pathgap.bounds import SideCorrections
-
-        pot = build_potential([(1, 2.0)])
+        # assemble_hamiltonian rejects this support (test_operators), so no
+        # operator reaches the bounds; side_energies checks it itself
         with pytest.raises(ValueError, match="side sub-path"):
-            ground_energy_lower_bound(SideCorrections(0.1, 0.1), 1, pot)
+            side_energies(1, build_potential([(1, 2.0)]))
 
     def test_product_nonnegative(self):
-        pot, res = _low(25, [(0, 1.0)])
-        side = compute_side_corrections(res.ground_state, pot, 25)
-        assert side_correction_product(side, pot, 25) >= 0.0
+        op, res = _op_low(25, [(0, 1.0)])
+        side = compute_side_corrections(op, res.ground_state)
+        assert side_correction_product(op, side) >= 0.0
 
 
 class TestCosinePieces:
     @pytest.mark.parametrize("k,pairs", [(10, [(-2, 5.0), (3, 7.0)]), (4, [(0, 1.0)]), (200, [(0, 8.0)])])
     def test_piece_invariants(self, k, pairs):
-        pot = build_potential(pairs)
-        left, right = cosine_pieces(k, pot)
+        op = _op(k, pairs)
+        left, right = cosine_pieces(op)
         assert float(np.dot(left, left)) == pytest.approx(0.5, abs=1e-12)
         assert float(np.dot(right, right)) == pytest.approx(0.5, abs=1e-12)
-        i_min, i_max = pot.site_min + k, pot.site_max + k
+        i_min, i_max = op.potential.site_min + k, op.potential.site_max + k
         # each piece vanishes at its support edge and outside its side
         assert abs(left[i_min]) <= 1e-15
         assert abs(right[i_max]) <= 1e-15
@@ -123,8 +122,7 @@ class TestCosinePieces:
         # sum of cos^2((i+1/2) pi/(2m+1)) over i=0..m equals (2m+1)/4,
         # hence each piece is its raw cosine over sqrt((2m+1)/2)
         k = 10
-        pot = build_potential([(-2, 5.0), (3, 7.0)])
-        left, right = cosine_pieces(k, pot)
+        left, right = cosine_pieces(_op(k, [(-2, 5.0), (3, 7.0)]))
         # i counts sites away from the path end: left from -k, right from k
         for piece, m in ((left[: k - 2 + 1], k - 2), (right[3 + k :][::-1], k - 3)):
             raw = np.cos((np.arange(m + 1) + 0.5) * math.pi / (2 * m + 1))
@@ -134,8 +132,7 @@ class TestCosinePieces:
 
     def test_piece_sum_matches_closed_form(self):
         # sum of cos((i+1/2) x), x = pi/(2m+1), equals cot(x/2)/2
-        pot = build_potential([(-2, 5.0), (3, 7.0)])
-        trial = build_trial_state(10, pot)
+        trial = build_trial_state(_op(10, [(-2, 5.0), (3, 7.0)]))
         expected = 0.0
         for m in (8, 7):
             expected += math.sqrt(2.0 / (2 * m + 1)) * 0.5 / math.tan(
@@ -146,8 +143,7 @@ class TestCosinePieces:
 
 class TestTrialState:
     def test_basic_properties(self):
-        pot = build_potential([(0, 1.0)])
-        trial = build_trial_state(10, pot)
+        trial = build_trial_state(_op(10, [(0, 1.0)]))
         assert 0.0 < trial.mixing < 1.0
         assert float(np.dot(trial.vector, trial.vector)) == pytest.approx(1.0, abs=1e-12)
         assert trial.floor_energy == pytest.approx(dirichlet_ground_energy(10) / 3.0)
@@ -155,74 +151,68 @@ class TestTrialState:
     def test_mixing_solves_normalization_relation(self):
         # b = 2 sqrt((1-b) b) a S + (2k+1) b a^2
         for k, pairs in [(10, [(0, 1.0)]), (50, [(-2, 5.0), (3, 7.0)])]:
-            pot = build_potential(pairs)
-            t = build_trial_state(k, pot)
+            t = build_trial_state(_op(k, pairs))
             b, a, s = t.mixing, t.floor_amplitude, t.piece_sum
             rhs = 2.0 * math.sqrt((1.0 - b) * b) * a * s + (2 * k + 1) * b * a * a
             assert b == pytest.approx(rhs, rel=1e-12)
 
     def test_strong_potential_kills_mixing(self):
-        pot = build_potential([(0, 1e9)])
-        trial = build_trial_state(10, pot)
+        trial = build_trial_state(_op(10, [(0, 1e9)]))
         assert trial.mixing < 1e-6
 
     def test_degenerate_branch_rejected(self):
         with pytest.raises(ValueError, match="degenerate mixing branch"):
-            build_trial_state(1, build_potential([(0, 0.001)]))
+            build_trial_state(_op(1, [(0, 0.001)]))
 
 
 class TestGroundUpperBound:
     def test_above_ground_energy_3x3(self):
-        pot, res = _low(1, [(0, 5.0)])
-        trial = build_trial_state(1, pot)
-        assert ground_energy_upper_bound(trial, 1, pot) >= res.lambda0
+        op, res = _op_low(1, [(0, 5.0)])
+        trial = build_trial_state(op)
+        assert ground_energy_upper_bound(op, trial) >= res.lambda0
 
     def test_zero_mixing_limit_is_side_mean(self):
-        pot = build_potential([(0, 1e12)])
-        trial = build_trial_state(9, pot)
-        bound = ground_energy_upper_bound(trial, 9, pot)
+        op = _op(9, [(0, 1e12)])
+        bound = ground_energy_upper_bound(op, build_trial_state(op))
         mean = dirichlet_ground_energy(9)  # both sides equal for J={0}
         assert bound == pytest.approx(mean, rel=1e-5)
 
     def test_product_positive(self):
-        pot = build_potential([(0, 1.0)])
-        trial = build_trial_state(20, pot)
-        assert mixing_weight_product(trial, pot, 20) > 0.0
+        op = _op(20, [(0, 1.0)])
+        assert mixing_weight_product(op, build_trial_state(op)) > 0.0
 
 
 class TestExcitedBounds:
     def test_exact_3x3(self):
-        pot, res = _low(1, [(0, 5.0)])
-        lower, upper = excited_energy_bounds(1, pot)
+        op, res = _op_low(1, [(0, 5.0)])
+        lower, upper = excited_energy_bounds(op)
         assert lower == upper == pytest.approx(1.0, abs=1e-14)
         assert res.lambda1 == pytest.approx(1.0, abs=1e-12)
 
     def test_single_site_collapses(self):
-        pot = build_potential([(0, 3.3)])
-        lower, upper = excited_energy_bounds(17, pot)
+        lower, upper = excited_energy_bounds(_op(17, [(0, 3.3)]))
         assert lower == upper == dirichlet_ground_energy(17)
 
     def test_two_site_formula(self):
-        pot = build_potential([(-1, 1.0), (1, 1.0)])
-        lower, upper = excited_energy_bounds(10, pot)
+        op, res = _op_low(10, [(-1, 1.0), (1, 1.0)])
+        lower, upper = excited_energy_bounds(op)
         assert lower == pytest.approx(dirichlet_ground_energy(10))
         assert upper == pytest.approx(dirichlet_ground_energy(9))
-        _, res = _low(10, [(-1, 1.0), (1, 1.0)])
         assert lower <= res.lambda1 <= upper + 1e-12
 
 
 class TestSingleSiteDiagnostics:
     def test_exact_3x3(self):
-        pot, res = _low(1, [(0, 5.0)])
-        phi0, e_pot, scaled = single_site_diagnostics(res, pot)
+        op, res = _op_low(1, [(0, 5.0)])
+        phi0, e_pot, scaled = single_site_diagnostics(res, op.potential)
         assert phi0 == pytest.approx(_PHI3[1], abs=1e-10)
         assert e_pot == pytest.approx(5.0 * _PHI3[1] ** 2, abs=1e-9)
         assert scaled == pytest.approx(5.0 * phi0, abs=1e-9)
 
     def test_multi_site_rejected(self):
-        pot, res = _low(10, [(-1, 1.0), (1, 1.0)])
+        op, res = _op_low(10, [(-1, 1.0), (1, 1.0)])
         with pytest.raises(ValueError, match="single-site"):
-            single_site_diagnostics(res, pot)
+            single_site_diagnostics(res, op.potential)
 
 
 class TestEvaluateBounds:
@@ -285,6 +275,29 @@ class TestEvaluateBounds:
         assert parsed["all_hold"] is True
         for entry in parsed["checks"]:
             assert {"name", "lhs", "rhs", "holds"} <= set(entry)
+
+    def test_report_reads_the_bounds_of_its_checks(self):
+        op, res = _op_low(40, [(-2, 5.0), (3, 7.0)])
+        rep = evaluate_bounds(op, res)
+        assert rep.k == 40 and rep.result is res
+        assert rep.ground_lower == ground_energy_lower_bound(op, rep.side)
+        assert rep.ground_upper == ground_energy_upper_bound(op, rep.trial)
+        assert (rep.excited_lower, rep.excited_upper) == excited_energy_bounds(op)
+        d = rep.to_dict()
+        assert (d["lambda0"], d["lambda1"], d["gap"]) == (res.lambda0, res.lambda1, res.gap)
+        assert (d["side_energy_min"], d["side_energy_max"]) == (
+            dirichlet_ground_energy(38), dirichlet_ground_energy(37)
+        )
+
+    def test_support_is_not_rechecked(self, monkeypatch):
+        # assemble_hamiltonian checked it; the helpers read the assembled operator
+        import pathgap.bounds
+
+        op, res = _op_low(20, [(0, 1.0)])
+        calls = []
+        monkeypatch.setattr(pathgap.bounds, "support_span", lambda *a: calls.append(a))
+        evaluate_bounds(op, res)
+        assert calls == []
 
     def test_empty_potential_rejected(self):
         pot = build_potential([], empty_baseline=True)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -58,8 +59,11 @@ class TestParsePotentialSpec:
         with pytest.raises(ValueError, match="empty potential spec"):
             parse_potential_spec("  ")
 
-    def test_round_trip_with_spec_string(self):
-        p = build_potential([(-2, 0.5), (4, 12.0)])
+    @pytest.mark.parametrize("strengths", [
+        (0.5, 12.0), (1.23456789, 1 / 3), (123456789.0, 1e-300),
+    ])
+    def test_round_trip_with_spec_string(self, strengths):
+        p = build_potential([(-2, strengths[0]), (4, strengths[1])])
         assert parse_potential_spec(p.spec_string()).entries == p.entries
 
 
@@ -104,6 +108,22 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 5
         assert payload["lambda1"] == pytest.approx(2 - 2 * math.cos(math.pi / 5), abs=1e-12)
+
+    def test_spectrum_text_is_the_default_and_csv_is_no_format(self, capsys):
+        args = ["spectrum", "--k", "1", "--potential", "0:5"]
+        assert main(args) == 0
+        default = capsys.readouterr().out
+        assert main(args + ["--format", "text"]) == 0
+        assert capsys.readouterr().out == default
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    def test_spectrum_names_the_potential_exactly(self, capsys):
+        assert main(["spectrum", "--k", "5", "--potential", "0:1.23456789",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["potential"] == "0:1.23456789"
 
     def test_spectrum_requires_k(self, capsys):
         assert main(["spectrum", "--potential", "0:5"]) == 2
@@ -159,7 +179,7 @@ class TestCommands:
                 assert check["holds"] or "skipped_reason" in check
 
     def test_verify_bounds_single_k(self, capsys):
-        assert main(["verify-bounds", "--potential", "0:2", "--k", "50",
+        assert main(["verify-bounds", "--potential", "0:2", "--k-grid", "50:50:linear:1",
                      "--no-timestamp"]) == 0
 
     def test_verify_bounds_failing_check_exits_one(self, monkeypatch, capsys):
@@ -175,7 +195,7 @@ class TestCommands:
             return rep
 
         monkeypatch.setattr(cli_mod, "evaluate_bounds", sabotaged)
-        code = main(["verify-bounds", "--potential", "0:1", "--k", "20",
+        code = main(["verify-bounds", "--potential", "0:1", "--k-grid", "20:20:linear:1",
                      "--no-timestamp"])
         assert code == 1
 
@@ -203,15 +223,13 @@ class TestCommands:
         assert row[0] == "20"
         assert row[3] == lambda0
 
-    def test_verify_bounds_k_zero_reaches_build_path(self, capsys):
-        assert main(["verify-bounds", "--potential", "0:1", "--k", "0"]) == 2
-        assert "half-width k must be a positive integer" in capsys.readouterr().err
+    def test_verify_bounds_k_zero_exits_two(self, capsys):
+        assert main(["verify-bounds", "--potential", "0:1", "--k-grid", "0:0:linear:1"]) == 2
+        assert "grid needs 1 <= min <= max" in capsys.readouterr().err
 
-    def test_verify_bounds_rejects_k_with_k_grid(self, capsys):
-        code = main(["verify-bounds", "--potential", "0:1", "--k", "5",
-                     "--k-grid", "10:11:linear:2", "--no-timestamp"])
-        assert code == 2
-        assert "--k or --k-grid, not both" in capsys.readouterr().err
+    def test_spectrum_k_zero_reaches_assemble_hamiltonian(self, capsys):
+        assert main(["spectrum", "--potential", "0:1", "--k", "0"]) == 2
+        assert "half-width k must be a positive integer" in capsys.readouterr().err
 
     def test_gap_scan_needs_no_ground_state(self, capsys):
         # the point where spectrum exits 3 (test_nonconvergence_exits_three):
@@ -235,19 +253,26 @@ class TestOptionSets:
         ["gap-scan", "--k-grid", "5:6:linear:2", "--band-k-min", "5"],
         # an abbreviation of --k-grid
         ["gap-scan", "--k", "20"],
-        ["verify-bounds", "--potential", "0:1", "--k", "5", "--format", "json"],
-        ["verify-bounds", "--potential", "0:1", "--k", "5", "--alphas", "1"],
+        ["verify-bounds", "--potential", "0:1", "--k-grid", "5:5:linear:1",
+         "--format", "json"],
+        ["verify-bounds", "--potential", "0:1", "--k-grid", "5:5:linear:1",
+         "--alphas", "1"],
+        # a one-point --k-grid writes what --k did
+        ["verify-bounds", "--potential", "0:1", "--k", "5"],
         # the bound and fit settings are constants, and gap-scan writes CSV only
         ["gap-scan", "--k-grid", "5:6:linear:2", "--format", "json"],
-        ["verify-bounds", "--potential", "0:1", "--k", "5", "--epsilon", "1"],
-        ["verify-bounds", "--potential", "0:1", "--k", "5", "--k-min", "5"],
+        ["verify-bounds", "--potential", "0:1", "--k-grid", "5:5:linear:1",
+         "--epsilon", "1"],
+        ["verify-bounds", "--potential", "0:1", "--k-grid", "5:5:linear:1",
+         "--k-min", "5"],
         ["fit", "scan.csv", "--band-k-min", "5"],
         # the solver tolerance is a constant, not an option
         ["spectrum", "--k", "5", "--tol", "1e-8"],
         ["gap-scan", "--k-grid", "5:6:linear:2", "--tol", "1e-8"],
         ["alpha-scan", "--potential", "0:1", "--k", "5", "--alphas", "1",
          "--tol", "1e-8"],
-        ["verify-bounds", "--potential", "0:1", "--k", "5", "--tol", "1e-8"],
+        ["verify-bounds", "--potential", "0:1", "--k-grid", "5:5:linear:1",
+         "--tol", "1e-8"],
     ], ids=lambda args: f"{args[0]}-{args[-2]}")
     def test_option_the_command_does_not_read_exits_two(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -286,6 +311,12 @@ class TestFitCommand:
         fit = fit_power_law(series)
         assert payload["exponent"] == pytest.approx(fit.exponent, abs=1e-12)
         assert payload["prefactor"] == pytest.approx(fit.prefactor, rel=1e-12)
+
+    def test_csv_from_stdin(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "gap-scan.csv").read_text()))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "-", "--no-timestamp", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "fit.json").read_bytes()
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["fit", "/nonexistent/scan.csv"]) == 2
