@@ -11,9 +11,11 @@ Commands::
 
 Each command takes only the options its handler reads (``_COMMANDS``), plus
 ``--out`` and ``--no-timestamp``; any other option, or an abbreviated one,
-exits 2.  The solver tolerance and the bound and fit settings are not
-options: every eigenvalue is bisected to the relative width
-``eigensolver.REL_TOL``, the trial state uses ``bounds.EPSILON``, the
+exits 2.  The solver and the bound and fit settings are not options:
+gap-scan and alpha-scan take each level as a certified Wronskian root
+(``eigensolver.eigenvalues_low``) and bisect only a level whose window
+fails; spectrum and verify-bounds bisect both levels to the relative width
+``eigensolver.REL_TOL``.  The trial state uses ``bounds.EPSILON``, the
 asymptotic check starts at ``bounds.K_MIN`` and band statistics at
 ``scaling.BAND_K_MIN``.
 
@@ -191,7 +193,12 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
         raise ValueError("alpha-scan requires --k")
     if not args.alphas:
         raise ValueError("alpha-scan requires --alphas")
-    alphas = [float(a) for a in args.alphas.split(",")]
+    alphas = []
+    for i, token in enumerate(args.alphas.split(","), start=1):
+        try:
+            alphas.append(float(token))
+        except ValueError:
+            raise ValueError(f"bad alpha at token {i} ({token!r})") from None
     base = parse_potential_spec(args.potential)
     if base.is_empty:
         raise ValueError("alpha-scan needs a non-empty base potential to scale")

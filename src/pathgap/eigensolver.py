@@ -1,17 +1,18 @@
-"""Symmetric-tridiagonal eigensolver: Sturm counts, certified bisection,
-inverse iteration, and the closed-form eigenvalue oracles for path graphs.
+"""Symmetric-tridiagonal eigensolver for path graphs: the two lowest levels
+as certified Wronskian roots or by Sturm bisection, the ground state by
+inverse iteration, and closed-form eigenvalue oracles.
 
-Only the two lowest eigenvalues and the ground state are ever needed, so
-eigenvalues are extracted one at a time by bisection on the Sturm count,
-which gives a certified bracket at any requested index, always bisected to
-the relative width ``REL_TOL`` = 1e-14.  The inner loops live in
-``_kernels`` (plain Python over float64 buffers; the only backend).
-``eigenvalues_low`` stops there; ``spectrum_low`` adds the ground state by
-inverse iteration shifted to the bisection ground energy.  Both return a
-``SpectralResult``: the half-width k, the two eigenvalues and the flag,
-with ``n`` and ``gap`` derived from them.  Double precision limits how
-small a spectral gap can be resolved; results whose gap falls below 10^3
-ulp of the matrix norm bound carry ``precision_limited=True`` and
+``eigenvalues_low`` (gap-scan, alpha-scan) writes a level as
+lambda = 4 sin^2(pi/(4s)), s = n/2 + u, and finds u as a root of a
+Wronskian that costs O(support); three Sturm counts certify the windows.
+A level whose window fails, and both levels in ``spectrum_low`` (spectrum,
+verify-bounds), are bisected on the Sturm count to the relative width
+``REL_TOL`` = 1e-14; ``spectrum_low`` then adds the ground state by inverse
+iteration.  The inner loops live in ``_kernels`` (plain Python over float64
+buffers; the only backend).  Both return a ``SpectralResult``: k, the two
+eigenvalues and the flag, with ``n`` and ``gap`` derived from them.  A gap
+below 10^3 ulp of its rounding scale (lambda1 for two Wronskian roots, the
+matrix norm bound otherwise) carries ``precision_limited=True``, and
 downstream fits drop such points.
 """
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .operators import TridiagonalOperator, apply_operator
+from .operators import Potential, TridiagonalOperator, apply_operator
 
 __all__ = [
     "SpectralResult",
@@ -177,22 +178,157 @@ def ground_state(op: TridiagonalOperator, lambda0: float) -> np.ndarray:
     return v
 
 
-def eigenvalues_low(op: TridiagonalOperator) -> SpectralResult:
-    """Two lowest eigenvalues and their gap, without the ground state."""
-    lo0, hi0 = _eigenvalue_bracket(op, 0)
-    lo1, hi1 = _eigenvalue_bracket(op, 1)
+def _transfer(potential: Potential) -> tuple[float, float]:
+    """(sigma, Delta) of a non-empty potential.
+
+    The zero-energy transfer matrix (A, B; C, D) across the support starts
+    at the identity at r_min; at each site, in increasing order, it first
+    crosses the free stretch of length L from the previous site (A += L C,
+    B += L D) and then the site's strength a (C += a A, D += a B).  The
+    two lowest levels sit near s = n/2 + sigma +- Delta.
+    """
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    rmin, rmax = potential.site_min, potential.site_max
+    previous = rmin
+    for site, strength in potential.entries:
+        a += (site - previous) * c
+        b += (site - previous) * d
+        c += strength * a
+        d += strength * b
+        previous = site
+    delta = (rmin + rmax) / 2 + (d - a) / (2 * c)
+    return ((a + d) / c - (rmax - rmin)) / 2, math.hypot(delta, 1 / c)
+
+
+def _level(n: int, u: float) -> float:
+    """lambda = 4 sin^2(pi / (4s)) at s = n/2 + u."""
+    return 4.0 * math.sin(math.pi / (4.0 * (0.5 * n + u))) ** 2
+
+
+def _wronskian(n: int, potential: Potential, u: float) -> float:
+    """f(u), zero exactly where lambda(u) is an eigenvalue; O(support).
+
+    Outside the support the solutions that meet the two end conditions are
+    cos(t (j + k + 1/2)) on the left and cos(t (k - j + 1/2)) on the right,
+    with t = pi/(2s).  Their values and slopes at r_min and r_max are
+    written through the deficits defL and defR from pi/2, which are O(1/n)
+    and exact in u; both profiles are scaled by n so that every term is
+    O(1).  The left profile is carried across the support by the
+    recurrence and compared with the right one.
+    """
+    s = 0.5 * n + u
+    half = 0.25 * math.pi / s
+    sin_half = math.sin(half)
+    lam = 4.0 * sin_half**2
+    edge = 2.0 * n * sin_half
+    rmin, rmax = potential.site_min, potential.site_max
+    def_l = 0.5 * math.pi * (u - rmin) / s
+    v = n * math.sin(def_l)
+    w = -edge * math.cos(def_l + half)
+    strengths = dict(potential.entries)
+    for site in range(rmin, rmax):
+        w += (strengths.get(site, 0.0) - lam) * v
+        v += w
+    w += (strengths[rmax] - lam) * v
+    def_r = 0.5 * math.pi * (u + rmax) / s
+    return v * edge * math.cos(def_r + half) - n * math.sin(def_r) * w
+
+
+def _gap(n: int, u0: float, u1: float) -> float:
+    """lambda(u1) - lambda(u0) without cancellation: 4 sin((pi/4)(u0 - u1)
+    / (s0 s1)) sin(pi/(4 s0) + pi/(4 s1))."""
+    s0, s1 = 0.5 * n + u0, 0.5 * n + u1
+    return (4.0 * math.sin(0.25 * math.pi * (u0 - u1) / (s0 * s1))
+            * math.sin(0.25 * math.pi / s0 + 0.25 * math.pi / s1))
+
+
+def _wronskian_roots(op: TridiagonalOperator) -> list[float | None]:
+    """u0 and u1, the roots of the Wronskian that give lambda0 and lambda1,
+    or None for a level whose window fails; for a non-empty potential.
+
+    The window of u0 is [sigma, sigma + 3 Delta/2] and that of u1 is
+    [sigma - 3 Delta/2, sigma].  Three Sturm counts, at the ends and the
+    middle, must be 0, 1 and 2, so each window holds exactly one
+    eigenvalue; the sign of f is then bisected until the bracket is
+    narrower than EPS * min(Delta, s) or no double lies between its ends
+    (a root at u = 0 would otherwise take a thousand halvings down through
+    the subnormals).  A window fails when a constant is not finite,
+    s <= 1/2 (beyond it lambda is not monotone in u), a count is wrong, or
+    f does not change sign.
+    """
+    n, potential = op.n, op.potential
+    sigma, delta = _transfer(potential)
+    ends = (sigma + 1.5 * delta, sigma, sigma - 1.5 * delta)
+    if not all(math.isfinite(u) and 0.5 * n + u > 0.5 for u in ends):
+        return [None, None]
+    offsq, subst = _offsq(op), EPS * op.norm_bound
+    counts = [_kernels.sturm_count(op.diag, offsq, _level(n, u), subst, expected + 1)
+              for expected, u in enumerate(ends)]
+    # the gap needs each root to about EPS * Delta, each level to ulp(s)
+    tol = EPS * min(delta, 0.5 * n + ends[2])
+    roots: list[float | None] = []
+    for index in (0, 1):
+        hi, lo = ends[index], ends[index + 1]
+        positive = _wronskian(n, potential, lo) > 0.0
+        certified = counts[index:index + 2] == [index, index + 1]
+        if not certified or positive == (_wronskian(n, potential, hi) > 0.0):
+            roots.append(None)
+            continue
+        mid = 0.5 * (lo + hi)
+        while hi - lo > tol and lo < mid < hi:
+            if (_wronskian(n, potential, mid) > 0.0) == positive:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        roots.append(mid)
+    return roots
+
+
+def _result(
+    op: TridiagonalOperator, brackets: list[tuple[float, float]], scale: float
+) -> SpectralResult:
+    """The record of two level brackets; the gap is flagged below 10^3 ulp
+    of ``scale``, or when the brackets overlap."""
+    (lo0, hi0), (lo1, hi1) = brackets
     lam0 = 0.5 * (lo0 + hi0)
     lam1 = 0.5 * (lo1 + hi1)
-    gap = lam1 - lam0
-    limited = gap < GAP_ULP_FACTOR * math.ulp(op.norm_bound) or lo1 <= hi0
+    limited = lam1 - lam0 < GAP_ULP_FACTOR * math.ulp(scale) or lo1 <= hi0
     return SpectralResult(
         k=op.k, lambda0=lam0, lambda1=lam1, precision_limited=limited
     )
 
 
+def eigenvalues_low(op: TridiagonalOperator) -> SpectralResult:
+    """Two lowest eigenvalues and their gap, without the ground state.
+
+    The free path has the closed form lambda0 = 0, lambda1 =
+    4 sin^2(pi/(2n)).  Otherwise each level comes from
+    ``_wronskian_roots`` where its window holds and from O(n) bisection
+    where it fails.  With both roots, lambda1 is lambda0 plus the gap from
+    ``_gap``, so the difference carries no cancellation, and the gap is
+    flagged below 10^3 ulp of lambda1, its rounding scale; otherwise below
+    10^3 ulp of the norm bound.
+    """
+    n = op.n
+    if op.potential.is_empty:
+        lam1 = _level(n, 0.0)
+        return _result(op, [(0.0, 0.0), (lam1, lam1)], lam1)
+    roots = _wronskian_roots(op)
+    if None not in roots:
+        lam0 = _level(n, roots[0])
+        lam1 = lam0 + _gap(n, *roots)
+        return _result(op, [(lam0, lam0), (lam1, lam1)], lam1)
+    brackets = [_eigenvalue_bracket(op, index) if u is None else (_level(n, u),) * 2
+                for index, u in enumerate(roots)]
+    return _result(op, brackets, op.norm_bound)
+
+
 def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
-    """Two lowest eigenvalues, their gap, and the ground state."""
-    values = eigenvalues_low(op)
+    """Two lowest eigenvalues by O(n) bisection, their gap, and the ground
+    state by inverse iteration shifted to the bisected lambda0."""
+    values = _result(op, [_eigenvalue_bracket(op, 0), _eigenvalue_bracket(op, 1)],
+                     op.norm_bound)
     return replace(values, ground_state=ground_state(op, values.lambda0))
 
 

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from pathgap import (
@@ -8,10 +11,21 @@ from pathgap import (
 )
 from pathgap.cli import parse_potential_spec
 
+# the benchmark's mpmath oracle and point checks, which share no code with
+# pathgap, are imported from perfbench/ as they are
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402
+import oracle  # noqa: E402
+
 # the standard sweep used by the acceptance criteria
 ACCEPTANCE_GRID = geometric_grid(100, 1600, 16)
 BOUND_POTENTIALS = ("0:1", "0:8", "-2:5,3:7", "-1:2,0:3,1:2")
 ALPHA_SET = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+# (k, spec) where the Wronskian window of a level fails: Delta not small
+# against n, n small against the support, or a window narrower than the
+# rounding of s = n/2 + u
+FALLBACK_CASES = ((10, "0:1e-3"), (100, "0:1e-6"), (6, "-5:1"), (6, "-4:1,5:2"),
+                  (2, "-1:2,1:3"), (3, "0:1e300"))
 
 
 @pytest.fixture(scope="session")

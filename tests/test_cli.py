@@ -17,6 +17,8 @@ from pathgap.cli import (
 )
 from pathgap.operators import build_potential
 
+from conftest import FALLBACK_CASES, checks, oracle
+
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
@@ -168,6 +170,12 @@ class TestCommands:
         assert main(["alpha-scan", "--potential", "none", "--k", "10",
                      "--alphas", "1,2"]) == 2
 
+    def test_alpha_scan_names_a_bad_alpha(self, capsys):
+        for alphas, token in (("1,,2", "2 ('')"), ("x", "1 ('x')"), ("1,2,3e", "3 ('3e')")):
+            assert main(["alpha-scan", "--potential", "0:1", "--k", "10",
+                         "--alphas", alphas]) == 2
+            assert f"bad alpha at token {token}" in capsys.readouterr().err
+
     def test_verify_bounds_exit_zero(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(
@@ -215,8 +223,8 @@ class TestCommands:
         assert "pathgap:" in capsys.readouterr().err
 
     def test_gap_scan_passes_tol_to_the_solver(self, capsys):
-        # both commands bisect to the one solver tolerance, so they print
-        # the same lambda0 to the last digit
+        # spectrum bisects, gap-scan takes the Wronskian roots: their lambda0
+        # agree to the benchmark's per-eigenvalue tolerance
         assert main(["spectrum", "--k", "20", "--potential", "0:1"]) == 0
         spectrum = capsys.readouterr().out
         lambda0 = next(line.split(" = ")[1] for line in spectrum.splitlines()
@@ -225,7 +233,7 @@ class TestCommands:
                      "--no-timestamp"]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[0] == "20"
-        assert row[3] == lambda0
+        assert abs(float(row[3]) - float(lambda0)) <= checks.LAMBDA_ULPS * math.ulp(5.0)
 
     def test_verify_bounds_k_zero_exits_two(self, capsys):
         assert main(["verify-bounds", "--potential", "0:1", "--k-grid", "0:0:linear:1"]) == 2
@@ -237,12 +245,37 @@ class TestCommands:
 
     def test_gap_scan_needs_no_ground_state(self, capsys):
         # the point where spectrum exits 3 (test_nonconvergence_exits_three):
-        # gap-scan reads only the eigenvalues and reports the gap as flagged
+        # gap-scan reads only the eigenvalues, and the Wronskian roots
+        # resolve the gap, so it is reported unflagged and correct
         assert main(["gap-scan", "--potential", "0:1000000", "--k-grid",
                      "200:201:linear:2", "--no-timestamp"]) == 0
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert [row.split(",")[0] for row in rows] == ["200", "201"]
-        assert all(row.endswith(",true") for row in rows)
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["200", "201"]
+        for row in rows:
+            want0, want1 = oracle.levels(int(row[0]), ((0, 1e6),))
+            assert row[-1] == "false"
+            assert abs(float(row[5]) - float(want1 - want0)) <= 2 * math.ulp(float(row[4]))
+
+    def test_benchmark_grids_need_no_bisection(self, monkeypatch, capsys):
+        # a silent fall back to O(n) bisection on the benchmark's grids
+        # fails here, not only in the benchmark's timings
+        import pathgap._kernels
+
+        def no_bisection(*args):
+            raise AssertionError("O(n) bisection reached")
+
+        monkeypatch.setattr(pathgap._kernels, "bisect_bracket", no_bisection)
+        for spec, grid in (("none", "100:1600:geometric:16"),
+                           ("0:1", "100:1600:geometric:16"),
+                           ("0:1", "3200:25600:geometric:4")):
+            assert main(["gap-scan", f"--potential={spec}", "--k-grid", grid,
+                         "--no-timestamp"]) == 0, (spec, grid)
+        assert main(["alpha-scan", "--potential", "0:1", "--k", "800", "--alphas",
+                     "0.5,1,2,4,8,16", "--no-timestamp"]) == 0
+        # and the fallback is still reached where a window fails
+        k, spec = FALLBACK_CASES[2]
+        with pytest.raises(AssertionError, match="bisection reached"):
+            main(["gap-scan", f"--potential={spec}", "--k-grid", f"{k}:{k}:linear:1"])
 
 
 class TestOptionSets:
