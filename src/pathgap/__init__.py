@@ -1,9 +1,9 @@
 """pathgap: spectral gaps of discrete Schrodinger operators on path graphs.
 
 Builds tridiagonal Hamiltonians (path Laplacian plus a compactly supported
-potential), computes their low-lying spectrum with a certified bisection
-eigensolver, evaluates analytic two-sided eigenvalue bounds, and runs the
-volume sweeps behind the n^-3 gap-scaling law.
+potential), computes their two lowest eigenvalues as certified Wronskian
+roots or by Sturm bisection, evaluates analytic two-sided eigenvalue bounds,
+and runs the volume sweeps behind the n^-3 gap-scaling law.
 """
 from .bounds import (
     BoundCheck,
@@ -46,13 +46,10 @@ from .operators import (
 from .scaling import (
     GapSeries,
     ScalingFit,
-    cubic_band_check,
-    fit_inverse_alpha,
     fit_power_law,
     gap_series,
     geometric_grid,
     linear_grid,
-    scaled_sequence,
     series_from_csv,
     series_to_csv,
 )

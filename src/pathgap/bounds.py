@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensolver import SpectralResult, dirichlet_ground_energy
-from .operators import Potential, TridiagonalOperator, rayleigh_quotient, support_span
+from .operators import Potential, TridiagonalOperator, rayleigh_quotient
 
 __all__ = [
     "SideCorrections",
@@ -79,16 +79,10 @@ class TrialState:
     """Variational state: two Dirichlet cosines plus a constant floor.
 
     ``mixing`` is the weight of the floor, solving the normalization
-    relation in closed form; ``floor_energy`` is the energy scale of the
-    floor (Dirichlet ground energy of the full path over 2 + ``EPSILON``)
-    and ``floor_amplitude`` its unit-mixing height 1/sqrt(total strength)
-    times sqrt(floor_energy).
+    relation in closed form; ``vector`` is the assembled unit-norm state.
     """
 
-    floor_energy: float
-    floor_amplitude: float
     mixing: float
-    piece_sum: float
     vector: np.ndarray = field(repr=False)
 
 
@@ -190,18 +184,13 @@ def side_energies(k: int, potential: Potential) -> tuple[float, float]:
     """Dirichlet ground energies of the free sub-paths left of r_min and
     right of r_max, each with a Dirichlet site at the support edge.
 
-    Checks the support with ``support_span``: a caller without an operator
-    (``scaling.cubic_band_check``, given any ``GapSeries``) has not checked it.
+    ``dirichlet_ground_energy`` rejects an empty sub-path, so a support
+    that ``assemble_hamiltonian`` would reject raises ValueError here too.
     """
-    rmin, rmax = support_span(k, potential)
-    return dirichlet_ground_energy(k + rmin), dirichlet_ground_energy(k - rmax)
-
-
-def _side_energies(op: TridiagonalOperator) -> tuple[float, float]:
-    """``side_energies(op.k, op.potential)`` without its support check,
-    which ``assemble_hamiltonian`` has made."""
-    k, pot = op.k, op.potential
-    return dirichlet_ground_energy(k + pot.site_min), dirichlet_ground_energy(k - pot.site_max)
+    return (
+        dirichlet_ground_energy(k + potential.site_min),
+        dirichlet_ground_energy(k - potential.site_max),
+    )
 
 
 def compute_side_corrections(op: TridiagonalOperator, phi: np.ndarray) -> SideCorrections:
@@ -224,7 +213,7 @@ def compute_side_corrections(op: TridiagonalOperator, phi: np.ndarray) -> SideCo
 
 def ground_energy_lower_bound(op: TridiagonalOperator, side: SideCorrections) -> float:
     """(1/2 - left) * side energy left + (1/2 - right) * side energy right."""
-    theta_left, theta_right = _side_energies(op)
+    theta_left, theta_right = side_energies(op.k, op.potential)
     return (0.5 - side.left) * theta_left + (0.5 - side.right) * theta_right
 
 
@@ -269,17 +258,16 @@ def build_trial_state(op: TridiagonalOperator) -> TrialState:
     k, n, strength_sum = op.k, op.n, op.potential.strength_sum
     left, right = cosine_pieces(op)
 
-    floor_energy = dirichlet_ground_energy(k) / (2.0 + EPSILON)
-    amp = math.sqrt(floor_energy / strength_sum)
+    amp = math.sqrt(dirichlet_ground_energy(k) / (2.0 + EPSILON) / strength_sum)
     if n * amp * amp >= 1.0:
         raise ValueError(
-            f"degenerate mixing branch: (2k+1) * floor_amplitude^2 = "
+            f"degenerate mixing branch: (2k+1) * floor amplitude^2 = "
             f"{n * amp * amp:.6g} >= 1 (k = {k}, total strength = "
             f"{strength_sum:g}, epsilon = {EPSILON:g})"
         )
 
-    piece_sum = float(np.sum(left) + np.sum(right))
-    a2s2 = 4.0 * amp * amp * piece_sum * piece_sum
+    cos_sum = float(np.sum(left) + np.sum(right))
+    a2s2 = 4.0 * amp * amp * cos_sum * cos_sum
     mixing = a2s2 / ((1.0 - n * amp * amp) ** 2 + a2s2)
 
     vector = math.sqrt(1.0 - mixing) * (left + right) + math.sqrt(mixing) * amp
@@ -290,20 +278,17 @@ def build_trial_state(op: TridiagonalOperator) -> TrialState:
             f"mixing weight (k = {k})"
         )
     vector.flags.writeable = False
-    return TrialState(
-        floor_energy=floor_energy,
-        floor_amplitude=amp,
-        mixing=mixing,
-        piece_sum=piece_sum,
-        vector=vector,
-    )
+    return TrialState(mixing=mixing, vector=vector)
 
 
 def ground_energy_upper_bound(op: TridiagonalOperator, trial: TrialState) -> float:
-    """(1-b)/2 * (sum of the two side energies) + b * floor energy."""
-    theta_left, theta_right = _side_energies(op)
+    """(1-b)/2 * (sum of the two side energies) + b * floor energy, the
+    floor energy being the Dirichlet ground energy of the full path over
+    2 + ``EPSILON``."""
+    theta_left, theta_right = side_energies(op.k, op.potential)
     b = trial.mixing
-    return 0.5 * (1.0 - b) * (theta_left + theta_right) + b * trial.floor_energy
+    floor_energy = dirichlet_ground_energy(op.k) / (2.0 + EPSILON)
+    return 0.5 * (1.0 - b) * (theta_left + theta_right) + b * floor_energy
 
 
 def mixing_weight_product(op: TridiagonalOperator, trial: TrialState) -> float:
@@ -314,7 +299,7 @@ def mixing_weight_product(op: TridiagonalOperator, trial: TrialState) -> float:
 def excited_energy_bounds(op: TridiagonalOperator) -> tuple[float, float]:
     """Sandwich for the first excited energy: Dirichlet energy of the full
     path below, the larger of the two side energies above."""
-    return dirichlet_ground_energy(op.k), max(_side_energies(op))
+    return dirichlet_ground_energy(op.k), max(side_energies(op.k, op.potential))
 
 
 def single_site_diagnostics(
@@ -366,7 +351,7 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
     marked non-applicable.
     """
     k, potential = op.k, op.potential
-    theta_left, theta_right = _side_energies(op)
+    theta_left, theta_right = side_energies(k, potential)
     if result.ground_state is None:
         raise ValueError("bounds need the ground state; use spectrum_low()")
     phi = np.asarray(result.ground_state, dtype=float)

@@ -22,7 +22,6 @@ __all__ = [
     "Potential",
     "TridiagonalOperator",
     "build_potential",
-    "support_span",
     "assemble_hamiltonian",
     "apply_operator",
     "quadratic_form",
@@ -155,39 +154,30 @@ def build_potential(
     return Potential(entries)
 
 
-def support_span(k: int, potential: Potential) -> tuple[int, int]:
-    """(site_min, site_max) of a non-empty potential on the path -k..k.
-
-    The support must leave a non-empty sub-path on each side:
-    k + site_min >= 1 and k - site_max >= 1 (required by the bound
-    evaluations); raises ValueError otherwise.
-    """
-    rmin, rmax = potential.site_min, potential.site_max
-    if rmin < -k or rmax > k:
-        raise ValueError(
-            f"potential sites {rmin}..{rmax} outside vertex range -{k}..{k}"
-        )
-    if k + rmin < 1 or k - rmax < 1:
-        raise ValueError(
-            f"potential support {rmin}..{rmax} leaves an empty side sub-path "
-            f"(need k + site_min >= 1 and k - site_max >= 1, k = {k})"
-        )
-    return rmin, rmax
-
-
 def assemble_hamiltonian(k: int, potential: Potential) -> TridiagonalOperator:
     """Tridiagonal operator on the path -k..k: diag(v) = degree(v) +
     strength(v), offdiag = -1.
 
-    Rejects a half-width k that is not a positive integer; a non-empty
-    potential must pass ``support_span``.
+    Rejects a half-width k that is not a positive integer, and a non-empty
+    potential whose support does not leave a non-empty sub-path on each
+    side: k + site_min >= 1 and k - site_max >= 1 (required by the bound
+    evaluations).
     """
     if int(k) != k or k < 1:
         raise ValueError(f"half-width k must be a positive integer, got {k}")
     k = int(k)
     n = 2 * k + 1
     if not potential.is_empty:
-        support_span(k, potential)
+        rmin, rmax = potential.site_min, potential.site_max
+        if rmin < -k or rmax > k:
+            raise ValueError(
+                f"potential sites {rmin}..{rmax} outside vertex range -{k}..{k}"
+            )
+        if k + rmin < 1 or k - rmax < 1:
+            raise ValueError(
+                f"potential support {rmin}..{rmax} leaves an empty side sub-path "
+                f"(need k + site_min >= 1 and k - site_max >= 1, k = {k})"
+            )
     diag = np.full(n, 2.0)
     diag[0] = diag[-1] = 1.0
     for site, strength in potential.entries:

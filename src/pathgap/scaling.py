@@ -2,21 +2,19 @@
 
 Without a potential the gap of the path on n = 2k+1 sites falls off like
 pi^2 / n^2; any non-empty compactly supported potential pushes the decay to
-order n^-3, with n^3 * gap confined to a band proportional to 1 / total
-strength in the single-site case.  This module runs the (k, strength)
-sweeps, forms the scaled sequences n^p * gap, fits power laws on log-log
-axes, and evaluates the cubic band.  A grid point is the ``SpectralResult``
-that ``eigenvalues_low`` returns for it; k, n and the gap are read from it.
+order n^-3.  This module runs the sweeps over k, fits power laws on log-log
+axes with band statistics of the scaled sequence n^p * gap, and writes and
+reads the gap-scan CSV.  A grid point is the ``SpectralResult`` that
+``eigenvalues_low`` returns for it; k, n and the gap are read from it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import side_energies
-from .eigensolver import SpectralResult, dirichlet_ground_energy, eigenvalues_low
+from .eigensolver import SpectralResult, eigenvalues_low
 from .operators import Potential, assemble_hamiltonian
 
 __all__ = [
@@ -25,10 +23,7 @@ __all__ = [
     "geometric_grid",
     "linear_grid",
     "gap_series",
-    "scaled_sequence",
     "fit_power_law",
-    "fit_inverse_alpha",
-    "cubic_band_check",
     "series_to_csv",
     "series_from_csv",
 ]
@@ -117,22 +112,6 @@ def gap_series(potential: Potential, k_values: list[int]) -> GapSeries:
     return GapSeries(potential=potential, points=points)
 
 
-def scaled_sequence(series: GapSeries, p: float) -> list[tuple[int, float]]:
-    """[(k, n^p * gap)] over all points, flagged ones included."""
-    return [(pt.k, pt.n**p * pt.gap) for pt in series.points]
-
-
-def _usable(series: GapSeries) -> list[SpectralResult]:
-    return [pt for pt in series.points if not pt.precision_limited and pt.gap > 0]
-
-
-def _band(points: list[SpectralResult], power: int) -> tuple[float, float]:
-    vals = [pt.n**power * pt.gap for pt in points if pt.k >= BAND_K_MIN]
-    if not vals:
-        vals = [pt.n**power * pt.gap for pt in points]
-    return min(vals), max(vals)
-
-
 def fit_power_law(series: GapSeries) -> ScalingFit:
     """Ordinary least squares of log gap against log n.
 
@@ -141,7 +120,7 @@ def fit_power_law(series: GapSeries) -> ScalingFit:
     sequence at the fitted exponent rounded to the nearest integer, using
     points with k >= ``BAND_K_MIN`` (all usable points if none qualify).
     """
-    pts = _usable(series)
+    pts = [pt for pt in series.points if not pt.precision_limited and pt.gap > 0]
     if len(pts) < 3:
         raise ValueError(
             f"power-law fit needs at least 3 usable points, have {len(pts)}"
@@ -158,65 +137,18 @@ def fit_power_law(series: GapSeries) -> ScalingFit:
     else:
         r_squared = 1.0 - ss_res / ss_tot
     power = int(round(-float(exponent)))
-    band_min, band_max = _band(pts, power)
+    band = [pt.n**power * pt.gap for pt in pts if pt.k >= BAND_K_MIN]
+    if not band:
+        band = [pt.n**power * pt.gap for pt in pts]
     return ScalingFit(
         exponent=float(exponent),
         prefactor=float(math.exp(intercept)),
         r_squared=r_squared,
-        band_min=band_min,
-        band_max=band_max,
+        band_min=min(band),
+        band_max=max(band),
         band_power=power,
         points_excluded=len(series.points) - len(pts),
     )
-
-
-def fit_inverse_alpha(samples: list[tuple[float, float]]) -> tuple[float, float]:
-    """Least-squares c for scaled_gap ~ c / alpha; returns (c, max relative
-    residual).  Samples are (alpha, scaled gap) at one fixed k."""
-    if len(samples) < 3:
-        raise ValueError(f"inverse-strength fit needs >= 3 samples, have {len(samples)}")
-    alphas = np.array([a for a, _ in samples], dtype=float)
-    ys = np.array([y for _, y in samples], dtype=float)
-    if np.any(alphas <= 0):
-        raise ValueError("all strengths must be positive")
-    if np.any(ys <= 0):
-        raise ValueError("all scaled gaps must be positive")
-    x = 1.0 / alphas
-    c = float(np.dot(ys, x) / np.dot(x, x))
-    rel = np.abs(ys - c * x) / np.abs(ys)
-    return c, float(np.max(rel))
-
-
-def cubic_band_check(series: GapSeries) -> tuple[ScalingFit, bool]:
-    """Band of n^3 * gap over the sweep, plus whether the lower band is
-    asymptotically meaningful.
-
-    The upper band is always finite on a computed grid.  The lower band is
-    claimed by the theory only for a single-site potential at the origin or
-    when the total strength is small enough that the lower-bound formula
-    (inverse total strength term plus the non-positive side-energy deficit,
-    its unknown constant taken as 1) stays positive across the grid.
-    """
-    pot = series.potential
-    if pot is None or pot.is_empty:
-        raise ValueError("cubic band check requires a non-empty potential")
-    fit = fit_power_law(series)
-    pts = _usable(series)
-    band_min, band_max = _band(pts, 3)
-    fit = replace(fit, band_min=band_min, band_max=band_max, band_power=3)
-    if pot.sites == (0,):
-        applicable = True
-    else:
-        margin = math.inf
-        for pt in pts:
-            k = pt.k
-            theta_max = max(side_energies(k, pot))
-            dge_k = dirichlet_ground_energy(k)
-            margin = min(
-                margin, dge_k / (pot.strength_sum * k) + dge_k - theta_max
-            )
-        applicable = margin > 0
-    return fit, applicable
 
 
 def series_to_csv(series: GapSeries, timestamp: str | None = None) -> str:

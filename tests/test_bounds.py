@@ -22,6 +22,7 @@ from pathgap import (
     single_site_diagnostics,
     spectrum_low,
 )
+from pathgap.bounds import EPSILON
 
 SQRT11 = math.sqrt(11.0)
 
@@ -93,10 +94,12 @@ class TestGroundLowerBound:
         assert ground_energy_lower_bound(op, SideCorrections(0.5, 0.5)) == 0.0
 
     def test_side_subpath_precondition(self):
-        # assemble_hamiltonian rejects this support (test_operators), so no
-        # operator reaches the bounds; side_energies checks it itself
-        with pytest.raises(ValueError, match="side sub-path"):
+        # assemble_hamiltonian rejects these supports (test_operators); given
+        # the pair, side_energies meets an empty side sub-path
+        with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
             side_energies(1, build_potential([(1, 2.0)]))
+        with pytest.raises(ValueError, match="m must be a positive integer, got -4"):
+            side_energies(1, build_potential([(-5, 2.0)]))
 
     def test_product_nonnegative(self):
         op, res = _op_low(25, [(0, 1.0)])
@@ -132,27 +135,38 @@ class TestCosinePieces:
 
     def test_piece_sum_matches_closed_form(self):
         # sum of cos((i+1/2) x), x = pi/(2m+1), equals cot(x/2)/2
-        trial = build_trial_state(_op(10, [(-2, 5.0), (3, 7.0)]))
+        left, right = cosine_pieces(_op(10, [(-2, 5.0), (3, 7.0)]))
         expected = 0.0
         for m in (8, 7):
             expected += math.sqrt(2.0 / (2 * m + 1)) * 0.5 / math.tan(
                 math.pi / (2 * (2 * m + 1))
             )
-        assert trial.piece_sum == pytest.approx(expected, rel=1e-12)
+        assert float(np.sum(left) + np.sum(right)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestTrialState:
     def test_basic_properties(self):
-        trial = build_trial_state(_op(10, [(0, 1.0)]))
-        assert 0.0 < trial.mixing < 1.0
+        op = _op(10, [(0, 1.0)])
+        trial = build_trial_state(op)
+        b = trial.mixing
+        assert 0.0 < b < 1.0
         assert float(np.dot(trial.vector, trial.vector)) == pytest.approx(1.0, abs=1e-12)
-        assert trial.floor_energy == pytest.approx(dirichlet_ground_energy(10) / 3.0)
+        # the floor energy is E_D(k) / (2 + EPSILON) = E_D(k) / 3
+        theta_left, theta_right = side_energies(10, op.potential)
+        floor_energy = dirichlet_ground_energy(10) / 3.0
+        expected = 0.5 * (1.0 - b) * (theta_left + theta_right) + b * floor_energy
+        assert ground_energy_upper_bound(op, trial) == expected
 
     def test_mixing_solves_normalization_relation(self):
-        # b = 2 sqrt((1-b) b) a S + (2k+1) b a^2
+        # b = 2 sqrt((1-b) b) a S + (2k+1) b a^2, with floor amplitude
+        # a = sqrt(E_D(k) / (2 + EPSILON) / total strength) and S the sum of
+        # the cosine pieces
         for k, pairs in [(10, [(0, 1.0)]), (50, [(-2, 5.0), (3, 7.0)])]:
-            t = build_trial_state(_op(k, pairs))
-            b, a, s = t.mixing, t.floor_amplitude, t.piece_sum
+            op = _op(k, pairs)
+            left, right = cosine_pieces(op)
+            b = build_trial_state(op).mixing
+            a = math.sqrt(dirichlet_ground_energy(k) / (2.0 + EPSILON) / op.potential.strength_sum)
+            s = float(np.sum(left) + np.sum(right))
             rhs = 2.0 * math.sqrt((1.0 - b) * b) * a * s + (2 * k + 1) * b * a * a
             assert b == pytest.approx(rhs, rel=1e-12)
 
@@ -288,16 +302,6 @@ class TestEvaluateBounds:
         assert (d["side_energy_min"], d["side_energy_max"]) == (
             dirichlet_ground_energy(38), dirichlet_ground_energy(37)
         )
-
-    def test_support_is_not_rechecked(self, monkeypatch):
-        # assemble_hamiltonian checked it; the helpers read the assembled operator
-        import pathgap.bounds
-
-        op, res = _op_low(20, [(0, 1.0)])
-        calls = []
-        monkeypatch.setattr(pathgap.bounds, "support_span", lambda *a: calls.append(a))
-        evaluate_bounds(op, res)
-        assert calls == []
 
     def test_empty_potential_rejected(self):
         pot = build_potential([], empty_baseline=True)

@@ -1,4 +1,5 @@
-"""The README's library example runs, every exported name exists, and
+"""The README's library example runs, every exported name exists, the
+package exports exactly its modules' public names, and
 ``pathgap.__main__`` runs the CLI only when run as ``python -m pathgap``."""
 import importlib
 import os
@@ -6,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,17 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(f"pathgap.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def test_package_exports_the_public_names_of_its_modules():
+    exported = {
+        n for n, v in vars(pathgap).items()
+        if not n.startswith("_") and not isinstance(v, types.ModuleType)
+    }
+    listed = set()
+    for name in ("operators", "eigensolver", "bounds", "scaling"):
+        listed.update(importlib.import_module(f"pathgap.{name}").__all__)
+    assert exported == listed
 
 
 def _python(*args):

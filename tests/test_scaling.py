@@ -6,14 +6,11 @@ from pathgap import (
     GapSeries,
     SpectralResult,
     build_potential,
-    cubic_band_check,
     dirichlet_ground_energy,
-    fit_inverse_alpha,
     fit_power_law,
     gap_series,
     geometric_grid,
     linear_grid,
-    scaled_sequence,
     series_from_csv,
     series_to_csv,
 )
@@ -87,17 +84,20 @@ class TestGapSeries:
 
 
 class TestScaledSequence:
+    """The scaled sequence n^p * gap, read off the points of a series."""
+
     def test_p_zero_identity(self):
         series = _synthetic(7.0, -3.0, [10, 20, 40])
-        assert [v for _, v in scaled_sequence(series, 0.0)] == pytest.approx(
+        assert [pt.n**0.0 * pt.gap for pt in series.points] == pytest.approx(
             [pt.gap for pt in series.points]
         )
 
     def test_free_baseline_near_pi_squared(self):
         series = gap_series(build_potential([], empty_baseline=True), [100])
-        (pair,) = scaled_sequence(series, 2.0)
-        assert pair[1] == pytest.approx(201**2 * (2 - 2 * math.cos(math.pi / 201)), rel=1e-12)
-        assert abs(pair[1] - math.pi**2) < 3e-4
+        (pt,) = series.points
+        value = pt.n**2 * pt.gap
+        assert value == pytest.approx(201**2 * (2 - 2 * math.cos(math.pi / 201)), rel=1e-12)
+        assert abs(value - math.pi**2) < 3e-4
 
     def test_free_envelope_and_monotone(self):
         # n^2 * gap increases toward pi^2 inside the cosine-expansion envelope
@@ -105,9 +105,9 @@ class TestScaledSequence:
             build_potential([], empty_baseline=True), list(range(10, 90, 7))
         )
         prev = -math.inf
-        for k, value in scaled_sequence(series, 2.0):
-            n = 2 * k + 1
-            assert abs(value - math.pi**2) <= 1.1 * math.pi**4 / (12 * n**2)
+        for pt in series.points:
+            value = pt.n**2 * pt.gap
+            assert abs(value - math.pi**2) <= 1.1 * math.pi**4 / (12 * pt.n**2)
             assert value > prev
             prev = value
 
@@ -148,26 +148,15 @@ class TestFitPowerLaw:
 
 
 class TestFitInverseAlpha:
-    def test_exact_model(self):
-        c, resid = fit_inverse_alpha([(a, 4.0 / a) for a in (0.5, 1.0, 2.0, 4.0)])
-        assert c == pytest.approx(4.0, rel=1e-14)
-        assert resid == pytest.approx(0.0, abs=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match=">= 3"):
-            fit_inverse_alpha([(1.0, 1.0), (2.0, 0.5)])
-        with pytest.raises(ValueError, match="positive"):
-            fit_inverse_alpha([(1.0, 1.0), (-2.0, 0.5), (3.0, 0.2)])
+    """n^3 * gap at fixed k against the strength alpha of one site at the
+    origin, where its limit is 8 pi^2 / alpha and its 1/n rate -6 / alpha."""
 
     def test_sweep_at_fixed_k(self):
         k, n = 200, 401
-        samples = []
         for a in (0.5, 1.0, 2.0, 4.0):
             series = gap_series(build_potential([(0, a)]), [k])
-            samples.append((a, n**3 * series.points[0].gap))
-        c, resid = fit_inverse_alpha(samples)
-        assert c > 0.0
-        assert resid < 0.1  # two-sided band, not exact 1/alpha equality
+            closed_form = (8 * math.pi**2 / a) * (1 - 6 / (a * n))
+            assert abs(n**3 * series.points[0].gap / closed_form - 1) < 1e-3
 
     def test_scaled_gap_decreasing_in_alpha(self):
         k, n = 150, 301
@@ -179,31 +168,21 @@ class TestFitInverseAlpha:
 
 
 class TestCubicBandCheck:
-    def test_single_site_applicable(self):
-        series = gap_series(build_potential([(0, 1.0)]), geometric_grid(100, 400, 5))
-        fit, applicable = cubic_band_check(series)
-        assert applicable
-        assert fit.band_power == 3
-        assert fit.band_ratio < 10.0
-
-    def test_strong_two_site_not_applicable(self):
-        series = gap_series(
-            build_potential([(-1, 50.0), (1, 50.0)]), geometric_grid(100, 400, 5)
-        )
-        fit, applicable = cubic_band_check(series)
-        assert not applicable
-        assert math.isfinite(fit.band_max)
+    """n^3 * gap over a k sweep and against the strength."""
 
     def test_weak_single_site_applicable_with_large_band(self):
         series = gap_series(build_potential([(0, 0.01)]), geometric_grid(100, 400, 5))
-        fit, applicable = cubic_band_check(series)
-        assert applicable
-        assert fit.band_min > 100.0  # band grows as total strength shrinks
+        # the band grows as the total strength shrinks
+        assert min(pt.n**3 * pt.gap for pt in series.points) > 100.0
 
-    def test_requires_potential(self):
-        series = gap_series(build_potential([], empty_baseline=True), [100, 200, 400])
-        with pytest.raises(ValueError, match="non-empty"):
-            cubic_band_check(series)
+    def test_off_centre_floor(self):
+        # one site of strength alpha at 3: the limit is 8 pi^2 hypot(3, 1/alpha),
+        # so n^3 * gap stays above about 8 pi^2 * 3 however strong the site
+        k, n = 400, 801
+        for a in (1.0, 4.0, 16.0, 64.0):
+            series = gap_series(build_potential([(3, a)]), [k])
+            closed_form = 8 * math.pi**2 * math.hypot(3, 1 / a) * (1 - 6 / (a * n))
+            assert abs(n**3 * series.points[0].gap / closed_form - 1) < 1e-3
 
 
 class TestCsvRoundTrip:
