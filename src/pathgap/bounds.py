@@ -48,10 +48,6 @@ __all__ = [
 # ground energy of the full path over 2 + EPSILON
 EPSILON = 1.0
 
-# the excited-level upper bound only holds asymptotically; below this k it
-# is evaluated but marked non-applicable
-K_MIN = 10
-
 # comparison slack for inequalities that the theory allows to be attained
 # with equality (e.g. the excited-level sandwich is exact for single-site
 # potentials); forgives eigensolver noise only.
@@ -157,7 +153,6 @@ class BoundsReport:
             "n": res.n,
             "potential": self.potential.spec_string(),
             "epsilon": EPSILON,
-            "k_min": K_MIN,
             "lambda0": res.lambda0,
             "lambda1": res.lambda1,
             "gap": res.gap,
@@ -298,7 +293,12 @@ def mixing_weight_product(op: TridiagonalOperator, trial: TrialState) -> float:
 
 def excited_energy_bounds(op: TridiagonalOperator) -> tuple[float, float]:
     """Sandwich for the first excited energy: Dirichlet energy of the full
-    path below, the larger of the two side energies above."""
+    path below, the larger of the two side energies above.
+
+    The upper bound holds at every k by min-max: the two side ground
+    states, extended by zero, have disjoint, non-adjacent supports and no
+    potential energy, so H is diagonal on their span, with the side energies.
+    """
     return dirichlet_ground_energy(op.k), max(side_energies(op.k, op.potential))
 
 
@@ -336,9 +336,9 @@ def _expanded_side_total(op: TridiagonalOperator, phi: np.ndarray) -> float:
     )
 
 
-def _leq(name: str, lhs: float, rhs: float, reason: str | None = None) -> BoundCheck:
+def _leq(name: str, lhs: float, rhs: float) -> BoundCheck:
     slack = _SLACK * max(1.0, abs(lhs), abs(rhs))
-    return BoundCheck(name, lhs, rhs, bool(lhs <= rhs + slack), reason)
+    return BoundCheck(name, lhs, rhs, bool(lhs <= rhs + slack))
 
 
 def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsReport:
@@ -346,9 +346,7 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
     ``spectrum_low(op)`` result, with the trial state at ``EPSILON``.
 
     Component failures (e.g. a degenerate trial-state branch) are recorded
-    as skipped checks rather than raised.  The excited-level upper bound
-    only holds asymptotically, so below ``K_MIN`` it is evaluated but
-    marked non-applicable.
+    as skipped checks rather than raised.
     """
     k, potential = op.k, op.potential
     theta_left, theta_right = side_energies(k, potential)
@@ -387,8 +385,7 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
     else:
         checks.append(BoundCheck("ground_energy_upper_bound", lam0, math.nan, False, trial_error))
     checks.append(_leq("excited_energy_lower_bound", exc_lower, lam1))
-    reason = None if k >= K_MIN else f"k = {k} below k_min = {K_MIN} (asymptotic check)"
-    checks.append(_leq("excited_energy_upper_bound", lam1, exc_upper, reason))
+    checks.append(_leq("excited_energy_upper_bound", lam1, exc_upper))
     checks.append(_leq("ground_energy_pair_mean", 2.0 * lam0, theta_left + theta_right))
 
     pot_term = sum(a * float(phi[s + k]) ** 2 for s, a in potential.entries)

@@ -12,12 +12,11 @@ Commands::
 Each command takes only the options its handler reads (``_COMMANDS``), plus
 ``--out`` and ``--no-timestamp``; any other option, or an abbreviated one,
 exits 2.  The solver and the bound and fit settings are not options:
-gap-scan and alpha-scan take each level as a certified Wronskian root
-(``eigensolver.eigenvalues_low``) and bisect only a level whose window
-fails; spectrum and verify-bounds bisect both levels to the relative width
-``eigensolver.REL_TOL``.  The trial state uses ``bounds.EPSILON``, the
-asymptotic check starts at ``bounds.K_MIN`` and band statistics at
-``scaling.BAND_K_MIN``.
+gap-scan and alpha-scan take each level by bisection on a Sturm count
+that costs O(support) (``eigensolver.eigenvalues_low``); spectrum and
+verify-bounds bisect both levels on the O(n) Sturm count to the relative
+width ``eigensolver.REL_TOL``.  The trial state uses ``bounds.EPSILON``
+and band statistics start at ``scaling.BAND_K_MIN``.
 
 Exit codes: 0 success / all applicable checks hold, 1 a bound check failed,
 2 input or parse error, 3 numerical non-convergence.
@@ -31,7 +30,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import EPSILON, K_MIN, evaluate_bounds
+from .bounds import EPSILON, evaluate_bounds
 from .eigensolver import ConvergenceError, PositivityError, eigenvalues_low, spectrum_low
 from .operators import Potential, assemble_hamiltonian, build_potential
 from .scaling import (
@@ -231,7 +230,6 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     payload = {
         "potential": potential.spec_string(),
         "epsilon": EPSILON,
-        "k_min": K_MIN,
         "all_hold": all_hold,
         "points": points,
     }

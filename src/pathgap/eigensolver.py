@@ -1,24 +1,23 @@
 """Symmetric-tridiagonal eigensolver for path graphs: the two lowest levels
-as certified Wronskian roots or by Sturm bisection, the ground state by
-inverse iteration, and closed-form eigenvalue oracles.
+by bisection on Sturm counts, the ground state by inverse iteration, and
+closed-form eigenvalue oracles.
 
 ``eigenvalues_low`` (gap-scan, alpha-scan) writes a level as
-lambda = 4 sin^2(pi/(4s)), s = n/2 + u, and finds u as a root of a
-Wronskian that costs O(support); three Sturm counts certify the windows.
-A level whose window fails, and both levels in ``spectrum_low`` (spectrum,
-verify-bounds), are bisected on the Sturm count to the relative width
-``REL_TOL`` = 1e-14; ``spectrum_low`` then adds the ground state by inverse
-iteration.  The inner loops live in ``_kernels`` (plain Python over float64
-buffers; the only backend).  Both return a ``SpectralResult``: k, the two
-eigenvalues and the flag, with ``n`` and ``gap`` derived from them.  A gap
-below 10^3 ulp of its rounding scale (lambda1 for two Wronskian roots, the
-matrix norm bound otherwise) carries ``precision_limited=True``, and
+lambda = 4 sin^2(pi/(4s)), s = n/2 + u, and bisects u on a Sturm count
+that costs O(support) and reads no length-n array, so it reaches any k.
+``spectrum_low`` (spectrum, verify-bounds) bisects both levels on the O(n)
+Sturm count of ``_kernels`` (plain Python over float64 buffers) to the
+relative width ``REL_TOL`` = 1e-14 and adds the ground state by inverse
+iteration.  Both return a ``SpectralResult``: k, the two eigenvalues and
+the flag, with ``n`` and ``gap`` derived from them.  A gap below 10^3 ulp
+of its rounding scale (lambda1 for ``eigenvalues_low``, the matrix norm
+bound for ``spectrum_low``) carries ``precision_limited=True``, and
 downstream fits drop such points.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,33 +204,63 @@ def _level(n: int, u: float) -> float:
     return 4.0 * math.sin(math.pi / (4.0 * (0.5 * n + u))) ** 2
 
 
-def _wronskian(n: int, potential: Potential, u: float) -> float:
-    """f(u), zero exactly where lambda(u) is an eigenvalue; O(support).
+def _nearest(y: float, odd: bool) -> int:
+    """The integer of the parity of ``odd`` nearest to y."""
+    return odd + 2 * round((y - odd) / 2)
 
-    Outside the support the solutions that meet the two end conditions are
-    cos(t (j + k + 1/2)) on the left and cos(t (k - j + 1/2)) on the right,
-    with t = pi/(2s).  Their values and slopes at r_min and r_max are
-    written through the deficits defL and defR from pi/2, which are O(1/n)
-    and exact in u; both profiles are scaled by n so that every term is
-    O(1).  The left profile is carried across the support by the
-    recurrence and compared with the right one.
+
+def _cos(deficit: float, phase: float) -> float:
+    """cos(deficit) = sin(phase), deficit + phase = pi/2, from the smaller one."""
+    return math.cos(deficit) if deficit <= phase else math.sin(phase)
+
+
+def _rescaled(v: float, w: float) -> tuple[float, float]:
+    """(v, w) times the power of two that puts max(|v|, |w|) in [1/4, 1/2)."""
+    scale = -1 - math.frexp(max(abs(v), abs(w)))[1]
+    return math.ldexp(v, scale), math.ldexp(w, scale)
+
+
+def _sweep(n: int, potential: Potential, u: float) -> int:
+    """The Sturm count of lambda(u), s = n/2 + u > 1/2, in O(support): the
+    sign changes of the solution psi of the left end condition over -k..k
+    and k+1, where psi is det(H - lambda) (Teschl, Jacobi Operators, ch. 4).
+
+    With t = pi/(2s), psi is cos(t (j + k + 1/2)) left of the support and
+    a cos x + b sin x right of it, x = t (k - j + 1/2), b = f/(n sin t)
+    with f the Wronskian, so psi(k+1) = -2 b sin(t/2).  A free stretch of
+    phase y pi changes sign the number of times nearest to y of the parity
+    its end signs give, so only signs must be exact; every phase is
+    written in u.  Across the support psi (times n) and its forward
+    difference w follow the recurrence, rescaled against overflow.
     """
     s = 0.5 * n + u
     half = 0.25 * math.pi / s
     sin_half = math.sin(half)
     lam = 4.0 * sin_half**2
     edge = 2.0 * n * sin_half
-    rmin, rmax = potential.site_min, potential.site_max
+    k, rmin, rmax = n // 2, potential.site_min, potential.site_max
     def_l = 0.5 * math.pi * (u - rmin) / s
     v = n * math.sin(def_l)
-    w = -edge * math.cos(def_l + half)
+    w = -edge * _cos(def_l + half, 2.0 * half * (k + rmin))
+    negative = v < 0.0
+    count = _nearest(0.5 * (k + rmin) / s, negative)
     strengths = dict(potential.entries)
     for site in range(rmin, rmax):
+        v, w = _rescaled(v, w)
         w += (strengths.get(site, 0.0) - lam) * v
         v += w
+        count += (v < 0.0) != negative
+        negative = v < 0.0
+    v, w = _rescaled(v, w)
     w += (strengths[rmax] - lam) * v
-    def_r = 0.5 * math.pi * (u + rmax) / s
-    return v * edge * math.cos(def_r + half) - n * math.sin(def_r) * w
+    v, w = _rescaled(v, w)
+    def_r, m = 0.5 * math.pi * (u + rmax) / s, k - rmax
+    f = v * edge * _cos(def_r + half, 2.0 * half * m) - n * math.sin(def_r) * w
+    psi_k = ((_cos(def_r, half * (2 * m + 1)) * (v + w)
+              - v * _cos(def_r + 2.0 * half, half * (2 * m - 1))) * math.cos(half)
+             + f / n * sin_half)
+    count += _nearest(0.5 * (k - rmax) / s, negative != (psi_k < 0.0))
+    return count + ((psi_k < 0.0) != (f > 0.0))
 
 
 def _gap(n: int, u0: float, u1: float) -> float:
@@ -242,94 +271,71 @@ def _gap(n: int, u0: float, u1: float) -> float:
             * math.sin(0.25 * math.pi / s0 + 0.25 * math.pi / s1))
 
 
-def _wronskian_roots(op: TridiagonalOperator) -> list[float | None]:
-    """u0 and u1, the roots of the Wronskian that give lambda0 and lambda1,
-    or None for a level whose window fails; for a non-empty potential.
+def _roots(n: int, potential: Potential) -> tuple[float, float]:
+    """u0 and u1, where lambda(u) is lambda0 and lambda1 (a non-empty
+    potential).
 
-    The window of u0 is [sigma, sigma + 3 Delta/2] and that of u1 is
-    [sigma - 3 Delta/2, sigma].  Three Sturm counts, at the ends and the
-    middle, must be 0, 1 and 2, so each window holds exactly one
-    eigenvalue; the sign of f is then bisected until the bracket is
-    narrower than EPS * min(Delta, s) or no double lies between its ends
-    (a root at u = 0 would otherwise take a thousand halvings down through
-    the subnormals).  A window fails when a constant is not finite,
-    s <= 1/2 (beyond it lambda is not monotone in u), a count is wrong, or
-    f does not change sign.
+    The first bracket of u0 is [sigma, sigma + 3 Delta/2], that of u1
+    [sigma - 3 Delta/2, sigma]; it holds if s > 1/2 at its low end, with
+    counts index + 1 there and index at its high end.  Otherwise it is
+    (1/2 - n/2, hi]: lambda = 4 at s = 1/2 is above both levels, as a
+    potential on at most n - 2 sites moves at most n - 2 free levels, all
+    below 4; hi doubles from 1, kept finite, until its count is at most
+    index.  Bisection stops below EPS * min(Delta, s) (EPS / 2 if that is
+    not finite and positive) or when no double is left between the ends.
     """
-    n, potential = op.n, op.potential
     sigma, delta = _transfer(potential)
     ends = (sigma + 1.5 * delta, sigma, sigma - 1.5 * delta)
-    if not all(math.isfinite(u) and 0.5 * n + u > 0.5 for u in ends):
-        return [None, None]
-    offsq, subst = _offsq(op), EPS * op.norm_bound
-    counts = [_kernels.sturm_count(op.diag, offsq, _level(n, u), subst, expected + 1)
-              for expected, u in enumerate(ends)]
     # the gap needs each root to about EPS * Delta, each level to ulp(s)
     tol = EPS * min(delta, 0.5 * n + ends[2])
-    roots: list[float | None] = []
+    tol = tol if 0.0 < tol < math.inf else 0.5 * EPS
+    roots = []
     for index in (0, 1):
         hi, lo = ends[index], ends[index + 1]
-        positive = _wronskian(n, potential, lo) > 0.0
-        certified = counts[index:index + 2] == [index, index + 1]
-        if not certified or positive == (_wronskian(n, potential, hi) > 0.0):
-            roots.append(None)
-            continue
+        if not (0.5 * n + lo > 0.5 and hi < math.inf
+                and _sweep(n, potential, lo) == index + 1
+                and _sweep(n, potential, hi) == index):
+            lo, hi = 0.5 - 0.5 * n, 1.0
+            while hi < 1e300 and _sweep(n, potential, hi) > index:
+                hi *= 2.0
         mid = 0.5 * (lo + hi)
         while hi - lo > tol and lo < mid < hi:
-            if (_wronskian(n, potential, mid) > 0.0) == positive:
+            if _sweep(n, potential, mid) > index:
                 lo = mid
             else:
                 hi = mid
             mid = 0.5 * (lo + hi)
         roots.append(mid)
-    return roots
-
-
-def _result(
-    op: TridiagonalOperator, brackets: list[tuple[float, float]], scale: float
-) -> SpectralResult:
-    """The record of two level brackets; the gap is flagged below 10^3 ulp
-    of ``scale``, or when the brackets overlap."""
-    (lo0, hi0), (lo1, hi1) = brackets
-    lam0 = 0.5 * (lo0 + hi0)
-    lam1 = 0.5 * (lo1 + hi1)
-    limited = lam1 - lam0 < GAP_ULP_FACTOR * math.ulp(scale) or lo1 <= hi0
-    return SpectralResult(
-        k=op.k, lambda0=lam0, lambda1=lam1, precision_limited=limited
-    )
+    return roots[0], roots[1]
 
 
 def eigenvalues_low(op: TridiagonalOperator) -> SpectralResult:
-    """Two lowest eigenvalues and their gap, without the ground state.
+    """Two lowest eigenvalues and their gap in O(support), no ground state.
 
-    The free path has the closed form lambda0 = 0, lambda1 =
-    4 sin^2(pi/(2n)).  Otherwise each level comes from
-    ``_wronskian_roots`` where its window holds and from O(n) bisection
-    where it fails.  With both roots, lambda1 is lambda0 plus the gap from
-    ``_gap``, so the difference carries no cancellation, and the gap is
-    flagged below 10^3 ulp of lambda1, its rounding scale; otherwise below
-    10^3 ulp of the norm bound.
+    The free path has the closed form lambda0 = 0, lambda1 = 4 sin^2(pi/(2n));
+    otherwise the levels come from ``_roots``, with lambda1 = lambda0 +
+    ``_gap``, which has no cancellation.  The gap is flagged below 10^3 ulp
+    of lambda1, its rounding scale.
     """
     n = op.n
     if op.potential.is_empty:
-        lam1 = _level(n, 0.0)
-        return _result(op, [(0.0, 0.0), (lam1, lam1)], lam1)
-    roots = _wronskian_roots(op)
-    if None not in roots:
-        lam0 = _level(n, roots[0])
-        lam1 = lam0 + _gap(n, *roots)
-        return _result(op, [(lam0, lam0), (lam1, lam1)], lam1)
-    brackets = [_eigenvalue_bracket(op, index) if u is None else (_level(n, u),) * 2
-                for index, u in enumerate(roots)]
-    return _result(op, brackets, op.norm_bound)
+        lam0, lam1 = 0.0, _level(n, 0.0)
+    else:
+        u0, u1 = _roots(n, op.potential)
+        lam0 = _level(n, u0)
+        lam1 = lam0 + _gap(n, u0, u1)
+    limited = lam1 - lam0 < GAP_ULP_FACTOR * math.ulp(lam1)
+    return SpectralResult(k=op.k, lambda0=lam0, lambda1=lam1, precision_limited=limited)
 
 
 def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
-    """Two lowest eigenvalues by O(n) bisection, their gap, and the ground
-    state by inverse iteration shifted to the bisected lambda0."""
-    values = _result(op, [_eigenvalue_bracket(op, 0), _eigenvalue_bracket(op, 1)],
-                     op.norm_bound)
-    return replace(values, ground_state=ground_state(op, values.lambda0))
+    """Two lowest eigenvalues by O(n) bisection and the ground state by
+    inverse iteration shifted to lambda0; the gap is flagged below 10^3 ulp
+    of the norm bound, or when the brackets overlap."""
+    (lo0, hi0), (lo1, hi1) = _eigenvalue_bracket(op, 0), _eigenvalue_bracket(op, 1)
+    lam0, lam1 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1)
+    limited = lam1 - lam0 < GAP_ULP_FACTOR * math.ulp(op.norm_bound) or lo1 <= hi0
+    return SpectralResult(op.k, lam0, lam1, limited, ground_state(op, lam0))
 
 
 def dirichlet_ground_energy(m: int) -> float:

@@ -102,17 +102,17 @@ class TridiagonalOperator:
     """Symmetric tridiagonal matrix: Laplacian of a path plus the potential.
 
     ``diag`` has length n = 2k+1, ``offdiag`` length n-1 (all entries -1).
-    Arrays are frozen (read-only) at construction.
+    Arrays are frozen at construction; equality and hash are by (k, potential).
     """
 
-    diag: np.ndarray
-    offdiag: np.ndarray
+    diag: np.ndarray = field(compare=False)
+    offdiag: np.ndarray = field(compare=False)
     k: int
-    potential: Potential = field(compare=False)
+    potential: Potential
 
     @property
     def n(self) -> int:
-        return int(self.diag.shape[0])
+        return 2 * self.k + 1
 
     @property
     def norm_bound(self) -> float:

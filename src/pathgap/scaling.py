@@ -81,8 +81,8 @@ class ScalingFit:
 def geometric_grid(lo: int, hi: int, count: int) -> list[int]:
     """count geometrically spaced integers from lo to hi (deduplicated)."""
     _check_grid(lo, hi, count)
-    if count == 1 or lo == hi:
-        return [lo] if lo == hi else [lo, hi][:count]
+    if count == 1:
+        return [lo]
     ratio = (hi / lo) ** (1.0 / (count - 1))
     return sorted({round(lo * ratio**i) for i in range(count)})
 
@@ -90,8 +90,6 @@ def geometric_grid(lo: int, hi: int, count: int) -> list[int]:
 def linear_grid(lo: int, hi: int, count: int) -> list[int]:
     """count evenly spaced integers from lo to hi (deduplicated)."""
     _check_grid(lo, hi, count)
-    if count == 1:
-        return [lo]
     return sorted({round(v) for v in np.linspace(lo, hi, count)})
 
 

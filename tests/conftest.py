@@ -21,11 +21,14 @@ import oracle  # noqa: E402
 ACCEPTANCE_GRID = geometric_grid(100, 1600, 16)
 BOUND_POTENTIALS = ("0:1", "0:8", "-2:5,3:7", "-1:2,0:3,1:2")
 ALPHA_SET = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-# (k, spec) where the Wronskian window of a level fails: Delta not small
-# against n, n small against the support, or a window narrower than the
-# rounding of s = n/2 + u
+# (k, spec) where the window [sigma, sigma +- 3 Delta/2] of a level is not
+# a bracket that double-precision counts in lambda certify.  Either it fails
+# (Delta not small against n, or n small against the support) and _roots
+# bisects from (1/2 - n/2, hi], or it is narrower than a count in lambda
+# resolves and only counts made in u certify it (the last four)
 FALLBACK_CASES = ((10, "0:1e-3"), (100, "0:1e-6"), (6, "-5:1"), (6, "-4:1,5:2"),
-                  (2, "-1:2,1:3"), (3, "0:1e300"))
+                  (2, "-1:2,1:3"), (3, "0:1e300"), (3, "0:1e16"), (80, "0:1e12"),
+                  (25600, "-8:100,8:100"))
 
 
 @pytest.fixture(scope="session")

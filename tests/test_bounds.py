@@ -237,10 +237,12 @@ class TestEvaluateBounds:
         names = {c.name for c in rep.checks}
         assert "side_correction_identity" in names
         assert "ground_energy_pair_mean" in names
-        # k below k_min: the asymptotic excited upper bound is recorded but
-        # marked non-applicable
+        # the excited upper bound holds at every k; here with equality, since
+        # lambda1 = 1 is the energy of both one-site Dirichlet sides
         upper = next(c for c in rep.checks if c.name == "excited_energy_upper_bound")
-        assert upper.skipped_reason is not None
+        assert upper.applicable and upper.holds
+        assert upper.lhs == pytest.approx(upper.rhs, abs=1e-13)
+        assert upper.rhs == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("pairs", [[(0, 1.0)], [(-2, 5.0), (3, 7.0)]])
     def test_medium_sweep_point(self, pairs):

@@ -257,25 +257,27 @@ class TestCommands:
             assert abs(float(row[5]) - float(want1 - want0)) <= 2 * math.ulp(float(row[4]))
 
     def test_benchmark_grids_need_no_bisection(self, monkeypatch, capsys):
-        # a silent fall back to O(n) bisection on the benchmark's grids
+        # gap-scan and alpha-scan run on O(support) counts alone: an O(n)
+        # kernel reached on the benchmark's grids, or where a window fails,
         # fails here, not only in the benchmark's timings
         import pathgap._kernels
 
-        def no_bisection(*args):
-            raise AssertionError("O(n) bisection reached")
+        def no_kernel(*args):
+            raise AssertionError("O(n) kernel reached")
 
-        monkeypatch.setattr(pathgap._kernels, "bisect_bracket", no_bisection)
+        for name in ("sturm_count", "bisect_bracket", "factor_shifted", "solve_factored"):
+            monkeypatch.setattr(pathgap._kernels, name, no_kernel)
         for spec, grid in (("none", "100:1600:geometric:16"),
                            ("0:1", "100:1600:geometric:16"),
-                           ("0:1", "3200:25600:geometric:4")):
+                           ("0:1", "3200:25600:geometric:4"),
+                           *((spec, f"{k}:{k}:linear:1") for k, spec in FALLBACK_CASES)):
             assert main(["gap-scan", f"--potential={spec}", "--k-grid", grid,
                          "--no-timestamp"]) == 0, (spec, grid)
         assert main(["alpha-scan", "--potential", "0:1", "--k", "800", "--alphas",
                      "0.5,1,2,4,8,16", "--no-timestamp"]) == 0
-        # and the fallback is still reached where a window fails
-        k, spec = FALLBACK_CASES[2]
-        with pytest.raises(AssertionError, match="bisection reached"):
-            main(["gap-scan", f"--potential={spec}", "--k-grid", f"{k}:{k}:linear:1"])
+        # and spectrum still reaches them
+        with pytest.raises(AssertionError, match="O\\(n\\) kernel reached"):
+            main(["spectrum", "--k", "5", "--potential", "0:1"])
 
 
 class TestOptionSets:

@@ -107,6 +107,12 @@ class TestAssemble:
         with pytest.raises(ValueError):
             op.diag[0] = 9.0
 
+    def test_equality_and_hash_are_those_of_k_and_potential(self):
+        p = build_potential([(0, 1.0)])
+        a, b = assemble_hamiltonian(5, p), assemble_hamiltonian(5, p)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, _op(5, [(0, 2.0)]), _op(6, [(0, 1.0)])}) == 3
+
 
 class TestQuadraticForm:
     def test_constant_in_kernel(self):
