@@ -1,8 +1,8 @@
 """pathgap: spectral gaps of discrete Schrodinger operators on path graphs.
 
 Builds tridiagonal Hamiltonians (path Laplacian plus a compactly supported
-potential), computes their two lowest eigenvalues by bisection on Sturm
-counts, evaluates analytic two-sided eigenvalue bounds,
+potential), computes their two lowest eigenvalues on Sturm counts,
+evaluates analytic two-sided eigenvalue bounds,
 and runs the volume sweeps behind the n^-3 gap-scaling law.
 """
 from .bounds import (

@@ -9,8 +9,10 @@ copy.
 
 A bisection step only asks whether the count at the midpoint reaches
 ``index + 1``, and the count only grows along a sweep, so ``bisect_bracket``
-stops each Sturm sweep at the site where it does.  The brackets, and so
-every result, stay bit-identical to the full-sweep reference loops.
+stops each Sturm sweep at the site where it does.  A caller that knows
+the count outside an interval (``known_lo``, ``known_hi``) spares the
+sweeps there too.  The brackets, and so every result, stay bit-identical
+to the full-sweep reference loops.
 """
 from __future__ import annotations
 
@@ -53,13 +55,17 @@ def sturm_count(diag, offsq, mu, subst, stop=0):
     return count
 
 
-def bisect_bracket(diag, offsq, index, lo, hi, rel_tol, lam_floor, subst):
+def bisect_bracket(diag, offsq, index, lo, hi, rel_tol, lam_floor, subst,
+                   known_lo=-math.inf, known_hi=math.inf):
     """Shrink [lo, hi] around the index-th eigenvalue.
 
     Requires count(lo) <= index < count(hi) on entry.  Stops when the width
     drops below rel_tol * max(|midpoint|, lam_floor) or no representable
     midpoint remains.  Each step's sweep stops once its count reaches
     ``index + 1``; the brackets are bit-identical to full-count bisection.
+    A midpoint above ``known_hi`` becomes hi and one below ``known_lo``
+    becomes lo without a sweep: the caller vouches that the count there is
+    known.
     """
     stop = index + 1
     while True:
@@ -71,7 +77,11 @@ def bisect_bracket(diag, offsq, index, lo, hi, rel_tol, lam_floor, subst):
             scale = lam_floor
         if hi - lo <= rel_tol * scale:
             break
-        if sturm_count(diag, offsq, mid, subst, stop) == stop:
+        if mid > known_hi:
+            hi = mid
+        elif mid < known_lo:
+            lo = mid
+        elif sturm_count(diag, offsq, mid, subst, stop) == stop:
             hi = mid
         else:
             lo = mid

@@ -12,14 +12,17 @@ Commands::
 Each command takes only the options its handler reads (``_COMMANDS``), plus
 ``--out`` and ``--no-timestamp``; any other option, or an abbreviated one,
 exits 2.  The solver and the bound and fit settings are not options:
-gap-scan and alpha-scan take each level by bisection on a Sturm count
-that costs O(support) (``eigensolver.eigenvalues_low``); spectrum and
-verify-bounds bisect both levels on the O(n) Sturm count to the relative
-width ``eigensolver.REL_TOL``.  The trial state uses ``bounds.EPSILON``
-and band statistics start at ``scaling.BAND_K_MIN``.
+gap-scan and alpha-scan take each level by secant steps inside brackets
+certified by a Sturm count that costs O(support)
+(``eigensolver.eigenvalues_low``), at any k; spectrum and verify-bounds
+bisect both levels on the O(n) Sturm count to the relative width
+``eigensolver.REL_TOL``, sweeping only inside the backward-error band
+around those brackets.  The trial state uses ``bounds.EPSILON`` and band
+statistics start at ``scaling.BAND_K_MIN``.
 
 Exit codes: 0 success / all applicable checks hold, 1 a bound check failed,
-2 input or parse error, 3 numerical non-convergence.
+2 input or parse error (an unreadable input or unwritable ``--out`` too),
+3 numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -135,8 +138,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ValueError(f"cannot write {out}: {err}") from None
 
 
 def _emit_json(payload: dict, args: argparse.Namespace) -> None:

@@ -1,18 +1,21 @@
 """Symmetric-tridiagonal eigensolver for path graphs: the two lowest levels
-by bisection on Sturm counts, the ground state by inverse iteration, and
-closed-form eigenvalue oracles.
+on Sturm counts, the ground state by inverse iteration, and closed-form
+eigenvalue oracles.
 
 ``eigenvalues_low`` (gap-scan, alpha-scan) writes a level as
-lambda = 4 sin^2(pi/(4s)), s = n/2 + u, and bisects u on a Sturm count
-that costs O(support) and reads no length-n array, so it reaches any k.
+lambda = 4 sin^2(pi/(4s)), s = n/2 + u, and finds u by secant (Illinois)
+steps on the Wronskian inside brackets certified by a Sturm count that
+costs O(support) and reads no length-n array, so it reaches any k.
 ``spectrum_low`` (spectrum, verify-bounds) bisects both levels on the O(n)
 Sturm count of ``_kernels`` (plain Python over float64 buffers) to the
 relative width ``REL_TOL`` = 1e-14 and adds the ground state by inverse
-iteration.  Both return a ``SpectralResult``: k, the two eigenvalues and
-the flag, with ``n`` and ``gap`` derived from them.  A gap below 10^3 ulp
-of its rounding scale (lambda1 for ``eigenvalues_low``, the matrix norm
-bound for ``spectrum_low``) carries ``precision_limited=True``, and
-downstream fits drop such points.
+iteration; it sweeps only where the O(support) brackets, widened by the
+O(n) count's backward error, leave the count undecided, and its brackets
+are those of plain bisection.  Both return a ``SpectralResult``: k, the
+two eigenvalues and the flag, with ``n`` and ``gap`` derived from them.  A
+gap below 10^3 ulp of its rounding scale (lambda1 for ``eigenvalues_low``,
+the matrix norm bound for ``spectrum_low``) carries
+``precision_limited=True``, and downstream fits drop such points.
 """
 from __future__ import annotations
 
@@ -42,6 +45,10 @@ EPS = float(np.finfo(float).eps)
 # ground energy is also the inverse-iteration shift
 REL_TOL = 1e-14
 LAMBDA_FLOOR = 1e-300
+# where the O(support) brackets leave the O(n) count undecided, in units of
+# EPS * norm_bound: the count's backward error widened with room to spare
+# (see _eigenvalue_bracket)
+COUNT_MARGIN = 16.0
 RESIDUAL_SCALE = 1e-11
 GAP_ULP_FACTOR = 1e3
 MAX_SWEEPS = 50
@@ -100,13 +107,38 @@ def sturm_count(op: TridiagonalOperator, mu: float) -> int:
     return int(_kernels.sturm_count(op.diag, _offsq(op), float(mu), subst))
 
 
-def _eigenvalue_bracket(op: TridiagonalOperator, index: int) -> tuple[float, float]:
+def _eigenvalue_bracket(op: TridiagonalOperator, index: int,
+                        u_bracket: tuple[float, float] | None = None) -> tuple[float, float]:
+    """Bracket of the index-th eigenvalue by bisection from [0, norm_bound]
+    on the O(n) Sturm count.
+
+    ``u_bracket``, the certified bracket (lo, hi] of the level's u from
+    ``_roots``, puts the eigenvalue in [lambda(hi), lambda(lo)).  Outside
+    that interval widened by ``COUNT_MARGIN * EPS * norm_bound`` the
+    double-precision count equals the exact count, so bisection takes the
+    count at such a midpoint as known and sweeps only inside: the bracket
+    is bit-identical to the one found without ``u_bracket``.  The bound the
+    margin rests on: the computed count is the exact count of the matrix
+    whose off-diagonals are perturbed by at most 2.5 EPS relative, which
+    covers the rounding of a_i - mu and of each pivot (Kahan 1966; Demmel,
+    Applied Numerical Linear Algebra, section 5.3), and the pivot ``subst``
+    adds at most EPS * norm_bound to one diagonal entry.  With |b_i| = 1
+    that moves each eigenvalue by at most 5 EPS + EPS * norm_bound <=
+    2.25 EPS * norm_bound, as norm_bound >= 4; the rest of the margin
+    covers the rounding of lambda(u) and of the O(support) count.
+    """
     n = op.n
     if not 0 <= index <= n - 1:
         raise ValueError(f"eigenvalue index {index} out of range 0..{n - 1}")
     subst = EPS * op.norm_bound
+    known_lo, known_hi = -math.inf, math.inf
+    if u_bracket is not None:
+        margin = COUNT_MARGIN * EPS * op.norm_bound
+        known_lo = _level(n, u_bracket[1]) - margin
+        known_hi = _level(n, u_bracket[0]) + margin
     lo, hi = _kernels.bisect_bracket(
-        op.diag, _offsq(op), index, 0.0, op.norm_bound, REL_TOL, LAMBDA_FLOOR, subst
+        op.diag, _offsq(op), index, 0.0, op.norm_bound, REL_TOL, LAMBDA_FLOOR, subst,
+        known_lo, known_hi,
     )
     return float(lo), float(hi)
 
@@ -214,16 +246,18 @@ def _cos(deficit: float, phase: float) -> float:
     return math.cos(deficit) if deficit <= phase else math.sin(phase)
 
 
-def _rescaled(v: float, w: float) -> tuple[float, float]:
-    """(v, w) times the power of two that puts max(|v|, |w|) in [1/4, 1/2)."""
-    scale = -1 - math.frexp(max(abs(v), abs(w)))[1]
-    return math.ldexp(v, scale), math.ldexp(w, scale)
+def _rescaled(v: float, w: float, e: int) -> tuple[float, float, int]:
+    """(v, w) times the power of two 2^-d that puts max(|v|, |w|) in
+    [1/4, 1/2), and e + d, so that v 2^e and w 2^e do not change."""
+    d = 1 + math.frexp(max(abs(v), abs(w)))[1]
+    return math.ldexp(v, -d), math.ldexp(w, -d), e + d
 
 
-def _sweep(n: int, potential: Potential, u: float) -> int:
-    """The Sturm count of lambda(u), s = n/2 + u > 1/2, in O(support): the
-    sign changes of the solution psi of the left end condition over -k..k
-    and k+1, where psi is det(H - lambda) (Teschl, Jacobi Operators, ch. 4).
+def _sweep(n: int, potential: Potential, u: float) -> tuple[int, float, int]:
+    """(count, f, e): the Sturm count of lambda(u), s = n/2 + u > 1/2, and
+    the Wronskian f 2^e, in O(support).  The count is the sign changes of
+    the solution psi of the left end condition over -k..k and k+1, where
+    psi is det(H - lambda) (Teschl, Jacobi Operators, ch. 4).
 
     With t = pi/(2s), psi is cos(t (j + k + 1/2)) left of the support and
     a cos x + b sin x right of it, x = t (k - j + 1/2), b = f/(n sin t)
@@ -231,7 +265,8 @@ def _sweep(n: int, potential: Potential, u: float) -> int:
     phase y pi changes sign the number of times nearest to y of the parity
     its end signs give, so only signs must be exact; every phase is
     written in u.  Across the support psi (times n) and its forward
-    difference w follow the recurrence, rescaled against overflow.
+    difference w follow the recurrence, rescaled by powers of two against
+    overflow; e undoes them.
     """
     s = 0.5 * n + u
     half = 0.25 * math.pi / s
@@ -242,25 +277,25 @@ def _sweep(n: int, potential: Potential, u: float) -> int:
     def_l = 0.5 * math.pi * (u - rmin) / s
     v = n * math.sin(def_l)
     w = -edge * _cos(def_l + half, 2.0 * half * (k + rmin))
-    negative = v < 0.0
+    negative, e = v < 0.0, 0
     count = _nearest(0.5 * (k + rmin) / s, negative)
     strengths = dict(potential.entries)
     for site in range(rmin, rmax):
-        v, w = _rescaled(v, w)
+        v, w, e = _rescaled(v, w, e)
         w += (strengths.get(site, 0.0) - lam) * v
         v += w
         count += (v < 0.0) != negative
         negative = v < 0.0
-    v, w = _rescaled(v, w)
+    v, w, e = _rescaled(v, w, e)
     w += (strengths[rmax] - lam) * v
-    v, w = _rescaled(v, w)
+    v, w, e = _rescaled(v, w, e)
     def_r, m = 0.5 * math.pi * (u + rmax) / s, k - rmax
     f = v * edge * _cos(def_r + half, 2.0 * half * m) - n * math.sin(def_r) * w
     psi_k = ((_cos(def_r, half * (2 * m + 1)) * (v + w)
               - v * _cos(def_r + 2.0 * half, half * (2 * m - 1))) * math.cos(half)
              + f / n * sin_half)
     count += _nearest(0.5 * (k - rmax) / s, negative != (psi_k < 0.0))
-    return count + ((psi_k < 0.0) != (f > 0.0))
+    return count + ((psi_k < 0.0) != (f > 0.0)), f, e
 
 
 def _gap(n: int, u0: float, u1: float) -> float:
@@ -271,9 +306,58 @@ def _gap(n: int, u0: float, u1: float) -> float:
             * math.sin(0.25 * math.pi / s0 + 0.25 * math.pi / s1))
 
 
-def _roots(n: int, potential: Potential) -> tuple[float, float]:
-    """u0 and u1, where lambda(u) is lambda0 and lambda1 (a non-empty
-    potential).
+def _shrink(n: int, potential: Potential, index: int, lo: float, hi: float,
+            at_lo: tuple[int, float, int], at_hi: tuple[int, float, int],
+            tol: float) -> tuple[float, float]:
+    """Shrink the u-bracket (lo, hi] of the index-th root, with count above
+    index at lo and at most index at hi, until its width is at most tol or
+    no double is left between its ends.  ``at_lo`` and ``at_hi`` are the
+    ``_sweep`` results at the ends (f NaN where an end was not swept).
+
+    Each new point is the Illinois (modified regula falsi) point of |f 2^e|
+    at the two ends, whose |f| is halved at an end kept twice in a row.
+    The count at the point decides which end it replaces, so the bracket
+    stays certified by counts.  The midpoint is taken instead when that
+    point is not strictly inside the bracket or the bracket did not halve
+    over the last two steps, so it halves at least every three steps.
+    """
+    (_, f_lo, e_lo), (_, f_hi, e_hi) = at_lo, at_hi
+    f_lo, f_hi = abs(f_lo), abs(f_hi)
+    side = 0  # +1 after lo moved, -1 after hi moved
+    older = old = math.inf  # the widths two steps and one step back
+    while True:
+        width, mid = hi - lo, 0.5 * (lo + hi)
+        if not (width > tol and lo < mid < hi):
+            return lo, hi
+        u = mid
+        if width <= 0.5 * older:
+            top = max(e_lo, e_hi)
+            a, b = math.ldexp(f_lo, e_lo - top), math.ldexp(f_hi, e_hi - top)
+            if a + b > 0.0:
+                u = lo + width * (a / (a + b))
+                if not lo < u < hi:
+                    u = mid
+        older, old = old, width
+        count, f, e = _sweep(n, potential, u)
+        if count > index:
+            lo, f_lo, e_lo = u, abs(f), e
+            if side > 0:
+                f_hi *= 0.5
+            side = 1
+        else:
+            hi, f_hi, e_hi = u, abs(f), e
+            if side < 0:
+                f_lo *= 0.5
+            side = -1
+
+
+# in place of a _sweep result at a bracket end not swept: no count, f unknown
+_UNSWEPT = (-1, math.nan, 0)
+
+
+def _roots(n: int, potential: Potential) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The certified u-brackets (lo0, hi0] and (lo1, hi1] of u0 and u1,
+    where lambda(u) is lambda0 and lambda1 (a non-empty potential).
 
     The first bracket of u0 is [sigma, sigma + 3 Delta/2], that of u1
     [sigma - 3 Delta/2, sigma]; it holds if s > 1/2 at its low end, with
@@ -281,32 +365,32 @@ def _roots(n: int, potential: Potential) -> tuple[float, float]:
     (1/2 - n/2, hi]: lambda = 4 at s = 1/2 is above both levels, as a
     potential on at most n - 2 sites moves at most n - 2 free levels, all
     below 4; hi doubles from 1, kept finite, until its count is at most
-    index.  Bisection stops below EPS * min(Delta, s) (EPS / 2 if that is
-    not finite and positive) or when no double is left between the ends.
+    index.  ``_shrink`` narrows each bracket to EPS * min(Delta, s) (EPS / 2
+    if that is not finite and positive) or until no double is left
+    between the ends.
     """
     sigma, delta = _transfer(potential)
     ends = (sigma + 1.5 * delta, sigma, sigma - 1.5 * delta)
     # the gap needs each root to about EPS * Delta, each level to ulp(s)
     tol = EPS * min(delta, 0.5 * n + ends[2])
     tol = tol if 0.0 < tol < math.inf else 0.5 * EPS
-    roots = []
+    brackets = []
     for index in (0, 1):
         hi, lo = ends[index], ends[index + 1]
-        if not (0.5 * n + lo > 0.5 and hi < math.inf
-                and _sweep(n, potential, lo) == index + 1
-                and _sweep(n, potential, hi) == index):
-            lo, hi = 0.5 - 0.5 * n, 1.0
-            while hi < 1e300 and _sweep(n, potential, hi) > index:
-                hi *= 2.0
-        mid = 0.5 * (lo + hi)
-        while hi - lo > tol and lo < mid < hi:
-            if _sweep(n, potential, mid) > index:
-                lo = mid
-            else:
-                hi = mid
-            mid = 0.5 * (lo + hi)
-        roots.append(mid)
-    return roots[0], roots[1]
+        at_lo = at_hi = _UNSWEPT
+        if 0.5 * n + lo > 0.5 and hi < math.inf:
+            at_lo = _sweep(n, potential, lo)
+            if at_lo[0] == index + 1:
+                at_hi = _sweep(n, potential, hi)
+        if at_hi[0] != index:
+            lo, hi, at_lo, at_hi = 0.5 - 0.5 * n, 1.0, _UNSWEPT, _UNSWEPT
+            while hi < 1e300:
+                at_hi = _sweep(n, potential, hi)
+                if at_hi[0] <= index:
+                    break
+                hi, at_hi = 2.0 * hi, _UNSWEPT
+        brackets.append(_shrink(n, potential, index, lo, hi, at_lo, at_hi, tol))
+    return brackets[0], brackets[1]
 
 
 def eigenvalues_low(op: TridiagonalOperator) -> SpectralResult:
@@ -321,7 +405,8 @@ def eigenvalues_low(op: TridiagonalOperator) -> SpectralResult:
     if op.potential.is_empty:
         lam0, lam1 = 0.0, _level(n, 0.0)
     else:
-        u0, u1 = _roots(n, op.potential)
+        (lo0, hi0), (lo1, hi1) = _roots(n, op.potential)
+        u0, u1 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1)
         lam0 = _level(n, u0)
         lam1 = lam0 + _gap(n, u0, u1)
     limited = lam1 - lam0 < GAP_ULP_FACTOR * math.ulp(lam1)
@@ -331,8 +416,12 @@ def eigenvalues_low(op: TridiagonalOperator) -> SpectralResult:
 def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
     """Two lowest eigenvalues by O(n) bisection and the ground state by
     inverse iteration shifted to lambda0; the gap is flagged below 10^3 ulp
-    of the norm bound, or when the brackets overlap."""
-    (lo0, hi0), (lo1, hi1) = _eigenvalue_bracket(op, 0), _eigenvalue_bracket(op, 1)
+    of the norm bound, or when the brackets overlap.  The u-brackets of
+    ``_roots`` leave the bisection an O(n) sweep only where the count is
+    undecided; the brackets are those of plain bisection."""
+    u_brackets = (None, None) if op.potential.is_empty else _roots(op.n, op.potential)
+    (lo0, hi0), (lo1, hi1) = (_eigenvalue_bracket(op, index, u_bracket)
+                              for index, u_bracket in enumerate(u_brackets))
     lam0, lam1 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1)
     limited = lam1 - lam0 < GAP_ULP_FACTOR * math.ulp(op.norm_bound) or lo1 <= hi0
     return SpectralResult(op.k, lam0, lam1, limited, ground_state(op, lam0))

@@ -14,7 +14,8 @@ operation is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,12 +102,12 @@ class Potential:
 class TridiagonalOperator:
     """Symmetric tridiagonal matrix: Laplacian of a path plus the potential.
 
-    ``diag`` has length n = 2k+1, ``offdiag`` length n-1 (all entries -1).
-    Arrays are frozen at construction; equality and hash are by (k, potential).
+    An operator is ``(k, potential)``; equality and hash are by them.
+    ``diag`` (length n = 2k+1) and ``offdiag`` (length n-1, all entries -1)
+    are read-only arrays built on first access, so a solver that reads
+    neither reaches any k.
     """
 
-    diag: np.ndarray = field(compare=False)
-    offdiag: np.ndarray = field(compare=False)
     k: int
     potential: Potential
 
@@ -118,6 +119,22 @@ class TridiagonalOperator:
     def norm_bound(self) -> float:
         """Gershgorin-style bound: every eigenvalue lies in [0, 4 + max strength]."""
         return 4.0 + self.potential.strength_max
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        """Vertex degree (1 at the two ends, 2 inside) plus strength."""
+        diag = np.full(self.n, 2.0)
+        diag[0] = diag[-1] = 1.0
+        for site, strength in self.potential.entries:
+            diag[site + self.k] += strength
+        diag.flags.writeable = False
+        return diag
+
+    @cached_property
+    def offdiag(self) -> np.ndarray:
+        offdiag = np.full(self.n - 1, -1.0)
+        offdiag.flags.writeable = False
+        return offdiag
 
 
 def build_potential(
@@ -156,7 +173,7 @@ def build_potential(
 
 def assemble_hamiltonian(k: int, potential: Potential) -> TridiagonalOperator:
     """Tridiagonal operator on the path -k..k: diag(v) = degree(v) +
-    strength(v), offdiag = -1.
+    strength(v), offdiag = -1 (both built on first access).
 
     Rejects a half-width k that is not a positive integer, and a non-empty
     potential whose support does not leave a non-empty sub-path on each
@@ -166,7 +183,6 @@ def assemble_hamiltonian(k: int, potential: Potential) -> TridiagonalOperator:
     if int(k) != k or k < 1:
         raise ValueError(f"half-width k must be a positive integer, got {k}")
     k = int(k)
-    n = 2 * k + 1
     if not potential.is_empty:
         rmin, rmax = potential.site_min, potential.site_max
         if rmin < -k or rmax > k:
@@ -178,14 +194,7 @@ def assemble_hamiltonian(k: int, potential: Potential) -> TridiagonalOperator:
                 f"potential support {rmin}..{rmax} leaves an empty side sub-path "
                 f"(need k + site_min >= 1 and k - site_max >= 1, k = {k})"
             )
-    diag = np.full(n, 2.0)
-    diag[0] = diag[-1] = 1.0
-    for site, strength in potential.entries:
-        diag[site + k] += strength
-    offdiag = np.full(n - 1, -1.0)
-    diag.flags.writeable = False
-    offdiag.flags.writeable = False
-    return TridiagonalOperator(diag=diag, offdiag=offdiag, k=k, potential=potential)
+    return TridiagonalOperator(k=k, potential=potential)
 
 
 def apply_operator(op: TridiagonalOperator, f: np.ndarray) -> np.ndarray:

@@ -256,6 +256,18 @@ class TestCommands:
             assert row[-1] == "false"
             assert abs(float(row[5]) - float(want1 - want0)) <= 2 * math.ulp(float(row[4]))
 
+    def test_gap_scan_and_alpha_scan_at_k_1e9(self, capsys):
+        # no length-n array is built: 2 x 16 GB at this k
+        k = 10**9
+        assert main(["gap-scan", "--potential=0:1", "--k-grid", f"{k}:{k}:linear:1",
+                     "--no-timestamp"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        want0, want1 = oracle.levels(k, ((0, 1.0),))
+        # lambda1 - lambda0 holds the gap to about an ulp of lambda1
+        assert abs(float(row[5]) - float(want1 - want0)) <= 2 * math.ulp(float(row[4]))
+        assert main(["alpha-scan", "--potential=0:1", "--k", str(k), "--alphas", "1,2",
+                     "--no-timestamp"]) == 0
+
     def test_benchmark_grids_need_no_bisection(self, monkeypatch, capsys):
         # gap-scan and alpha-scan run on O(support) counts alone: an O(n)
         # kernel reached on the benchmark's grids, or where a window fails,
@@ -360,6 +372,12 @@ class TestFitCommand:
     def test_missing_file_exits_two(self, capsys):
         assert main(["fit", "/nonexistent/scan.csv"]) == 2
 
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert main(["gap-scan", "--potential=0:1", "--k-grid", "5:6:linear:2",
+                         "--out", str(out)]) == 2
+            assert f"cannot write {out}: " in capsys.readouterr().err
+
     def test_bad_row_exits_two(self, tmp_path, capsys):
         # four good rows (k = 20..80): without the row checks the fit would run
         golden = (GOLDEN / "gap-scan.csv").read_text()
@@ -415,6 +433,10 @@ class TestDeterminism:
                 --no-timestamp --out tests/data/golden/alpha-scan.csv
             pathgap verify-bounds --potential=-2:5,3:7 --k-grid 50:100:linear:2 \\
                 --no-timestamp --out tests/data/golden/verify-bounds.json
+            pathgap verify-bounds --potential=0:1 --k-grid 100:1600:geometric:4 \\
+                --no-timestamp --out tests/data/golden/verify-bounds-origin.json
+            pathgap spectrum --k 80 --potential 0:1e-6 --format json \\
+                --no-timestamp --out tests/data/golden/spectrum-weak.json
 
         Regenerate them only for an intended change of the output, and say so.
         """
@@ -428,6 +450,10 @@ class TestDeterminism:
                                "--alphas", "0.5,1,4"],
             "verify-bounds.json": ["verify-bounds", "--potential=-2:5,3:7",
                                    "--k-grid", "50:100:linear:2"],
+            "verify-bounds-origin.json": ["verify-bounds", "--potential=0:1",
+                                          "--k-grid", "100:1600:geometric:4"],
+            "spectrum-weak.json": ["spectrum", "--k", "80", "--potential", "0:1e-6",
+                                   "--format", "json"],
         }
         for name, args in cases.items():
             out = tmp_path / name

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,18 +14,21 @@ from pathgap import (
     assemble_hamiltonian,
     build_potential,
     dirichlet_ground_energy,
+    eigensolver,
     eigenvalue,
     eigenvalues_low,
     evaluate_bounds,
     free_spectrum,
+    geometric_grid,
     ground_state,
     rayleigh_quotient,
     spectrum_low,
     sturm_count,
 )
-from pathgap.eigensolver import EPS, _gap, _level, _roots, _sweep
+from pathgap.cli import parse_potential_spec
+from pathgap.eigensolver import EPS, _eigenvalue_bracket, _gap, _level, _roots, _sweep
 
-from conftest import FALLBACK_CASES, checks, oracle
+from conftest import ACCEPTANCE_GRID, BOUND_POTENTIALS, FALLBACK_CASES, checks, oracle
 
 SQRT11 = math.sqrt(11.0)
 
@@ -298,18 +302,73 @@ class TestEigenvaluesLowAgainstTheOracle:
 
     @pytest.mark.parametrize("spec", ["0:1", "-3:2,4:0.5", "0:1e-12"])
     def test_roots_at_large_k(self, spec):
-        # _roots never builds the length-n arrays; worst seen 3.0 ulp for a
-        # level and 3.2e-15 for the gap, which is resolved to about
-        # ulp(u) / Delta
+        # _roots never builds the length-n arrays; its brackets hold by the
+        # O(support) counts at their ends.  Worst seen at the midpoints: 3.0
+        # ulp for a level and 3.2e-15 for the gap, which is resolved to
+        # about ulp(u) / Delta
         pairs = tuple((int(s), float(a)) for s, a in (t.split(":") for t in spec.split(",")))
+        potential = build_potential(pairs)
         for k in (10**6, 10**9, 10**12):
             n = 2 * k + 1
-            u0, u1 = _roots(n, build_potential(pairs))
+            brackets = _roots(n, potential)
+            for index, (lo, hi) in enumerate(brackets):
+                assert _sweep(n, potential, lo)[0] > index >= _sweep(n, potential, hi)[0]
+            u0, u1 = (0.5 * (lo + hi) for lo, hi in brackets)
             lam0, gap = _level(n, u0), _gap(n, u0, u1)
             want0, want1 = oracle.levels(k, pairs)
             assert _ulps(lam0, want0, lam0) <= 4, (spec, k)
             assert _ulps(lam0 + gap, want1, lam0 + gap) <= 4, (spec, k)
             assert abs(gap - float(want1 - want0)) <= 1e-14 * gap, (spec, k)
+
+    def test_no_length_n_array_at_k_1e9(self):
+        tracemalloc.start()
+        try:
+            r = eigenvalues_low(_op(10**9, [(0, 1.0)]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        want0, want1 = oracle.levels(10**9, ((0, 1.0),))
+        assert _ulps(r.lambda0, want0, r.lambda0) <= 4
+        assert _ulps(r.lambda1, want1, r.lambda1) <= 4
+
+    @pytest.mark.parametrize("grid", [(100, 1600, 16), (3200, 25600, 4)])
+    def test_sweeps_per_point(self, monkeypatch, grid):
+        # Illinois steps inside the certified brackets: about 27 evaluations
+        # of f per point, where bisection alone took about 110
+        calls = []
+        sweep = eigensolver._sweep
+        monkeypatch.setattr(eigensolver, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+        for k in geometric_grid(*grid):
+            calls.clear()
+            eigenvalues_low(_op(k, [(0, 1.0)]))
+            assert len(calls) <= 40, k
+
+
+class TestSpectrumLowHint:
+    def test_sweeps_only_where_the_count_is_undecided(self, monkeypatch):
+        # plain bisection from [0, norm_bound] sweeps about 69 times per level
+        calls = []
+        count = _kernels.sturm_count
+        monkeypatch.setattr(_kernels, "sturm_count", lambda *args: calls.append(1) or count(*args))
+        spectrum_low(_op(1600, [(0, 1.0)]))
+        assert len(calls) <= 60
+        calls.clear()
+        for spec in BOUND_POTENTIALS:
+            for k in ACCEPTANCE_GRID:
+                spectrum_low(assemble_hamiltonian(k, parse_potential_spec(spec)))
+        assert len(calls) <= 3000  # 8452 without the hint
+
+    @given(k=st.integers(1, 800), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_hint_leaves_the_brackets_unchanged(self, k, data):
+        sites = data.draw(st.lists(st.integers(-(k - 1), k - 1), min_size=1, max_size=4,
+                                   unique=True))
+        exponents = data.draw(st.lists(st.floats(-12.0, 16.0), min_size=4, max_size=4))
+        op = _op(k, sorted(zip(sites, (10.0**e for e in exponents))))
+        for index, u_bracket in enumerate(_roots(op.n, op.potential)):
+            assert (_eigenvalue_bracket(op, index, u_bracket)
+                    == _eigenvalue_bracket(op, index)), index
 
 
 # lambda(u) sits at a fraction of (0, 4) shifted by the golden ratio, so the
@@ -330,4 +389,4 @@ def test_sweep_count_is_the_sturm_count(sites, exponents, k, fraction):
     assume(0.5 * op.n + u > 0.5)
     offsq = op.offdiag * op.offdiag
     want = _kernels.sturm_count(op.diag, offsq, _level(op.n, u), EPS * op.norm_bound)
-    assert _sweep(op.n, op.potential, u) == want
+    assert _sweep(op.n, op.potential, u)[0] == want
