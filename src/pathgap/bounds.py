@@ -345,8 +345,9 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
     """Evaluate every bound at one grid point: the operator ``op`` and its
     ``spectrum_low(op)`` result, with the trial state at ``EPSILON``.
 
-    Component failures (e.g. a degenerate trial-state branch) are recorded
-    as skipped checks rather than raised.
+    A degenerate trial-state branch (the ValueError of
+    ``build_trial_state``) is recorded as two skipped checks; any other
+    error is raised.
     """
     k, potential = op.k, op.potential
     theta_left, theta_right = side_energies(k, potential)
@@ -365,7 +366,7 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
     try:
         trial = build_trial_state(op)
         upper = ground_energy_upper_bound(op, trial)
-    except (ValueError, RuntimeError) as err:
+    except ValueError as err:
         trial_error = str(err)
 
     checks: list[BoundCheck] = []

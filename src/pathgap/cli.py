@@ -17,8 +17,9 @@ certified by a Sturm count that costs O(support)
 (``eigensolver.eigenvalues_low``), at any k; spectrum and verify-bounds
 bisect both levels on the O(n) Sturm count to the relative width
 ``eigensolver.REL_TOL``, sweeping only inside the backward-error band
-around those brackets.  The trial state uses ``bounds.EPSILON`` and band
-statistics start at ``scaling.BAND_K_MIN``.
+around those brackets (around the closed-form levels on the free path).
+The trial state uses ``bounds.EPSILON`` and band statistics start at
+``scaling.BAND_K_MIN``.
 
 Exit codes: 0 success / all applicable checks hold, 1 a bound check failed,
 2 input or parse error (an unreadable input or unwritable ``--out`` too),

@@ -9,13 +9,14 @@ costs O(support) and reads no length-n array, so it reaches any k.
 ``spectrum_low`` (spectrum, verify-bounds) bisects both levels on the O(n)
 Sturm count of ``_kernels`` (plain Python over float64 buffers) to the
 relative width ``REL_TOL`` = 1e-14 and adds the ground state by inverse
-iteration; it sweeps only where the O(support) brackets, widened by the
-O(n) count's backward error, leave the count undecided, and its brackets
-are those of plain bisection.  Both return a ``SpectralResult``: k, the
-two eigenvalues and the flag, with ``n`` and ``gap`` derived from them.  A
-gap below 10^3 ulp of its rounding scale (lambda1 for ``eigenvalues_low``,
-the matrix norm bound for ``spectrum_low``) carries
-``precision_limited=True``, and downstream fits drop such points.
+iteration; it sweeps only where a certified band around the level,
+widened by the O(n) count's backward error, leaves the count undecided,
+and its brackets are those of plain bisection.  Both return a
+``SpectralResult``: k, the two eigenvalues and the flag, with ``n`` and
+``gap`` derived from them.  A gap below 10^3 ulp of its rounding scale
+(lambda1 for ``eigenvalues_low``, the matrix norm bound for
+``spectrum_low``) carries ``precision_limited=True``, and downstream fits
+drop such points.
 """
 from __future__ import annotations
 
@@ -108,37 +109,32 @@ def sturm_count(op: TridiagonalOperator, mu: float) -> int:
 
 
 def _eigenvalue_bracket(op: TridiagonalOperator, index: int,
-                        u_bracket: tuple[float, float] | None = None) -> tuple[float, float]:
+                        band: tuple[float, float] = (-math.inf, math.inf)) -> tuple[float, float]:
     """Bracket of the index-th eigenvalue by bisection from [0, norm_bound]
     on the O(n) Sturm count.
 
-    ``u_bracket``, the certified bracket (lo, hi] of the level's u from
-    ``_roots``, puts the eigenvalue in [lambda(hi), lambda(lo)).  Outside
-    that interval widened by ``COUNT_MARGIN * EPS * norm_bound`` the
-    double-precision count equals the exact count, so bisection takes the
-    count at such a midpoint as known and sweeps only inside: the bracket
-    is bit-identical to the one found without ``u_bracket``.  The bound the
-    margin rests on: the computed count is the exact count of the matrix
-    whose off-diagonals are perturbed by at most 2.5 EPS relative, which
-    covers the rounding of a_i - mu and of each pivot (Kahan 1966; Demmel,
-    Applied Numerical Linear Algebra, section 5.3), and the pivot ``subst``
-    adds at most EPS * norm_bound to one diagonal entry.  With |b_i| = 1
-    that moves each eigenvalue by at most 5 EPS + EPS * norm_bound <=
-    2.25 EPS * norm_bound, as norm_bound >= 4; the rest of the margin
-    covers the rounding of lambda(u) and of the O(support) count.
+    ``band``, an interval [lo, hi] of lambda that holds the eigenvalue (by
+    default the whole line), widened by ``COUNT_MARGIN * EPS * norm_bound``,
+    is where the double-precision count can differ from the exact count;
+    bisection takes the count at a midpoint outside it as known and sweeps
+    only inside, so the bracket is bit-identical to the one found without
+    ``band``.  The bound the margin rests on: the computed count is the
+    exact count of the matrix whose off-diagonals are perturbed by at most
+    2.5 EPS relative, which covers the rounding of a_i - mu and of each
+    pivot (Kahan 1966; Demmel, Applied Numerical Linear Algebra, section
+    5.3), and the pivot ``subst`` adds at most EPS * norm_bound to one
+    diagonal entry.  With |b_i| = 1 that moves each eigenvalue by at most
+    5 EPS + EPS * norm_bound <= 2.25 EPS * norm_bound, as norm_bound >= 4;
+    the rest of the margin covers the rounding of the band's ends.
     """
     n = op.n
     if not 0 <= index <= n - 1:
         raise ValueError(f"eigenvalue index {index} out of range 0..{n - 1}")
     subst = EPS * op.norm_bound
-    known_lo, known_hi = -math.inf, math.inf
-    if u_bracket is not None:
-        margin = COUNT_MARGIN * EPS * op.norm_bound
-        known_lo = _level(n, u_bracket[1]) - margin
-        known_hi = _level(n, u_bracket[0]) + margin
+    margin = COUNT_MARGIN * subst
     lo, hi = _kernels.bisect_bracket(
         op.diag, _offsq(op), index, 0.0, op.norm_bound, REL_TOL, LAMBDA_FLOOR, subst,
-        known_lo, known_hi,
+        band[0] - margin, band[1] + margin,
     )
     return float(lo), float(hi)
 
@@ -414,26 +410,29 @@ def eigenvalues_low(op: TridiagonalOperator) -> SpectralResult:
 
 
 def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
-    """Two lowest eigenvalues by O(n) bisection and the ground state by
-    inverse iteration shifted to lambda0; the gap is flagged below 10^3 ulp
-    of the norm bound, or when the brackets overlap.  The u-brackets of
-    ``_roots`` leave the bisection an O(n) sweep only where the count is
-    undecided; the brackets are those of plain bisection."""
-    u_brackets = (None, None) if op.potential.is_empty else _roots(op.n, op.potential)
-    (lo0, hi0), (lo1, hi1) = (_eigenvalue_bracket(op, index, u_bracket)
-                              for index, u_bracket in enumerate(u_brackets))
+    """Two lowest eigenvalues by O(n) bisection, each inside a certified
+    band (the closed-form levels on the free path, the lambda-image of the
+    u-brackets of ``_roots`` otherwise), and the ground state by inverse
+    iteration shifted to lambda0; the gap is flagged below 10^3 ulp of the
+    norm bound."""
+    n = op.n
+    if op.potential.is_empty:
+        bands = [(lam, lam) for lam in (0.0, _level(n, 0.0))]
+    else:
+        bands = [(_level(n, hi), _level(n, lo)) for lo, hi in _roots(n, op.potential)]
+    (lo0, hi0), (lo1, hi1) = (_eigenvalue_bracket(op, i, band) for i, band in enumerate(bands))
     lam0, lam1 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1)
-    limited = lam1 - lam0 < GAP_ULP_FACTOR * math.ulp(op.norm_bound) or lo1 <= hi0
+    limited = lam1 - lam0 < GAP_ULP_FACTOR * math.ulp(op.norm_bound)
     return SpectralResult(op.k, lam0, lam1, limited, ground_state(op, lam0))
 
 
 def dirichlet_ground_energy(m: int) -> float:
     """Lowest energy of the path on 2m+1 sites with the center pinned to zero,
     equivalently of a path of m free sites next to one Dirichlet endpoint:
-    2 - 2 cos(pi / (2m+1))."""
+    2 - 2 cos(pi / (2m+1)), taken without cancellation as ``_level``."""
     if int(m) != m or m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    return 2.0 - 2.0 * math.cos(math.pi / (2 * m + 1))
+    return _level(2 * m + 1, 0.0)
 
 
 def free_spectrum(k: int) -> np.ndarray:

@@ -84,13 +84,21 @@ def geometric_grid(lo: int, hi: int, count: int) -> list[int]:
     if count == 1:
         return [lo]
     ratio = (hi / lo) ** (1.0 / (count - 1))
-    return sorted({round(lo * ratio**i) for i in range(count)})
+    return _with_ends(lo, hi, (lo * ratio**i for i in range(1, count - 1)))
 
 
 def linear_grid(lo: int, hi: int, count: int) -> list[int]:
     """count evenly spaced integers from lo to hi (deduplicated)."""
     _check_grid(lo, hi, count)
-    return sorted({round(v) for v in np.linspace(lo, hi, count)})
+    if count == 1:
+        return [lo]
+    return _with_ends(lo, hi, np.linspace(float(lo), float(hi), count)[1:-1])
+
+
+def _with_ends(lo: int, hi: int, interior) -> list[int]:
+    """lo, hi (exact at any size) and the interior points, rounded into
+    [lo, hi]; sorted and deduplicated."""
+    return sorted({lo, hi, *(min(max(round(v), lo), hi) for v in interior)})
 
 
 def _check_grid(lo: int, hi: int, count: int) -> None:

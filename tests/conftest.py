@@ -11,11 +11,12 @@ from pathgap import (
 )
 from pathgap.cli import parse_potential_spec
 
-# the benchmark's mpmath oracle and point checks, which share no code with
-# pathgap, are imported from perfbench/ as they are
+# the benchmark's mpmath oracle, point checks and command lists, which share
+# no code with pathgap, are imported from perfbench/ as they are
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402
 import oracle  # noqa: E402
+import workloads  # noqa: E402
 
 # the standard sweep used by the acceptance criteria
 ACCEPTANCE_GRID = geometric_grid(100, 1600, 16)

@@ -22,6 +22,7 @@ from pathgap import (
     single_site_diagnostics,
     spectrum_low,
 )
+from pathgap import bounds
 from pathgap.bounds import EPSILON
 
 SQRT11 = math.sqrt(11.0)
@@ -280,6 +281,16 @@ class TestEvaluateBounds:
         assert rep.trial is None
         # the remaining applicable checks still hold
         assert rep.all_hold
+
+    def test_internal_trial_error_is_raised_not_skipped(self, monkeypatch):
+        # pieces off their norm trip the norm guard, which is no degenerate
+        # branch: the report must not read it as two skipped checks
+        op, res = _op_low(30, [(0, 1.0)])
+        pieces = bounds.cosine_pieces
+        monkeypatch.setattr(bounds, "cosine_pieces",
+                            lambda op: tuple(1.01 * piece for piece in pieces(op)))
+        with pytest.raises(RuntimeError, match="internal error: trial-state norm"):
+            evaluate_bounds(op, res)
 
     def test_json_serialization(self):
         op, res = _op_low(30, [(0, 1.0)])

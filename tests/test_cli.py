@@ -17,9 +17,28 @@ from pathgap.cli import (
 )
 from pathgap.operators import build_potential
 
-from conftest import FALLBACK_CASES, checks, oracle
+from conftest import FALLBACK_CASES, checks, oracle, workloads
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+# Each file in tests/data/golden is the output of ``pathgap <args>
+# --no-timestamp --out tests/data/golden/<file>``, in this order (fit reads
+# the gap-scan file).  ``python tests/regenerate_golden.py`` rewrites them.
+GOLDEN_COMMANDS = {
+    "spectrum.json": ["spectrum", "--k", "20", "--potential", "0:1", "--format", "json"],
+    "gap-scan.csv": ["gap-scan", "--potential", "0:1", "--k-grid", "20:80:geometric:4"],
+    "fit.json": ["fit", str(GOLDEN / "gap-scan.csv")],
+    "alpha-scan.csv": ["alpha-scan", "--potential", "0:1", "--k", "30",
+                       "--alphas", "0.5,1,4"],
+    "verify-bounds.json": ["verify-bounds", "--potential=-2:5,3:7",
+                           "--k-grid", "50:100:linear:2"],
+    "verify-bounds-origin.json": ["verify-bounds", "--potential=0:1",
+                                  "--k-grid", "100:1600:geometric:4"],
+    "spectrum-weak.json": ["spectrum", "--k", "80", "--potential", "0:1e-6",
+                           "--format", "json"],
+    "spectrum-free.json": ["spectrum", "--k", "50", "--potential", "none",
+                           "--format", "json"],
+    "spectrum-k1.txt": ["spectrum", "--k", "1", "--potential", "0:5"],
+}
 
 
 class TestParsePotentialSpec:
@@ -79,6 +98,26 @@ class TestParseKGrid:
 
     def test_linear(self):
         assert parse_k_grid("10:50:linear:5") == [10, 20, 30, 40, 50]
+
+    def test_the_benchmark_reads_the_same_grids(self):
+        # perfbench recomputes each grid's k values to check the output
+        grids = 0
+        for seed in range(40):
+            for name in workloads.NAMES:
+                for cmd in workloads.build(name, seed):
+                    if "--k-grid" in cmd.argv:
+                        spec = cmd.argv[cmd.argv.index("--k-grid") + 1]
+                        assert parse_k_grid(spec) == list(cmd.ks), spec
+                        grids += 1
+        assert grids == 440
+
+    def test_ends_are_the_requested_integers_at_any_k(self, tmp_path):
+        for k in (100000000000000001, 10**20):
+            out = tmp_path / "scan.csv"
+            args = ["gap-scan", "--potential=0:1", "--k-grid", f"{k}:{k}:linear:1",
+                    "--no-timestamp", "--out", str(out)]
+            assert main(args) == 0
+            assert out.read_text().splitlines()[1].startswith(f"{k},{2 * k + 1},")
 
     def test_bad_forms(self):
         for bad in ("10:50:linear", "a:50:linear:5", "10:50:cubic:5"):
@@ -419,43 +458,10 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     def test_golden_bytes(self, tmp_path):
-        """Output matches the committed files in tests/data/golden byte for byte.
-
-        The files were written from the repository root by::
-
-            pathgap spectrum --k 20 --potential 0:1 --format json \\
-                --no-timestamp --out tests/data/golden/spectrum.json
-            pathgap gap-scan --potential 0:1 --k-grid 20:80:geometric:4 \\
-                --no-timestamp --out tests/data/golden/gap-scan.csv
-            pathgap fit tests/data/golden/gap-scan.csv \\
-                --no-timestamp --out tests/data/golden/fit.json
-            pathgap alpha-scan --potential 0:1 --k 30 --alphas 0.5,1,4 \\
-                --no-timestamp --out tests/data/golden/alpha-scan.csv
-            pathgap verify-bounds --potential=-2:5,3:7 --k-grid 50:100:linear:2 \\
-                --no-timestamp --out tests/data/golden/verify-bounds.json
-            pathgap verify-bounds --potential=0:1 --k-grid 100:1600:geometric:4 \\
-                --no-timestamp --out tests/data/golden/verify-bounds-origin.json
-            pathgap spectrum --k 80 --potential 0:1e-6 --format json \\
-                --no-timestamp --out tests/data/golden/spectrum-weak.json
-
-        Regenerate them only for an intended change of the output, and say so.
-        """
-        cases = {
-            "spectrum.json": ["spectrum", "--k", "20", "--potential", "0:1",
-                              "--format", "json"],
-            "gap-scan.csv": ["gap-scan", "--potential", "0:1", "--k-grid",
-                             "20:80:geometric:4"],
-            "fit.json": ["fit", str(GOLDEN / "gap-scan.csv")],
-            "alpha-scan.csv": ["alpha-scan", "--potential", "0:1", "--k", "30",
-                               "--alphas", "0.5,1,4"],
-            "verify-bounds.json": ["verify-bounds", "--potential=-2:5,3:7",
-                                   "--k-grid", "50:100:linear:2"],
-            "verify-bounds-origin.json": ["verify-bounds", "--potential=0:1",
-                                          "--k-grid", "100:1600:geometric:4"],
-            "spectrum-weak.json": ["spectrum", "--k", "80", "--potential", "0:1e-6",
-                                   "--format", "json"],
-        }
-        for name, args in cases.items():
+        """Output matches the committed files of ``GOLDEN_COMMANDS`` byte for
+        byte.  Regenerate them only for an intended change of the output,
+        and say so."""
+        for name, args in GOLDEN_COMMANDS.items():
             out = tmp_path / name
             assert main(args + ["--no-timestamp", "--out", str(out)]) == 0, name
             assert out.read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -1,7 +1,11 @@
+import hashlib
+import json
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from pathgap import (
     ConvergenceError,
+    PositivityError,
     _kernels,
     apply_operator,
     assemble_hamiltonian,
@@ -31,6 +36,7 @@ from pathgap.eigensolver import EPS, _eigenvalue_bracket, _gap, _level, _roots, 
 from conftest import ACCEPTANCE_GRID, BOUND_POTENTIALS, FALLBACK_CASES, checks, oracle
 
 SQRT11 = math.sqrt(11.0)
+DATA = Path(__file__).parent / "data"
 
 
 def _op(k, pairs):
@@ -126,13 +132,12 @@ class TestEigenvalue:
 
 class TestClosedForms:
     def test_dirichlet_ground_energy(self):
-        assert dirichlet_ground_energy(1) == pytest.approx(1.0, abs=1e-14)
-        assert dirichlet_ground_energy(2) == pytest.approx(
-            2.0 - 2.0 * math.cos(math.pi / 5.0), abs=1e-15
-        )
-        assert dirichlet_ground_energy(100) == pytest.approx(
-            2.0 - 2.0 * math.cos(math.pi / 201.0), abs=1e-18
-        )
+        # against 2 - 2 cos(pi/(2m+1)) in 50 digits; evaluated as written in
+        # doubles that form cancels to 6e-12 relative at m = 1600, 0.1 at 1e8
+        with mpmath.workdps(50):
+            for m in (1, 2, 100, 1600, 25600, 10**6, 10**8):
+                want = 2 - 2 * mpmath.cos(mpmath.pi / (2 * m + 1))
+                assert abs(dirichlet_ground_energy(m) - want) <= 1e-15 * want, m
 
     def test_dirichlet_rejects(self):
         with pytest.raises(ValueError):
@@ -357,18 +362,50 @@ class TestSpectrumLowHint:
         for spec in BOUND_POTENTIALS:
             for k in ACCEPTANCE_GRID:
                 spectrum_low(assemble_hamiltonian(k, parse_potential_spec(spec)))
-        assert len(calls) <= 3000  # 8452 without the hint
+        assert len(calls) == 2564  # 8452 without the hint
 
     @given(k=st.integers(1, 800), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_hint_leaves_the_brackets_unchanged(self, k, data):
-        sites = data.draw(st.lists(st.integers(-(k - 1), k - 1), min_size=1, max_size=4,
-                                   unique=True))
+        # the bands spectrum_low bisects in: the closed-form levels of the
+        # free path, the lambda-image of each u-bracket of _roots otherwise
+        sites = data.draw(st.lists(st.integers(-(k - 1), k - 1), max_size=4, unique=True))
         exponents = data.draw(st.lists(st.floats(-12.0, 16.0), min_size=4, max_size=4))
         op = _op(k, sorted(zip(sites, (10.0**e for e in exponents))))
-        for index, u_bracket in enumerate(_roots(op.n, op.potential)):
-            assert (_eigenvalue_bracket(op, index, u_bracket)
-                    == _eigenvalue_bracket(op, index)), index
+        if op.potential.is_empty:
+            bands = [(lam, lam) for lam in (0.0, _level(op.n, 0.0))]
+        else:
+            bands = [(_level(op.n, hi), _level(op.n, lo)) for lo, hi in _roots(op.n, op.potential)]
+        for index, band in enumerate(bands):
+            assert _eigenvalue_bracket(op, index, band) == _eigenvalue_bracket(op, index), index
+
+    def test_free_path_sweeps_only_near_its_levels(self, monkeypatch):
+        # 172 O(n) sweeps from [0, norm_bound] without the closed-form bands
+        calls = []
+        count = _kernels.sturm_count
+        monkeypatch.setattr(_kernels, "sturm_count", lambda *args: calls.append(1) or count(*args))
+        spectrum_low(_op(1600, []))
+        assert len(calls) <= 80
+
+    def test_spectrum_low_is_bit_identical_to_the_recorded_values(self):
+        # levels, flag and ground state of unhinted bisection on the free
+        # path and of the hinted one elsewhere, or the error raised
+        cases = json.loads((DATA / "spectrum_low_values.json").read_text())["cases"]
+        assert len(cases) == 408
+        for case in cases:
+            op = _op(case["k"], [tuple(pair) for pair in case["entries"]])
+            try:
+                res = spectrum_low(op)
+            except (ConvergenceError, PositivityError) as err:
+                assert type(err).__name__ == case.get("error"), case
+                continue
+            got = {
+                "lambda0": res.lambda0.hex(),
+                "lambda1": res.lambda1.hex(),
+                "precision_limited": res.precision_limited,
+                "ground_state_sha256": hashlib.sha256(res.ground_state.tobytes()).hexdigest(),
+            }
+            assert {"k": case["k"], "entries": case["entries"], **got} == case
 
 
 # lambda(u) sits at a fraction of (0, 4) shifted by the golden ratio, so the

@@ -44,6 +44,18 @@ class TestGrids:
 
     def test_single_point(self):
         assert geometric_grid(7, 7, 1) == [7]
+        assert linear_grid(7, 7, 1) == [7]
+
+    def test_ends_are_the_requested_integers_beyond_double_precision(self):
+        big = 100000000000000001  # not a double: float(big) == 1e17
+        assert linear_grid(big, big, 1) == [big]
+        assert linear_grid(10**20, 10**20, 1) == [10**20]  # above 2**63
+        assert geometric_grid(10**16 + 1, 10**16 + 3, 2) == [10**16 + 1, 10**16 + 3]
+        for grid in (linear_grid(big, big + 10, 4), geometric_grid(big, 3 * big, 5),
+                     linear_grid(1, 10**20, 7), geometric_grid(10**16 + 1, 10**16 + 3, 3)):
+            assert grid[0] in (big, 1, 10**16 + 1) and grid[-1] in (big + 10, 3 * big, 10**20,
+                                                                     10**16 + 3)
+            assert all(a < b for a, b in zip(grid, grid[1:]))
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
