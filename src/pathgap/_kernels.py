@@ -8,9 +8,11 @@ of numpy scalar arithmetic.  Arrays the kernels return are built with
 copy.
 
 A caller of ``bisect_bracket`` that knows the count outside an interval
-(``known_lo``, ``known_hi``) spares the sweeps there.  The first site is
-a step of its own: seeding one loop with a zero off-diagonal term gives
-the same bits but costs 4-10% per call.
+(``known_lo``, ``known_hi``) spares the sweeps there; ``spectrum_low``
+passes a certified band narrower than the stopping width, so it rarely
+sweeps at all.  The first site is a step of its own: seeding one loop
+with a zero off-diagonal term gives the same bits but costs 4-10% per
+call.
 """
 from __future__ import annotations
 

@@ -16,14 +16,15 @@ gap-scan and alpha-scan take each level by secant steps inside brackets
 certified by a Sturm count that costs O(support)
 (``eigensolver.eigenvalues_low``), at any k; spectrum and verify-bounds
 bisect both levels on the O(n) Sturm count to the relative width
-``eigensolver.REL_TOL``, sweeping only inside the backward-error band
-around those brackets (around the closed-form levels on the free path).
-The trial state uses ``bounds.EPSILON`` and band statistics start at
+``eigensolver.REL_TOL`` inside those brackets, which decide the count at
+almost every midpoint, and take the free path's closed forms.  The trial
+state uses ``bounds.EPSILON`` and band statistics start at
 ``scaling.BAND_K_MIN``.
 
 Exit codes: 0 success / all applicable checks hold, 1 a bound check failed,
 2 input or parse error (an unreadable input or unwritable ``--out`` too),
-3 numerical non-convergence.
+3 numerical failure: neither inverse iteration nor the closed-form
+construction certifies a ground state.
 """
 from __future__ import annotations
 

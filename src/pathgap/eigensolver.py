@@ -1,6 +1,6 @@
 """Symmetric-tridiagonal eigensolver for path graphs: the two lowest levels
-on Sturm counts, the ground state by inverse iteration, and closed-form
-eigenvalue oracles.
+on Sturm counts, the ground state by inverse iteration or from its closed
+form, and closed-form eigenvalue oracles.
 
 ``eigenvalues_low`` (gap-scan, alpha-scan) writes a level as
 lambda = 4 sin^2(pi/(4s)), s = n/2 + u, and finds u by secant (Illinois)
@@ -8,19 +8,20 @@ steps on the Wronskian inside brackets certified by a Sturm count that
 costs O(support) and reads no length-n array, so it reaches any k.
 ``spectrum_low`` (spectrum, verify-bounds) bisects both levels on the O(n)
 Sturm count of ``_kernels`` (plain Python over float64 buffers) to the
-relative width ``REL_TOL`` = 1e-14 and adds the ground state by inverse
-iteration; it sweeps only where a certified band around the level,
-widened by the O(n) count's backward error, leaves the count undecided,
-and its brackets are those of plain bisection.  Both return a
-``SpectralResult``: k, the two eigenvalues and the flag, with ``n`` and
-``gap`` derived from them.  A gap below 10^3 ulp of its rounding scale
-(lambda1 for ``eigenvalues_low``, the matrix norm bound for
-``spectrum_low``) carries ``precision_limited=True``, and downstream fits
-drop such points.
+relative width ``REL_TOL`` = 1e-14, inside the lambda-image of those
+brackets, which decides every midpoint outside it without a sweep; the
+free path takes its closed forms.  Its ground state comes from inverse
+iteration, or, where that fails, from the closed form glued across the
+support (``_glued_ground_state``).  Both return a ``SpectralResult``: k,
+the two eigenvalues and the flag, with ``n`` and ``gap`` derived from
+them.  A gap below 10^3 ulp of its rounding scale (lambda1 for
+``eigenvalues_low``, the matrix norm bound for ``spectrum_low``) carries
+``precision_limited=True``, and downstream fits drop such points.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,8 @@ EPS = float(np.finfo(float).eps)
 # ground energy is also the inverse-iteration shift
 REL_TOL = 1e-14
 LAMBDA_FLOOR = 1e-300
-# where the O(support) brackets leave the O(n) count undecided, in units of
-# EPS * norm_bound: the count's backward error widened with room to spare
-# (see _eigenvalue_bracket)
-COUNT_MARGIN = 16.0
+# the smallest normal double; below it a Wronskian or a level has lost bits
+_NORMAL = sys.float_info.min
 RESIDUAL_SCALE = 1e-11
 GAP_ULP_FACTOR = 1e3
 MAX_SWEEPS = 50
@@ -113,28 +112,17 @@ def _eigenvalue_bracket(op: TridiagonalOperator, index: int,
     """Bracket of the index-th eigenvalue by bisection from [0, norm_bound]
     on the O(n) Sturm count.
 
-    ``band``, an interval [lo, hi] of lambda that holds the eigenvalue (by
-    default the whole line), widened by ``COUNT_MARGIN * EPS * norm_bound``,
-    is where the double-precision count can differ from the exact count;
-    bisection takes the count at a midpoint outside it as known and sweeps
-    only inside, so the bracket is bit-identical to the one found without
-    ``band``.  The bound the margin rests on: the computed count is the
-    exact count of the matrix whose off-diagonals are perturbed by at most
-    2.5 EPS relative, which covers the rounding of a_i - mu and of each
-    pivot (Kahan 1966; Demmel, Applied Numerical Linear Algebra, section
-    5.3), and the pivot ``subst`` adds at most EPS * norm_bound to one
-    diagonal entry.  With |b_i| = 1 that moves each eigenvalue by at most
-    5 EPS + EPS * norm_bound <= 2.25 EPS * norm_bound, as norm_bound >= 4;
-    the rest of the margin covers the rounding of the band's ends.
+    ``band`` is an interval [lo, hi] of lambda that holds the eigenvalue
+    (by default the whole line).  Bisection takes the count at a midpoint
+    outside it as known and sweeps only at a midpoint inside it, so a band
+    narrower than the stopping width is bisected without a sweep.
     """
     n = op.n
     if not 0 <= index <= n - 1:
         raise ValueError(f"eigenvalue index {index} out of range 0..{n - 1}")
-    subst = EPS * op.norm_bound
-    margin = COUNT_MARGIN * subst
     lo, hi = _kernels.bisect_bracket(
-        op.diag, _offsq(op), index, 0.0, op.norm_bound, REL_TOL, LAMBDA_FLOOR, subst,
-        band[0] - margin, band[1] + margin,
+        op.diag, _offsq(op), index, 0.0, op.norm_bound, REL_TOL, LAMBDA_FLOOR,
+        EPS * op.norm_bound, *band,
     )
     return float(lo), float(hi)
 
@@ -307,23 +295,32 @@ def _shrink(n: int, potential: Potential, index: int, lo: float, hi: float,
             tol: float) -> tuple[float, float]:
     """Shrink the u-bracket (lo, hi] of the index-th root, with count above
     index at lo and at most index at hi, until its width is at most tol or
-    no double is left between its ends.  ``at_lo`` and ``at_hi`` are the
-    ``_sweep`` results at the ends (f NaN where an end was not swept).
+    no double is left between its ends, or between their subnormal levels
+    (a level below the normal range is then known to its last bit, and
+    the gap, at least 4 sin^2(pi/(2n)), cannot feel it; there |f| too has
+    underflowed).  ``at_lo`` and ``at_hi`` are the ``_sweep`` results at
+    the ends (f NaN where an end was not swept).
 
     Each new point is the Illinois (modified regula falsi) point of |f 2^e|
     at the two ends, whose |f| is halved at an end kept twice in a row.
     The count at the point decides which end it replaces, so the bracket
-    stays certified by counts.  The midpoint is taken instead when that
-    point is not strictly inside the bracket or the bracket did not halve
-    over the last two steps, so it halves at least every three steps.
+    stays certified by counts.  A point closer than tol/2 to an end moves
+    to max(tol/2, one ulp) from it: where that end has converged onto the
+    root, the step certifies the other end at once instead of leaving it to
+    halvings (not where either |f| is subnormal, too coarse to say that an
+    end has converged).  The midpoint is taken instead when the point is
+    not strictly inside the bracket or the bracket did not halve over the
+    last two steps, so it halves at least every three steps.
     """
     (_, f_lo, e_lo), (_, f_hi, e_hi) = at_lo, at_hi
     f_lo, f_hi = abs(f_lo), abs(f_hi)
+    half_tol = 0.5 * tol
     side = 0  # +1 after lo moved, -1 after hi moved
     older = old = math.inf  # the widths two steps and one step back
     while True:
         width, mid = hi - lo, 0.5 * (lo + hi)
-        if not (width > tol and lo < mid < hi):
+        if not (width > tol and lo < mid < hi) or (
+                f_lo < _NORMAL and _level(n, lo) <= math.nextafter(_level(n, hi), 1.0) < _NORMAL):
             return lo, hi
         u = mid
         if width <= 0.5 * older:
@@ -331,6 +328,10 @@ def _shrink(n: int, potential: Potential, index: int, lo: float, hi: float,
             a, b = math.ldexp(f_lo, e_lo - top), math.ldexp(f_hi, e_hi - top)
             if a + b > 0.0:
                 u = lo + width * (a / (a + b))
+                if (u - lo < half_tol or hi - u < half_tol) and not (
+                        0.0 < f_lo < _NORMAL or 0.0 < f_hi < _NORMAL):
+                    near = max(half_tol, math.ulp(max(-lo, hi)))
+                    u = min(max(u, lo + near), hi - near)
                 if not lo < u < hi:
                     u = mid
         older, old = old, width
@@ -351,25 +352,47 @@ def _shrink(n: int, potential: Potential, index: int, lo: float, hi: float,
 _UNSWEPT = (-1, math.nan, 0)
 
 
+def _seed(n: int, potential: Potential, index: int) -> tuple[float, float]:
+    """A guess at the index-th root u and a first step for the search
+    around it.
+
+    u0 is the weak-coupling estimate n (pi/(4 theta) - 1/2), from the single
+    site at the origin's 2 sin t tan(t n/2) = alpha at t = 2 theta/n, where
+    theta tan theta = y = alpha_sum n/4; theta is taken as
+    sqrt(y / (1 + 4y/pi^2)), which has both limits right (sqrt(y) and pi/2)
+    and is within a few percent between them.  u1 of a weak potential sits
+    just below u = 0, the free level, at most alpha_sum n^2/pi^2 below it by
+    first-order perturbation theory; the guess is half that above.
+    """
+    y = min(potential.strength_sum * n / 4.0, 1e300)
+    if index == 0:
+        u = n * (0.25 * math.pi * math.sqrt(1.0 + 4.0 * y / math.pi**2) / math.sqrt(y) - 0.5)
+        return u, max(u, 1.0) / 16.0
+    step = min(0.5 * n, max(4.0 * y * n / math.pi**2, EPS))
+    return 0.5 * step, step
+
+
 def _roots(n: int, potential: Potential) -> tuple[tuple[float, float], tuple[float, float]]:
     """The certified u-brackets (lo0, hi0] and (lo1, hi1] of u0 and u1,
     where lambda(u) is lambda0 and lambda1 (a non-empty potential).
 
     The first bracket of u0 is [sigma, sigma + 3 Delta/2], that of u1
     [sigma - 3 Delta/2, sigma]; it holds if s > 1/2 at its low end, with
-    counts index + 1 there and index at its high end.  Otherwise it is
-    (1/2 - n/2, hi]: lambda = 4 at s = 1/2 is above both levels, as a
-    potential on at most n - 2 sites moves at most n - 2 free levels, all
-    below 4; hi doubles from 1, kept finite, until its count is at most
-    index.  ``_shrink`` narrows each bracket to EPS * min(Delta, s) (EPS / 2
-    if that is not finite and positive) or until no double is left
-    between the ends.
+    counts index + 1 there and index at its high end.  Otherwise the search
+    starts at ``_seed``'s guess and steps away from it, doubling the step,
+    until the counts bracket the root; its low end stops at 1/2 - n/2, where
+    lambda = 4 at s = 1/2 is above both levels, as a potential on at most
+    n - 2 sites moves at most n - 2 free levels, all below 4, and its high
+    end is kept finite.  ``_shrink`` narrows each bracket to
+    EPS * min(Delta, s) (EPS / 2 if that is not finite and positive) or
+    until no double is left between the ends.
     """
     sigma, delta = _transfer(potential)
     ends = (sigma + 1.5 * delta, sigma, sigma - 1.5 * delta)
     # the gap needs each root to about EPS * Delta, each level to ulp(s)
     tol = EPS * min(delta, 0.5 * n + ends[2])
     tol = tol if 0.0 < tol < math.inf else 0.5 * EPS
+    floor = 0.5 - 0.5 * n
     brackets = []
     for index in (0, 1):
         hi, lo = ends[index], ends[index + 1]
@@ -379,12 +402,22 @@ def _roots(n: int, potential: Potential) -> tuple[tuple[float, float], tuple[flo
             if at_lo[0] == index + 1:
                 at_hi = _sweep(n, potential, hi)
         if at_hi[0] != index:
-            lo, hi, at_lo, at_hi = 0.5 - 0.5 * n, 1.0, _UNSWEPT, _UNSWEPT
-            while hi < 1e300:
-                at_hi = _sweep(n, potential, hi)
-                if at_hi[0] <= index:
-                    break
-                hi, at_hi = 2.0 * hi, _UNSWEPT
+            u, step = _seed(n, potential, index)
+            at = _sweep(n, potential, u)
+            if at[0] > index:
+                lo, at_lo, hi, at_hi = u, at, u + step, _sweep(n, potential, u + step)
+                while at_hi[0] > index and hi < 1e300:
+                    step *= 2.0
+                    lo, at_lo, hi, at_hi = hi, at_hi, u + step, _sweep(n, potential, u + step)
+            else:
+                hi, at_hi, lo, at_lo = u, at, u - step, _UNSWEPT
+                while lo > floor:
+                    at_lo = _sweep(n, potential, lo)
+                    if at_lo[0] > index:
+                        break
+                    step *= 2.0
+                    hi, at_hi, lo, at_lo = lo, at_lo, u - step, _UNSWEPT
+                lo = max(lo, floor)
         brackets.append(_shrink(n, potential, index, lo, hi, at_lo, at_hi, tol))
     return brackets[0], brackets[1]
 
@@ -409,21 +442,123 @@ def eigenvalues_low(op: TridiagonalOperator) -> SpectralResult:
     return SpectralResult(k=op.k, lambda0=lam0, lambda1=lam1, precision_limited=limited)
 
 
+def _cancellation(a: float, b: float) -> float:
+    """(|a| + |b|) / |a + b|: how much the sum a + b magnifies the relative
+    errors of a and b (inf where it cancels to zero)."""
+    total = abs(a + b)
+    return (abs(a) + abs(b)) / total if total else math.inf
+
+
+def _edge_sweep(deficit: float, phase: float, half: float, lam: float, strengths: list[float],
+                growth: float) -> tuple[list[tuple[float, int]], list[float]]:
+    """psi across the support from one edge, in the order of ``strengths``,
+    where the free profile outside is sin(deficit + 2 half i) at i sites
+    from the edge (deficit + half + phase = pi/2): at each support site the
+    pair (m, e) with psi = m 2^e, and ``growth`` times the product of the
+    cancellation factors of every sum the ``_sweep`` recurrence formed on
+    the way there (a - lambda, the new difference w and the new value v)."""
+    v = math.sin(deficit)
+    w = -2.0 * math.sin(half) * _cos(deficit + half, phase)
+    e = 0
+    values, growths = [(v, e)], [growth]
+    for a in strengths[:-1]:
+        v, w, e = _rescaled(v, w, e)
+        step = (a - lam) * v
+        growth *= _cancellation(a, -lam) * _cancellation(w, step) * _cancellation(v, w + step)
+        w += step
+        v += w
+        values.append((v, e))
+        growths.append(growth)
+    return values, growths
+
+
+def _glued_ground_state(n: int, potential: Potential, lo: float, hi: float) -> np.ndarray | None:
+    """The ground state from its closed form at the midpoint u of u0's
+    bracket (lo, hi], or None where the construction cannot vouch for it.
+
+    With t = pi/(2s) it is sin(defL + t (r_min - j)) left of the support and
+    sin(defR + t (j - r_max)) right of it (the deficits of ``_sweep``).
+    ``_edge_sweep`` carries each profile across the support; the two are
+    glued at the support site g where the product G of both sweeps'
+    cancellation factors is smallest, the right one scaled to meet the left
+    one there.  Each sweep's first factor is that of its deficit,
+    (hi - lo + EPS (|u| + |r|)) / (EPS |u - r|) at the support edge r: u is
+    known only to the bracket's width.  A rounded operation commits a
+    relative error of at most EPS and a sum magnifies what it is handed by
+    its cancellation factor, so every entry of the glued vector is within
+    about 3 (r_max - r_min + 2) EPS G relative of the ground state, and
+    ||H psi - lambda0 psi|| within that times the norm bound.  The vector
+    is taken where this is at most ``RESIDUAL_SCALE``, the residual
+    inverse iteration converges to.
+    """
+    k, rmin, rmax = n // 2, potential.site_min, potential.site_max
+    u = 0.5 * (lo + hi)
+    s = 0.5 * n + u
+    half = 0.25 * math.pi / s
+    lam, t = 4.0 * math.sin(half) ** 2, 2.0 * half
+    def_l, def_r = 0.5 * math.pi * (u - rmin) / s, 0.5 * math.pi * (u + rmax) / s
+    strengths = dict(potential.entries)
+    support = [strengths.get(site, 0.0) for site in range(rmin, rmax + 1)]
+
+    def deficit_growth(r: int) -> float:
+        return (hi - lo + EPS * (abs(u) + abs(r))) / (EPS * abs(u - r)) if u != r else math.inf
+
+    left, grow_l = _edge_sweep(def_l, t * (k + rmin), half, lam, support, deficit_growth(rmin))
+    right, grow_r = _edge_sweep(def_r, t * (k - rmax), half, lam, support[::-1],
+                                deficit_growth(-rmax))
+    right, grow_r = right[::-1], grow_r[::-1]
+    growth, g = min((a * b, i) for i, (a, b) in enumerate(zip(grow_l, grow_r)))
+    if not 3.0 * (rmax - rmin + 2) * EPS * growth <= RESIDUAL_SCALE:
+        return None
+    # the right side times c = psi_L(g) / psi_R(g); both sides times 2^-top
+    (ml, el), (mr, er) = left[g], right[g]
+    scale, c_exp = ml / mr, el - er
+    top = max(0, c_exp + math.frexp(scale)[1])
+    psi = np.empty(n)
+    j = np.arange(-k, k + 1, dtype=float)
+    psi[: rmin + k] = np.ldexp(np.sin(def_l + t * (rmin - j[: rmin + k])), -top)
+    psi[rmax + k + 1:] = np.ldexp(scale * np.sin(def_r + t * (j[rmax + k + 1:] - rmax)),
+                                  c_exp - top)
+    for i in range(g + 1):
+        psi[rmin + k + i] = math.ldexp(left[i][0], left[i][1] - top)
+    for i in range(g, rmax - rmin + 1):
+        psi[rmin + k + i] = math.ldexp(scale * right[i][0], right[i][1] + c_exp - top)
+    psi /= np.linalg.norm(psi)
+    psi.flags.writeable = False
+    return psi
+
+
 def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
-    """Two lowest eigenvalues by O(n) bisection, each inside a certified
-    band (the closed-form levels on the free path, the lambda-image of the
-    u-brackets of ``_roots`` otherwise), and the ground state by inverse
-    iteration shifted to lambda0; the gap is flagged below 10^3 ulp of the
-    norm bound."""
+    """Two lowest eigenvalues and the ground state.
+
+    On the free path the levels are the closed forms 0 and 4 sin^2(pi/(2n)).
+    Otherwise each is bisected on the O(n) Sturm count from [0, norm_bound]
+    inside the lambda-image of its certified u-bracket from ``_roots``,
+    which decides every midpoint outside it without a sweep.  The ground
+    state is inverse iteration's, shifted to lambda0; where that raises, it
+    is ``_glued_ground_state`` at the midpoint of u0's bracket, and the
+    error is raised again only where the construction does not vouch for
+    its vector either.  The gap is flagged below 10^3 ulp of the norm
+    bound."""
     n = op.n
     if op.potential.is_empty:
-        bands = [(lam, lam) for lam in (0.0, _level(n, 0.0))]
+        lam0, lam1 = 0.0, _level(n, 0.0)
+        brackets = None
     else:
-        bands = [(_level(n, hi), _level(n, lo)) for lo, hi in _roots(n, op.potential)]
-    (lo0, hi0), (lo1, hi1) = (_eigenvalue_bracket(op, i, band) for i, band in enumerate(bands))
-    lam0, lam1 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1)
+        brackets = _roots(n, op.potential)
+        (lo0, hi0), (lo1, hi1) = (_eigenvalue_bracket(op, i, (_level(n, hi), _level(n, lo)))
+                                  for i, (lo, hi) in enumerate(brackets))
+        lam0, lam1 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1)
     limited = lam1 - lam0 < GAP_ULP_FACTOR * math.ulp(op.norm_bound)
-    return SpectralResult(op.k, lam0, lam1, limited, ground_state(op, lam0))
+    try:
+        psi = ground_state(op, lam0)
+    except (ConvergenceError, PositivityError):
+        if brackets is None:
+            raise
+        psi = _glued_ground_state(n, op.potential, *brackets[0])
+        if psi is None:
+            raise
+    return SpectralResult(op.k, lam0, lam1, limited, psi)
 
 
 def dirichlet_ground_energy(m: int) -> float:

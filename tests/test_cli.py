@@ -251,9 +251,10 @@ class TestCommands:
         assert code == 1
 
     def test_nonconvergence_exits_three(self, capsys):
-        # gap far below the double-precision floor: inverse iteration
-        # cannot settle and the CLI reports a numerical failure
-        code = main(["spectrum", "--k", "200", "--potential", "0:1000000"])
+        # a mirror-symmetric double barrier: inverse iteration cannot
+        # settle, and the closed-form ground state cannot weigh the two
+        # wells either, so the CLI reports a numerical failure
+        code = main(["spectrum", "--k", "20", "--potential=-1:1e8,1:1e8"])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 

@@ -31,9 +31,17 @@ from pathgap import (
     sturm_count,
 )
 from pathgap.cli import parse_potential_spec
-from pathgap.eigensolver import EPS, _eigenvalue_bracket, _gap, _level, _roots, _sweep
+from pathgap.eigensolver import (
+    EPS,
+    _eigenvalue_bracket,
+    _gap,
+    _glued_ground_state,
+    _level,
+    _roots,
+    _sweep,
+)
 
-from conftest import ACCEPTANCE_GRID, BOUND_POTENTIALS, FALLBACK_CASES, checks, oracle
+from conftest import ACCEPTANCE_GRID, BOUND_POTENTIALS, FALLBACK_CASES, checks, oracle, workloads
 
 SQRT11 = math.sqrt(11.0)
 DATA = Path(__file__).parent / "data"
@@ -352,44 +360,49 @@ class TestEigenvaluesLowAgainstTheOracle:
 
 class TestSpectrumLowHint:
     def test_sweeps_only_where_the_count_is_undecided(self, monkeypatch):
-        # plain bisection from [0, norm_bound] sweeps about 69 times per level
+        # plain bisection from [0, norm_bound] sweeps about 69 times per
+        # level; inside the unwidened certified bands a midpoint needs a
+        # sweep only where it lands in the sub-ulp band itself
         calls = []
         count = _kernels.sturm_count
         monkeypatch.setattr(_kernels, "sturm_count", lambda *args: calls.append(1) or count(*args))
         spectrum_low(_op(1600, [(0, 1.0)]))
-        assert len(calls) <= 60
+        assert len(calls) <= 2  # 0 measured, 46 with the bands widened
         calls.clear()
         for spec in BOUND_POTENTIALS:
             for k in ACCEPTANCE_GRID:
                 spectrum_low(assemble_hamiltonian(k, parse_potential_spec(spec)))
-        assert len(calls) == 2564  # 8452 without the hint
+        assert len(calls) <= 4  # 1 measured; 2564 widened, 8452 without a band
 
     @given(k=st.integers(1, 800), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_hint_leaves_the_brackets_unchanged(self, k, data):
-        # the bands spectrum_low bisects in: the closed-form levels of the
-        # free path, the lambda-image of each u-bracket of _roots otherwise
-        sites = data.draw(st.lists(st.integers(-(k - 1), k - 1), max_size=4, unique=True))
+        # the bands spectrum_low bisects in, the lambda-image of each
+        # u-bracket of _roots, decide every midpoint outside them, so each
+        # bracket ends inside its band up to the bisection's own width
+        sites = data.draw(st.lists(st.integers(-(k - 1), k - 1), min_size=1, max_size=4,
+                                   unique=True))
         exponents = data.draw(st.lists(st.floats(-12.0, 16.0), min_size=4, max_size=4))
         op = _op(k, sorted(zip(sites, (10.0**e for e in exponents))))
-        if op.potential.is_empty:
-            bands = [(lam, lam) for lam in (0.0, _level(op.n, 0.0))]
-        else:
-            bands = [(_level(op.n, hi), _level(op.n, lo)) for lo, hi in _roots(op.n, op.potential)]
-        for index, band in enumerate(bands):
-            assert _eigenvalue_bracket(op, index, band) == _eigenvalue_bracket(op, index), index
+        for index, (lo_u, hi_u) in enumerate(_roots(op.n, op.potential)):
+            band = (_level(op.n, hi_u), _level(op.n, lo_u))
+            lo, hi = _eigenvalue_bracket(op, index, band)
+            slack = eigensolver.REL_TOL * max(band[1], eigensolver.LAMBDA_FLOOR)
+            assert band[0] - slack <= lo < hi <= band[1] + slack, index
 
     def test_free_path_sweeps_only_near_its_levels(self, monkeypatch):
-        # 172 O(n) sweeps from [0, norm_bound] without the closed-form bands
+        # the free path takes its closed forms: no O(n) sweep, where plain
+        # bisection from [0, norm_bound] takes 172
         calls = []
         count = _kernels.sturm_count
         monkeypatch.setattr(_kernels, "sturm_count", lambda *args: calls.append(1) or count(*args))
-        spectrum_low(_op(1600, []))
-        assert len(calls) <= 80
+        r = spectrum_low(_op(1600, []))
+        assert len(calls) == 0
+        assert (r.lambda0, r.lambda1) == (0.0, _level(3201, 0.0))
 
     def test_spectrum_low_is_bit_identical_to_the_recorded_values(self):
-        # levels, flag and ground state of unhinted bisection on the free
-        # path and of the hinted one elsewhere, or the error raised
+        # levels, flag and ground state, or the error raised, as written by
+        # tests/regenerate_spectrum_low.py
         cases = json.loads((DATA / "spectrum_low_values.json").read_text())["cases"]
         assert len(cases) == 408
         for case in cases:
@@ -406,6 +419,121 @@ class TestSpectrumLowHint:
                 "ground_state_sha256": hashlib.sha256(res.ground_state.tobytes()).hexdigest(),
             }
             assert {"k": case["k"], "entries": case["entries"], **got} == case
+
+
+class TestRootsFallback:
+    @pytest.mark.parametrize("k, spec", [(10**6, "0:1e-12"), (1000, "0:1e-6"), (100, "0:1e-6"),
+                                         (12, "0:6e-12"), (20, "0:1e-3"), (80, "0:1e-3")])
+    def test_weak_potentials_start_from_the_weak_coupling_estimate(self, monkeypatch, k, spec):
+        # doubling hi from 1 took 99, 54, 53, 56, 35 and 45 _sweep calls
+        calls = []
+        sweep = eigensolver._sweep
+        monkeypatch.setattr(eigensolver, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+        pairs = ((0, float(spec[2:])),)
+        brackets = _roots(2 * k + 1, build_potential(pairs))
+        assert len(calls) <= 40
+        want = oracle.levels(k, pairs)
+        for (lo, hi), level in zip(brackets, want):
+            assert _ulps(_level(2 * k + 1, 0.5 * (lo + hi)), level, float(level)) <= 4
+
+    @pytest.mark.parametrize("k", [3, 1000])
+    def test_subnormal_strength(self, monkeypatch, k):
+        # at 5e-324 the Wronskian and lambda0 are subnormal: the bracket
+        # stops once no double is left between the levels of its ends.
+        # 9 and 14 calls, where doubling hi from 1 took 618 and 629
+        calls = []
+        sweep = eigensolver._sweep
+        monkeypatch.setattr(eigensolver, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+        n, potential = 2 * k + 1, build_potential([(0, 5e-324)])
+        brackets = _roots(n, potential)
+        assert len(calls) <= 40
+        for index, (lo, hi) in enumerate(brackets):
+            assert _sweep(n, potential, lo)[0] > index >= _sweep(n, potential, hi)[0]
+        assert _level(n, 0.5 * sum(brackets[0])) <= 5e-324
+
+
+def _mp_ground_state(k, pairs, dps=60):
+    """The ground state in mpmath: lambda0 by bisection on the positivity
+    of the LDL^T pivots, then two inverse-iteration solves just below it."""
+    with mpmath.workdps(dps):
+        d = [mpmath.mpf(2)] * (2 * k + 1)
+        d[0] = d[-1] = mpmath.mpf(1)
+        for site, strength in pairs:
+            d[site + k] += mpmath.mpf(strength)
+
+        def pivots(lam):
+            p = [d[0] - lam]
+            for a in d[1:]:
+                if p[-1] <= 0:
+                    break
+                p.append(a - lam - 1 / p[-1])
+            return p
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(4)
+        for _ in range(4 * dps):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if min(pivots(mid)) > 0 else (lo, mid)
+        p = pivots(lo)
+        x = [mpmath.mpf(1)] * len(d)
+        for _ in range(2):
+            y = [x[0]]
+            for i in range(1, len(d)):
+                y.append(x[i] + y[-1] / p[i - 1])
+            x = [y[-1] / p[-1]]
+            for i in range(len(d) - 2, -1, -1):
+                x.insert(0, (y[i] + x[0]) / p[i])
+            norm = mpmath.sqrt(mpmath.fsum(v * v for v in x))
+            x = [v / norm for v in x]
+        return np.array([float(v) for v in x])
+
+
+class TestGluedGroundState:
+    @pytest.mark.parametrize("k", workloads.LADDER_KS)
+    def test_every_ladder_strength_exits_zero_with_the_closed_form(self, k, tmp_path):
+        # inverse iteration raised at 12 of these 48 points; the construction
+        # holds at all of them, within 1.6e-16 of the even closed form
+        from pathgap.cli import main
+
+        for e in workloads.LADDER_EXPONENTS:
+            pairs = ((0, 10.0**e),)
+            out = tmp_path / f"{e}.json"
+            assert main(["spectrum", "--k", str(k), f"--potential=0:{10.0**e!r}",
+                         "--format", "json", "--out", str(out)]) == 0, e
+            n = 2 * k + 1
+            potential = build_potential(pairs)
+            psi = _glued_ground_state(n, potential, *_roots(n, potential)[0])
+            t = float(2 * mpmath.asin(mpmath.sqrt(oracle.levels(k, pairs)[0]) / 2))
+            want = np.cos(t * (k - np.abs(np.arange(-k, k + 1)) + 0.5))
+            assert np.max(np.abs(psi - want / np.linalg.norm(want))) <= 1e-15, e
+
+    def test_spectrum_low_takes_it_where_inverse_iteration_fails(self):
+        op = _op(20, [(0, 1e9)])
+        with pytest.raises(ConvergenceError):
+            ground_state(op, spectrum_low(op).lambda0)
+        psi = _glued_ground_state(op.n, op.potential, *_roots(op.n, op.potential)[0])
+        assert np.array_equal(spectrum_low(op).ground_state, psi)
+
+    @pytest.mark.parametrize("k", [6, 20])
+    @pytest.mark.parametrize("spec", ["0:1e9", "0:1e12", "0:100", "0:1e3,1:1e9",
+                                      "-1:3e12,0:1e3", "-1:1e2,0:1e12,3:1e1"])
+    def test_against_mpmath_on_strong_potentials(self, k, spec):
+        # worst seen: 1.1e-16 per entry; inverse iteration raises at 0:1e9
+        pairs = [(int(s), float(a)) for s, a in (t.split(":") for t in spec.split(","))]
+        potential = build_potential(pairs)
+        psi = _glued_ground_state(2 * k + 1, potential, *_roots(2 * k + 1, potential)[0])
+        assert float(np.min(psi)) > 0.0 and not psi.flags.writeable
+        assert np.max(np.abs(psi - _mp_ground_state(k, pairs))) <= 5e-16
+
+    @pytest.mark.parametrize("k", [6, 20])
+    @pytest.mark.parametrize("spec", ["-1:1e12,1:1e12", "-1:1e8,1:1e8", "-2:1e4,2:1e4",
+                                      "-1:100,1:100"])
+    def test_rejects_symmetric_double_barriers(self, k, spec):
+        # glued without the bound these err by 1.6e-13 to 0.45 per entry:
+        # two wells of nearly equal ground energy fix the weights of the two
+        # sides only through digits the bracket of u0 does not carry
+        pairs = [(int(s), float(a)) for s, a in (t.split(":") for t in spec.split(","))]
+        potential = build_potential(pairs)
+        assert _glued_ground_state(2 * k + 1, potential, *_roots(2 * k + 1, potential)[0]) is None
 
 
 # lambda(u) sits at a fraction of (0, 4) shifted by the golden ratio, so the
