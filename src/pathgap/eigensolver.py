@@ -1,6 +1,6 @@
 """Symmetric-tridiagonal eigensolver for path graphs: the two lowest levels
-on Sturm counts, the ground state by inverse iteration or from its closed
-form, and closed-form eigenvalue oracles.
+on Sturm counts, the ground state from its closed form or by inverse
+iteration, and closed-form eigenvalue oracles.
 
 ``eigenvalues_low`` (gap-scan, alpha-scan) writes a level as
 lambda = 4 sin^2(pi/(4s)), s = n/2 + u, and finds u by secant (Illinois)
@@ -10,13 +10,15 @@ costs O(support) and reads no length-n array, so it reaches any k.
 Sturm count of ``_kernels`` (plain Python over float64 buffers) to the
 relative width ``REL_TOL`` = 1e-14, inside the lambda-image of those
 brackets, which decides every midpoint outside it without a sweep; the
-free path takes its closed forms.  Its ground state comes from inverse
-iteration, or, where that fails, from the closed form glued across the
-support (``_glued_ground_state``).  Both return a ``SpectralResult``: k,
-the two eigenvalues and the flag, with ``n`` and ``gap`` derived from
-them.  A gap below 10^3 ulp of its rounding scale (lambda1 for
-``eigenvalues_low``, the matrix norm bound for ``spectrum_low``) carries
-``precision_limited=True``, and downstream fits drop such points.
+free path takes its closed forms.  Its ground state is the closed form
+glued across the support (``_glued_ground_state``) where one
+inverse-iteration solve vouches for it, otherwise inverse iteration's, and
+the glued vector again where inverse iteration fails.  Both return a
+``SpectralResult``: k, the two eigenvalues and the flag, with ``n`` and
+``gap`` derived from them.  A gap below 10^3 ulp of its rounding scale
+(lambda1 for ``eigenvalues_low``, the matrix norm bound for
+``spectrum_low``) carries ``precision_limited=True``, and downstream fits
+drop such points.
 """
 from __future__ import annotations
 
@@ -46,7 +48,9 @@ EPS = float(np.finfo(float).eps)
 # relative width at which every eigenvalue bracket stops; the bracketed
 # ground energy is also the inverse-iteration shift
 REL_TOL = 1e-14
-LAMBDA_FLOOR = 1e-300
+# the level below which the stopping width is absolute: REL_TOL times it is
+# the smallest subnormal, so a subnormal level is bisected to its last bit
+LAMBDA_FLOOR = 5e-324 / REL_TOL
 # the smallest normal double; below it a Wronskian or a level has lost bits
 _NORMAL = sys.float_info.min
 RESIDUAL_SCALE = 1e-11
@@ -131,21 +135,47 @@ def eigenvalue(op: TridiagonalOperator, index: int) -> float:
     """The index-th smallest eigenvalue, midpoint of a certified bracket.
 
     The initial bracket is [0, 4 + max strength]; bisection stops once the
-    bracket width is below REL_TOL * max(|midpoint|, 1e-300).
+    bracket width is below REL_TOL * max(|midpoint|, LAMBDA_FLOOR).
     """
     lo, hi = _eigenvalue_bracket(op, index)
     return 0.5 * (lo + hi)
 
 
-def ground_state(op: TridiagonalOperator, lambda0: float) -> np.ndarray:
-    """Positive normalized ground state by inverse iteration (read-only).
+def _residual(op: TridiagonalOperator, lambda0: float, v: np.ndarray) -> float:
+    """||H v - lambda0 v||."""
+    return float(np.linalg.norm(apply_operator(op, v) - lambda0 * v))
 
-    ``lambda0`` is the shift: the bisection ground energy, ``eigenvalue(op,
-    0)``.  If the shifted factorization hits a pivot below 10^3 eps times
-    the norm bound, the shift is nudged up by 2 ulp of the norm bound and
-    the factorization redone.  Tiny pivots beyond that are kept as-is
-    (they drive the solve along the wanted direction); only a microscopic
-    overflow floor replaces exact zeros.  Converged when ||H v - lambda0 v|| <= 1e-11 * (4 + max
+
+def _unit(w: np.ndarray) -> np.ndarray | None:
+    """w normalized and signed to a positive sum, or None where its norm is
+    not finite and positive."""
+    norm = float(np.linalg.norm(w))
+    if not math.isfinite(norm) or norm == 0.0:
+        return None
+    w /= norm
+    return -w if float(np.sum(w)) < 0.0 else w
+
+
+def ground_state(op: TridiagonalOperator, lambda0: float, start: np.ndarray | None = None,
+                 err: float = 0.0, gap: float = math.inf) -> np.ndarray:
+    """Positive normalized ground state (read-only): ``start`` where one
+    inverse-iteration solve vouches for it, otherwise inverse iteration.
+
+    ``lambda0`` is the shift, the bisected ground energy; ``start`` a unit
+    vector within ``err`` (normwise) of the ground state, and ``gap`` the
+    distance from lambda0 to the next level.  H - lambda0 is factored once
+    and solved once from ``start``; the solution w, normalized and signed,
+    is within ||H w - lambda0 w|| / gap of the ground state (Davis & Kahan,
+    SIAM J. Numer. Anal. 7, 1970), so ``start`` is returned unchanged where
+    its residual is within 1e-11 * (4 + max strength) and ||w - start|| <=
+    ``CHANGE_TOL`` + 2 (||H w - lambda0 w|| / gap + err).
+
+    Otherwise inverse iteration runs from the flat vector: if the shifted
+    factorization hit a pivot below 10^3 eps times the norm bound, the
+    shift is nudged up by 2 ulp of the norm bound and the factorization
+    redone.  Tiny pivots beyond that are kept as-is (they drive the solve
+    along the wanted direction); only a microscopic overflow floor replaces
+    exact zeros.  Converged when ||H v - lambda0 v|| <= 1e-11 * (4 + max
     strength) and the iterate has stopped moving.
     """
     tol = RESIDUAL_SCALE * op.norm_bound
@@ -155,6 +185,11 @@ def ground_state(op: TridiagonalOperator, lambda0: float) -> np.ndarray:
     piv, mult, min_abs = _kernels.factor_shifted(
         op.diag, op.offdiag, lambda0, overflow_floor
     )
+    if start is not None and gap > 0.0 and _residual(op, lambda0, start) <= tol:
+        w = _unit(_kernels.solve_factored(piv, mult, op.offdiag, start))
+        if w is not None and float(np.linalg.norm(w - start)) <= (
+                CHANGE_TOL + 2.0 * (_residual(op, lambda0, w) / gap + err)):
+            return start
     if min_abs < pivot_min:
         piv, mult, _ = _kernels.factor_shifted(
             op.diag, op.offdiag, lambda0 + nudge, overflow_floor
@@ -164,18 +199,14 @@ def ground_state(op: TridiagonalOperator, lambda0: float) -> np.ndarray:
     v = np.full(n, 1.0 / math.sqrt(n))
     residual = math.inf
     for _ in range(MAX_SWEEPS):
-        w = _kernels.solve_factored(piv, mult, op.offdiag, v)
-        norm_w = float(np.linalg.norm(w))
-        if not math.isfinite(norm_w) or norm_w == 0.0:
+        w = _unit(_kernels.solve_factored(piv, mult, op.offdiag, v))
+        if w is None:
             raise ConvergenceError(
                 "inverse iteration produced a non-finite iterate", residual=residual
             )
-        w /= norm_w
-        if float(np.sum(w)) < 0.0:
-            w = -w
         change = float(np.linalg.norm(w - v))
         v = w
-        residual = float(np.linalg.norm(apply_operator(op, v) - lambda0 * v))
+        residual = _residual(op, lambda0, v)
         if residual <= tol and change <= CHANGE_TOL:
             break
     else:
@@ -472,9 +503,11 @@ def _edge_sweep(deficit: float, phase: float, half: float, lam: float, strengths
     return values, growths
 
 
-def _glued_ground_state(n: int, potential: Potential, lo: float, hi: float) -> np.ndarray | None:
+def _glued_ground_state(n: int, potential: Potential, lo: float,
+                        hi: float) -> tuple[np.ndarray, float] | None:
     """The ground state from its closed form at the midpoint u of u0's
-    bracket (lo, hi], or None where the construction cannot vouch for it.
+    bracket (lo, hi], with its error bound, or None where the construction
+    cannot vouch for it.
 
     With t = pi/(2s) it is sin(defL + t (r_min - j)) left of the support and
     sin(defR + t (j - r_max)) right of it (the deficits of ``_sweep``).
@@ -486,10 +519,11 @@ def _glued_ground_state(n: int, potential: Potential, lo: float, hi: float) -> n
     known only to the bracket's width.  A rounded operation commits a
     relative error of at most EPS and a sum magnifies what it is handed by
     its cancellation factor, so every entry of the glued vector is within
-    about 3 (r_max - r_min + 2) EPS G relative of the ground state, and
-    ||H psi - lambda0 psi|| within that times the norm bound.  The vector
-    is taken where this is at most ``RESIDUAL_SCALE``, the residual
-    inverse iteration converges to.
+    about err = 3 (r_max - r_min + 2) EPS G relative of the ground state,
+    so the unit vector is within about err of it normwise, and ||H psi -
+    lambda0 psi|| within err times the norm bound.  The vector is returned
+    with err where err is at most ``RESIDUAL_SCALE``, the residual inverse
+    iteration converges to.
     """
     k, rmin, rmax = n // 2, potential.site_min, potential.site_max
     u = 0.5 * (lo + hi)
@@ -508,7 +542,8 @@ def _glued_ground_state(n: int, potential: Potential, lo: float, hi: float) -> n
                                 deficit_growth(-rmax))
     right, grow_r = right[::-1], grow_r[::-1]
     growth, g = min((a * b, i) for i, (a, b) in enumerate(zip(grow_l, grow_r)))
-    if not 3.0 * (rmax - rmin + 2) * EPS * growth <= RESIDUAL_SCALE:
+    err = 3.0 * (rmax - rmin + 2) * EPS * growth
+    if not err <= RESIDUAL_SCALE:
         return None
     # the right side times c = psi_L(g) / psi_R(g); both sides times 2^-top
     (ml, el), (mr, er) = left[g], right[g]
@@ -525,7 +560,7 @@ def _glued_ground_state(n: int, potential: Potential, lo: float, hi: float) -> n
         psi[rmin + k + i] = math.ldexp(scale * right[i][0], right[i][1] + c_exp - top)
     psi /= np.linalg.norm(psi)
     psi.flags.writeable = False
-    return psi
+    return psi, err
 
 
 def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
@@ -535,11 +570,12 @@ def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
     Otherwise each is bisected on the O(n) Sturm count from [0, norm_bound]
     inside the lambda-image of its certified u-bracket from ``_roots``,
     which decides every midpoint outside it without a sweep.  The ground
-    state is inverse iteration's, shifted to lambda0; where that raises, it
-    is ``_glued_ground_state`` at the midpoint of u0's bracket, and the
-    error is raised again only where the construction does not vouch for
-    its vector either.  The gap is flagged below 10^3 ulp of the norm
-    bound."""
+    state is ``_glued_ground_state`` at the midpoint of u0's bracket where
+    one inverse-iteration solve at lambda0 vouches for it (``ground_state``
+    with that start), otherwise inverse iteration's; where that raises, it
+    is the glued vector unchecked, and the error is raised again only where
+    the construction does not vouch for its vector either.  The gap is
+    flagged below 10^3 ulp of the norm bound."""
     n = op.n
     if op.potential.is_empty:
         lam0, lam1 = 0.0, _level(n, 0.0)
@@ -550,14 +586,14 @@ def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
                                   for i, (lo, hi) in enumerate(brackets))
         lam0, lam1 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1)
     limited = lam1 - lam0 < GAP_ULP_FACTOR * math.ulp(op.norm_bound)
+    glued = None if brackets is None else _glued_ground_state(n, op.potential, *brackets[0])
+    start, err = glued or (None, 0.0)
     try:
-        psi = ground_state(op, lam0)
+        psi = ground_state(op, lam0, start, err, lam1 - lam0)
     except (ConvergenceError, PositivityError):
-        if brackets is None:
+        if start is None:
             raise
-        psi = _glued_ground_state(n, op.potential, *brackets[0])
-        if psi is None:
-            raise
+        psi = start
     return SpectralResult(op.k, lam0, lam1, limited, psi)
 
 

@@ -79,12 +79,16 @@ class ScalingFit:
 
 
 def geometric_grid(lo: int, hi: int, count: int) -> list[int]:
-    """count geometrically spaced integers from lo to hi (deduplicated)."""
+    """count geometrically spaced integers from lo to hi (deduplicated).
+
+    Each interior point is lo plus its integer offset lo (r^i - 1), with
+    r^i - 1 = expm1(i log1p((hi - lo)/lo) / (count - 1)), so steps far
+    below one ulp of lo are not lost."""
     _check_grid(lo, hi, count)
     if count == 1:
         return [lo]
-    ratio = (hi / lo) ** (1.0 / (count - 1))
-    return _with_ends(lo, hi, (lo * ratio**i for i in range(1, count - 1)))
+    rate = math.log1p((hi - lo) / lo) / (count - 1)
+    return _with_ends(lo, hi, (lo + round(lo * math.expm1(i * rate)) for i in range(1, count - 1)))
 
 
 def linear_grid(lo: int, hi: int, count: int) -> list[int]:

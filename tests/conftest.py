@@ -1,6 +1,8 @@
 import sys
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 
 from pathgap import (
@@ -30,6 +32,41 @@ ALPHA_SET = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 FALLBACK_CASES = ((10, "0:1e-3"), (100, "0:1e-6"), (6, "-5:1"), (6, "-4:1,5:2"),
                   (2, "-1:2,1:3"), (3, "0:1e300"), (3, "0:1e16"), (80, "0:1e12"),
                   (25600, "-8:100,8:100"))
+
+
+def mp_ground_state(k, pairs, dps=60):
+    """The ground state in mpmath: lambda0 by bisection on the positivity
+    of the LDL^T pivots, then two inverse-iteration solves just below it."""
+    with mpmath.workdps(dps):
+        d = [mpmath.mpf(2)] * (2 * k + 1)
+        d[0] = d[-1] = mpmath.mpf(1)
+        for site, strength in pairs:
+            d[site + k] += mpmath.mpf(strength)
+
+        def pivots(lam):
+            p = [d[0] - lam]
+            for a in d[1:]:
+                if p[-1] <= 0:
+                    break
+                p.append(a - lam - 1 / p[-1])
+            return p
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(4)
+        for _ in range(4 * dps):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if min(pivots(mid)) > 0 else (lo, mid)
+        p = pivots(lo)
+        x = [mpmath.mpf(1)] * len(d)
+        for _ in range(2):
+            y = [x[0]]
+            for i in range(1, len(d)):
+                y.append(x[i] + y[-1] / p[i - 1])
+            x = [y[-1] / p[-1]]
+            for i in range(len(d) - 2, -1, -1):
+                x.insert(0, (y[i] + x[0]) / p[i])
+            norm = mpmath.sqrt(mpmath.fsum(v * v for v in x))
+            x = [v / norm for v in x]
+        return np.array([float(v) for v in x])
 
 
 @pytest.fixture(scope="session")

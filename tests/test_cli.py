@@ -275,6 +275,16 @@ class TestCommands:
         assert row[0] == "20"
         assert abs(float(row[3]) - float(lambda0)) <= checks.LAMBDA_ULPS * math.ulp(5.0)
 
+    def test_subnormal_lambda0_is_bisected_to_its_last_bit(self, capsys):
+        # the level is about 7e-325, which rounds to 0: the bisection must
+        # stop no wider than the smallest subnormal (not at 1e-14 * 1e-300)
+        assert main(["spectrum", "--k", "3", "--potential", "0:5e-324",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["lambda0"] == 0.0
+        assert main(["gap-scan", "--potential", "0:5e-324", "--k-grid", "3:3:linear:1",
+                     "--no-timestamp"]) == 0
+        assert float(capsys.readouterr().out.splitlines()[1].split(",")[3]) == 0.0
+
     def test_verify_bounds_k_zero_exits_two(self, capsys):
         assert main(["verify-bounds", "--potential", "0:1", "--k-grid", "0:0:linear:1"]) == 2
         assert "grid needs 1 <= min <= max" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -41,7 +42,15 @@ from pathgap.eigensolver import (
     _sweep,
 )
 
-from conftest import ACCEPTANCE_GRID, BOUND_POTENTIALS, FALLBACK_CASES, checks, oracle, workloads
+from conftest import (
+    ACCEPTANCE_GRID,
+    BOUND_POTENTIALS,
+    FALLBACK_CASES,
+    checks,
+    mp_ground_state,
+    oracle,
+    workloads,
+)
 
 SQRT11 = math.sqrt(11.0)
 DATA = Path(__file__).parent / "data"
@@ -226,6 +235,41 @@ class TestGroundState:
         # gap far below eps * ||H||: the iterate cannot settle
         with pytest.raises(ConvergenceError):
             _ground(_op(200, [(0, 1e6)]))
+
+    def test_start_with_an_excited_admixture_is_rejected(self):
+        # its residual, 1e-6 gap, passes the residual test; one solve removes
+        # the admixture and so moves it by 1e-6, far beyond the bound
+        op = _op(100, [(0, 1.0)])
+        r = spectrum_low(op)
+        vecs = np.linalg.eigh(_dense(op))[1]
+        ground, excited = (vecs[:, i] * np.sign(np.sum(vecs[:, i])) for i in (0, 1))
+        start = ground + 1e-6 * excited
+        start /= np.linalg.norm(start)
+        assert np.linalg.norm(apply_operator(op, start) - r.lambda0 * start) <= (
+            eigensolver.RESIDUAL_SCALE * op.norm_bound)
+        got = ground_state(op, r.lambda0, start, gap=r.gap)
+        assert np.array_equal(got, ground_state(op, r.lambda0))
+        assert np.linalg.norm(got - ground) <= 1e-9
+
+    def test_paper_grid_takes_one_factorization_and_one_solve_per_point(self, monkeypatch):
+        # with inverse iteration from the flat vector: 112 and 182
+        calls = Counter()
+        for name in ("factor_shifted", "solve_factored"):
+            kernel = getattr(_kernels, name)
+            monkeypatch.setattr(_kernels, name, lambda *args, name=name, kernel=kernel:
+                                calls.update([name]) or kernel(*args))
+        for spec in BOUND_POTENTIALS:
+            for k in ACCEPTANCE_GRID:
+                spectrum_low(assemble_hamiltonian(k, parse_potential_spec(spec)))
+        assert calls == {"factor_shifted": 64, "solve_factored": 64}
+
+    @pytest.mark.parametrize("spec", BOUND_POTENTIALS)
+    def test_spectrum_low_against_mpmath(self, spec):
+        # the glued vector: at most 1.8e-16 per entry; inverse iteration
+        # from the flat vector was 8.7e-16 to 1.8e-12 off
+        pot = parse_potential_spec(spec)
+        psi = spectrum_low(assemble_hamiltonian(100, pot)).ground_state
+        assert np.max(np.abs(psi - mp_ground_state(100, pot.entries))) <= 1e-15
 
 
 class TestSpectrumLow:
@@ -452,41 +496,6 @@ class TestRootsFallback:
         assert _level(n, 0.5 * sum(brackets[0])) <= 5e-324
 
 
-def _mp_ground_state(k, pairs, dps=60):
-    """The ground state in mpmath: lambda0 by bisection on the positivity
-    of the LDL^T pivots, then two inverse-iteration solves just below it."""
-    with mpmath.workdps(dps):
-        d = [mpmath.mpf(2)] * (2 * k + 1)
-        d[0] = d[-1] = mpmath.mpf(1)
-        for site, strength in pairs:
-            d[site + k] += mpmath.mpf(strength)
-
-        def pivots(lam):
-            p = [d[0] - lam]
-            for a in d[1:]:
-                if p[-1] <= 0:
-                    break
-                p.append(a - lam - 1 / p[-1])
-            return p
-
-        lo, hi = mpmath.mpf(0), mpmath.mpf(4)
-        for _ in range(4 * dps):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if min(pivots(mid)) > 0 else (lo, mid)
-        p = pivots(lo)
-        x = [mpmath.mpf(1)] * len(d)
-        for _ in range(2):
-            y = [x[0]]
-            for i in range(1, len(d)):
-                y.append(x[i] + y[-1] / p[i - 1])
-            x = [y[-1] / p[-1]]
-            for i in range(len(d) - 2, -1, -1):
-                x.insert(0, (y[i] + x[0]) / p[i])
-            norm = mpmath.sqrt(mpmath.fsum(v * v for v in x))
-            x = [v / norm for v in x]
-        return np.array([float(v) for v in x])
-
-
 class TestGluedGroundState:
     @pytest.mark.parametrize("k", workloads.LADDER_KS)
     def test_every_ladder_strength_exits_zero_with_the_closed_form(self, k, tmp_path):
@@ -501,7 +510,7 @@ class TestGluedGroundState:
                          "--format", "json", "--out", str(out)]) == 0, e
             n = 2 * k + 1
             potential = build_potential(pairs)
-            psi = _glued_ground_state(n, potential, *_roots(n, potential)[0])
+            psi, _ = _glued_ground_state(n, potential, *_roots(n, potential)[0])
             t = float(2 * mpmath.asin(mpmath.sqrt(oracle.levels(k, pairs)[0]) / 2))
             want = np.cos(t * (k - np.abs(np.arange(-k, k + 1)) + 0.5))
             assert np.max(np.abs(psi - want / np.linalg.norm(want))) <= 1e-15, e
@@ -510,7 +519,7 @@ class TestGluedGroundState:
         op = _op(20, [(0, 1e9)])
         with pytest.raises(ConvergenceError):
             ground_state(op, spectrum_low(op).lambda0)
-        psi = _glued_ground_state(op.n, op.potential, *_roots(op.n, op.potential)[0])
+        psi, _ = _glued_ground_state(op.n, op.potential, *_roots(op.n, op.potential)[0])
         assert np.array_equal(spectrum_low(op).ground_state, psi)
 
     @pytest.mark.parametrize("k", [6, 20])
@@ -520,9 +529,12 @@ class TestGluedGroundState:
         # worst seen: 1.1e-16 per entry; inverse iteration raises at 0:1e9
         pairs = [(int(s), float(a)) for s, a in (t.split(":") for t in spec.split(","))]
         potential = build_potential(pairs)
-        psi = _glued_ground_state(2 * k + 1, potential, *_roots(2 * k + 1, potential)[0])
+        psi, err = _glued_ground_state(2 * k + 1, potential, *_roots(2 * k + 1, potential)[0])
         assert float(np.min(psi)) > 0.0 and not psi.flags.writeable
-        assert np.max(np.abs(psi - _mp_ground_state(k, pairs))) <= 5e-16
+        want = mp_ground_state(k, pairs)
+        assert np.max(np.abs(psi - want)) <= 5e-16
+        # the bound it returns holds normwise
+        assert np.linalg.norm(psi - want) <= err
 
     @pytest.mark.parametrize("k", [6, 20])
     @pytest.mark.parametrize("spec", ["-1:1e12,1:1e12", "-1:1e8,1:1e8", "-2:1e4,2:1e4",

@@ -57,6 +57,13 @@ class TestGrids:
                                                                      10**16 + 3)
             assert all(a < b for a, b in zip(grid, grid[1:]))
 
+    def test_geometric_steps_below_an_ulp_are_kept(self):
+        # (hi / lo) ** 0.5 rounds to 1.0 here, so a ratio taken in doubles
+        # puts the middle point on lo
+        assert geometric_grid(10**16 + 1, 10**16 + 3, 3) == [10**16 + 1, 10**16 + 2, 10**16 + 3]
+        big = 10**20
+        assert geometric_grid(big, big + 4, 5) == [big + i for i in range(5)]
+
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
             geometric_grid(0, 10, 3)
