@@ -168,7 +168,9 @@ def ground_state(op: TridiagonalOperator, lambda0: float, start: np.ndarray | No
     is within ||H w - lambda0 w|| / gap of the ground state (Davis & Kahan,
     SIAM J. Numer. Anal. 7, 1970), so ``start`` is returned unchanged where
     its residual is within 1e-11 * (4 + max strength) and ||w - start|| <=
-    ``CHANGE_TOL`` + 2 (||H w - lambda0 w|| / gap + err).
+    ``CHANGE_TOL`` + 2 (||H w - lambda0 w|| / gap + err).  A gap below 10^3
+    ulp of the norm bound, which ``spectrum_low`` flags, makes that bound
+    vacuous, so there ``start`` is not tried.
 
     Otherwise inverse iteration runs from the flat vector: if the shifted
     factorization hit a pivot below 10^3 eps times the norm bound, the
@@ -185,7 +187,8 @@ def ground_state(op: TridiagonalOperator, lambda0: float, start: np.ndarray | No
     piv, mult, min_abs = _kernels.factor_shifted(
         op.diag, op.offdiag, lambda0, overflow_floor
     )
-    if start is not None and gap > 0.0 and _residual(op, lambda0, start) <= tol:
+    if (start is not None and gap >= GAP_ULP_FACTOR * math.ulp(op.norm_bound)
+            and _residual(op, lambda0, start) <= tol):
         w = _unit(_kernels.solve_factored(piv, mult, op.offdiag, start))
         if w is not None and float(np.linalg.norm(w - start)) <= (
                 CHANGE_TOL + 2.0 * (_residual(op, lambda0, w) / gap + err)):
@@ -503,6 +506,13 @@ def _edge_sweep(deficit: float, phase: float, half: float, lam: float, strengths
     return values, growths
 
 
+def _split(values: list[tuple[float, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (m, e), psi = m 2^e, as arrays of mantissas in [1/2, 1) (0 for
+    a zero) and of exponents."""
+    mantissas, exponents = np.frexp([m for m, _ in values])
+    return mantissas, exponents + np.array([e for _, e in values])
+
+
 def _glued_ground_state(n: int, potential: Potential, lo: float,
                         hi: float) -> tuple[np.ndarray, float] | None:
     """The ground state from its closed form at the midpoint u of u0's
@@ -523,7 +533,8 @@ def _glued_ground_state(n: int, potential: Potential, lo: float,
     so the unit vector is within about err of it normwise, and ||H psi -
     lambda0 psi|| within err times the norm bound.  The vector is returned
     with err where err is at most ``RESIDUAL_SCALE``, the residual inverse
-    iteration converges to.
+    iteration converges to.  Both sides are scaled by the power of two that
+    takes their largest entry into the double range, so no entry overflows.
     """
     k, rmin, rmax = n // 2, potential.site_min, potential.site_max
     u = 0.5 * (lo + hi)
@@ -545,19 +556,21 @@ def _glued_ground_state(n: int, potential: Potential, lo: float,
     err = 3.0 * (rmax - rmin + 2) * EPS * growth
     if not err <= RESIDUAL_SCALE:
         return None
-    # the right side times c = psi_L(g) / psi_R(g); both sides times 2^-top
-    (ml, el), (mr, er) = left[g], right[g]
-    scale, c_exp = ml / mr, el - er
-    top = max(0, c_exp + math.frexp(scale)[1])
+    # the right side times psi_L(g) / psi_R(g) = scale 2^shift, |scale| in
+    # (1/2, 2); every entry times 2^-top, the least power that takes each
+    # below 1 (|sin| <= 1, mantissas below 1), so an entry can underflow
+    # but not overflow
+    lm, le = _split(left[: g + 1])
+    rm, re = _split(right[g:])
+    scale, shift = lm[-1] / rm[0], int(le[-1] - re[0])
+    top = max(0, int(le.max()), int(re.max()) + shift + 1, shift + 1)
     psi = np.empty(n)
     j = np.arange(-k, k + 1, dtype=float)
     psi[: rmin + k] = np.ldexp(np.sin(def_l + t * (rmin - j[: rmin + k])), -top)
     psi[rmax + k + 1:] = np.ldexp(scale * np.sin(def_r + t * (j[rmax + k + 1:] - rmax)),
-                                  c_exp - top)
-    for i in range(g + 1):
-        psi[rmin + k + i] = math.ldexp(left[i][0], left[i][1] - top)
-    for i in range(g, rmax - rmin + 1):
-        psi[rmin + k + i] = math.ldexp(scale * right[i][0], right[i][1] + c_exp - top)
+                                  shift - top)
+    psi[rmin + k: rmin + k + g + 1] = np.ldexp(lm, le - top)
+    psi[rmin + k + g: rmax + k + 1] = np.ldexp(scale * rm, re + shift - top)
     psi /= np.linalg.norm(psi)
     psi.flags.writeable = False
     return psi, err
@@ -572,10 +585,11 @@ def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
     which decides every midpoint outside it without a sweep.  The ground
     state is ``_glued_ground_state`` at the midpoint of u0's bracket where
     one inverse-iteration solve at lambda0 vouches for it (``ground_state``
-    with that start), otherwise inverse iteration's; where that raises, it
-    is the glued vector unchecked, and the error is raised again only where
-    the construction does not vouch for its vector either.  The gap is
-    flagged below 10^3 ulp of the norm bound."""
+    with that start; not where the gap is flagged), otherwise inverse
+    iteration's; where that raises, it is the glued vector unchecked, and
+    the error is raised again only where the construction does not vouch
+    for its vector either.  The gap is flagged below 10^3 ulp of the norm
+    bound."""
     n = op.n
     if op.potential.is_empty:
         lam0, lam1 = 0.0, _level(n, 0.0)

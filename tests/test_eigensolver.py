@@ -251,6 +251,19 @@ class TestGroundState:
         assert np.array_equal(got, ground_state(op, r.lambda0))
         assert np.linalg.norm(got - ground) <= 1e-9
 
+    def test_start_is_not_tried_where_the_gap_is_flagged(self):
+        # a gap below 10^3 ulp of the norm bound makes the residual/gap bound
+        # vacuous; the glued start passed it here, 2.4e-14 off mpmath like
+        # inverse iteration from the flat vector
+        op = _op(73, [(-62, 623528892358.2329), (-42, 1.950268731830399e-06)])
+        r = spectrum_low(op)
+        assert r.precision_limited
+        start, err = _glued_ground_state(op.n, op.potential, *_roots(op.n, op.potential)[0])
+        got = ground_state(op, r.lambda0, start, err, r.gap)
+        assert not np.array_equal(got, start)
+        assert np.array_equal(got, ground_state(op, r.lambda0))
+        assert np.array_equal(r.ground_state, got)
+
     def test_paper_grid_takes_one_factorization_and_one_solve_per_point(self, monkeypatch):
         # with inverse iteration from the flat vector: 112 and 182
         calls = Counter()
@@ -496,6 +509,13 @@ class TestRootsFallback:
         assert _level(n, 0.5 * sum(brackets[0])) <= 5e-324
 
 
+# a well between two walls: one wall site of strength 1e200 to 1.7e308 on
+# either side, and 26 sites of 1e13 on either side of a 7-site well
+_WALLED_WELLS = ((3, "-2:1e200,2:1e200"), (4, "-3:1e307,3:1e307"),
+                 (5, "-4:1.7e308,4:1.7e308"),
+                 (30, ",".join(f"{j}:1e13" for j in [*range(-29, -3), *range(4, 30)])))
+
+
 class TestGluedGroundState:
     @pytest.mark.parametrize("k", workloads.LADDER_KS)
     def test_every_ladder_strength_exits_zero_with_the_closed_form(self, k, tmp_path):
@@ -546,6 +566,30 @@ class TestGluedGroundState:
         pairs = [(int(s), float(a)) for s, a in (t.split(":") for t in spec.split(","))]
         potential = build_potential(pairs)
         assert _glued_ground_state(2 * k + 1, potential, *_roots(2 * k + 1, potential)[0]) is None
+
+    @pytest.mark.parametrize("k, spec", _WALLED_WELLS)
+    def test_walled_wells_exit_zero_with_the_ground_state(self, k, spec, tmp_path):
+        # both sweeps cross a wall into the well, so its entries lie beyond
+        # the double range on either side of the glue site; scaled from that
+        # site alone they overflowed, into zero vectors (the first two) or
+        # an OverflowError (the third).  The last one's glued vector is
+        # rejected by its bound, and inverse iteration delivers
+        from pathgap.cli import main
+
+        out = tmp_path / "spectrum.json"
+        assert main(["spectrum", "--k", str(k), f"--potential={spec}",
+                     "--format", "json", "--out", str(out)]) == 0
+        pairs = parse_potential_spec(spec).entries
+        psi = spectrum_low(_op(k, pairs)).ground_state
+        assert np.max(np.abs(psi - mp_ground_state(k, pairs))) <= 5e-16
+
+    @pytest.mark.parametrize("k, spec", _WALLED_WELLS[:3])
+    def test_walled_wells_are_scaled_to_the_double_range(self, k, spec):
+        potential = parse_potential_spec(spec)
+        psi, err = _glued_ground_state(2 * k + 1, potential, *_roots(2 * k + 1, potential)[0])
+        want = mp_ground_state(k, potential.entries)
+        assert np.max(np.abs(psi - want)) <= 5e-16
+        assert np.linalg.norm(psi - want) <= err
 
 
 # lambda(u) sits at a fraction of (0, 4) shifted by the golden ratio, so the
