@@ -22,9 +22,9 @@ state uses ``bounds.EPSILON`` and band statistics start at
 ``scaling.BAND_K_MIN``.
 
 Exit codes: 0 success / all applicable checks hold, 1 a bound check failed,
-2 input or parse error (an unreadable input or unwritable ``--out`` too),
-3 numerical failure: neither inverse iteration nor the closed-form
-construction certifies a ground state.
+2 input or parse error (an unreadable input, an unwritable ``--out`` or a
+path too long for memory too), 3 numerical failure: neither the closed
+form nor inverse iteration gives a ground state.
 """
 from __future__ import annotations
 
@@ -155,12 +155,20 @@ def _emit_json(payload: dict, args: argparse.Namespace) -> None:
     _emit(to_json(payload) + "\n", args.out)
 
 
+def _spectrum_low(op):
+    """``spectrum_low(op)``, with a MemoryError that names k."""
+    try:
+        return spectrum_low(op)
+    except MemoryError:
+        raise MemoryError(f"out of memory at k = {op.k}") from None
+
+
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.k is None:
         raise ValueError("spectrum requires --k")
     potential = parse_potential_spec(args.potential)
     op = assemble_hamiltonian(args.k, potential)
-    res = spectrum_low(op)
+    res = _spectrum_low(op)
     phi = res.ground_state
     n = op.n
     payload = {
@@ -233,7 +241,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     points = []
     for k in grid:
         op = assemble_hamiltonian(k, potential)
-        points.append(evaluate_bounds(op, spectrum_low(op)).to_dict())
+        points.append(evaluate_bounds(op, _spectrum_low(op)).to_dict())
     all_hold = all(point["all_hold"] for point in points)
     payload = {
         "potential": potential.spec_string(),
@@ -315,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConvergenceError, PositivityError) as err:
         print(f"pathgap: numerical failure: {err}", file=sys.stderr)
         return 3
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:
         print(f"pathgap: {err}", file=sys.stderr)
         return 2
 

@@ -11,9 +11,9 @@ Sturm count of ``_kernels`` (plain Python over float64 buffers) to the
 relative width ``REL_TOL`` = 1e-14, inside the lambda-image of those
 brackets, which decides every midpoint outside it without a sweep; the
 free path takes its closed forms.  Its ground state is the closed form
-glued across the support (``_glued_ground_state``) where one
-inverse-iteration solve vouches for it, otherwise inverse iteration's, and
-the glued vector again where inverse iteration fails.  Both return a
+glued across the support (``_glued_ground_state``) wherever the
+construction vouches for it and one inverse-iteration solve does not
+reject it, otherwise inverse iteration's.  Both return a
 ``SpectralResult``: k, the two eigenvalues and the flag, with ``n`` and
 ``gap`` derived from them.  A gap below 10^3 ulp of its rounding scale
 (lambda1 for ``eigenvalues_low``, the matrix norm bound for
@@ -159,7 +159,7 @@ def _unit(w: np.ndarray) -> np.ndarray | None:
 def ground_state(op: TridiagonalOperator, lambda0: float, start: np.ndarray | None = None,
                  err: float = 0.0, gap: float = math.inf) -> np.ndarray:
     """Positive normalized ground state (read-only): ``start`` where one
-    inverse-iteration solve vouches for it, otherwise inverse iteration.
+    inverse-iteration solve does not reject it, otherwise inverse iteration.
 
     ``lambda0`` is the shift, the bisected ground energy; ``start`` a unit
     vector within ``err`` (normwise) of the ground state, and ``gap`` the
@@ -167,10 +167,9 @@ def ground_state(op: TridiagonalOperator, lambda0: float, start: np.ndarray | No
     and solved once from ``start``; the solution w, normalized and signed,
     is within ||H w - lambda0 w|| / gap of the ground state (Davis & Kahan,
     SIAM J. Numer. Anal. 7, 1970), so ``start`` is returned unchanged where
-    its residual is within 1e-11 * (4 + max strength) and ||w - start|| <=
-    ``CHANGE_TOL`` + 2 (||H w - lambda0 w|| / gap + err).  A gap below 10^3
-    ulp of the norm bound, which ``spectrum_low`` flags, makes that bound
-    vacuous, so there ``start`` is not tried.
+    its residual is within 1e-11 * (4 + max strength) and gap (||w - start||
+    - ``CHANGE_TOL`` - 2 err) <= 2 ||H w - lambda0 w||: no division, and a
+    gap ``spectrum_low`` flags passes any such start, which rests on ``err``.
 
     Otherwise inverse iteration runs from the flat vector: if the shifted
     factorization hit a pivot below 10^3 eps times the norm bound, the
@@ -187,11 +186,10 @@ def ground_state(op: TridiagonalOperator, lambda0: float, start: np.ndarray | No
     piv, mult, min_abs = _kernels.factor_shifted(
         op.diag, op.offdiag, lambda0, overflow_floor
     )
-    if (start is not None and gap >= GAP_ULP_FACTOR * math.ulp(op.norm_bound)
-            and _residual(op, lambda0, start) <= tol):
+    if start is not None and _residual(op, lambda0, start) <= tol:
         w = _unit(_kernels.solve_factored(piv, mult, op.offdiag, start))
-        if w is not None and float(np.linalg.norm(w - start)) <= (
-                CHANGE_TOL + 2.0 * (_residual(op, lambda0, w) / gap + err)):
+        if w is not None and gap * (float(np.linalg.norm(w - start)) - CHANGE_TOL
+                                    - 2.0 * err) <= 2.0 * _residual(op, lambda0, w):
             return start
     if min_abs < pivot_min:
         piv, mult, _ = _kernels.factor_shifted(
@@ -583,13 +581,11 @@ def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
     Otherwise each is bisected on the O(n) Sturm count from [0, norm_bound]
     inside the lambda-image of its certified u-bracket from ``_roots``,
     which decides every midpoint outside it without a sweep.  The ground
-    state is ``_glued_ground_state`` at the midpoint of u0's bracket where
-    one inverse-iteration solve at lambda0 vouches for it (``ground_state``
-    with that start; not where the gap is flagged), otherwise inverse
-    iteration's; where that raises, it is the glued vector unchecked, and
-    the error is raised again only where the construction does not vouch
-    for its vector either.  The gap is flagged below 10^3 ulp of the norm
-    bound."""
+    state is ``ground_state`` at lambda0 from ``_glued_ground_state`` at the
+    midpoint of u0's bracket: the glued vector wherever the construction
+    vouches for it and one solve does not reject it, otherwise inverse
+    iteration's, whose errors are raised.  The gap is flagged below 10^3
+    ulp of the norm bound."""
     n = op.n
     if op.potential.is_empty:
         lam0, lam1 = 0.0, _level(n, 0.0)
@@ -602,12 +598,7 @@ def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
     limited = lam1 - lam0 < GAP_ULP_FACTOR * math.ulp(op.norm_bound)
     glued = None if brackets is None else _glued_ground_state(n, op.potential, *brackets[0])
     start, err = glued or (None, 0.0)
-    try:
-        psi = ground_state(op, lam0, start, err, lam1 - lam0)
-    except (ConvergenceError, PositivityError):
-        if start is None:
-            raise
-        psi = start
+    psi = ground_state(op, lam0, start, err, lam1 - lam0)
     return SpectralResult(op.k, lam0, lam1, limited, psi)
 
 

@@ -1,6 +1,6 @@
 """Rewrite the golden CLI outputs of ``test_cli.GOLDEN_COMMANDS``.
 
-Usage: python tests/regenerate_golden.py [FILE ...]
+Usage: PYTHONPATH=src python tests/regenerate_golden.py [FILE ...]
 Overwrites tests/data/golden/FILE for each FILE named, or every golden file
 when none is.  Only do this after an intended change of the output, and say
 which fields moved; ``test_cli.TestDeterminism.test_golden_bytes`` compares

@@ -1,6 +1,6 @@
 """Recompute the pinned regression extrema over the standard grid.
 
-Usage: python tests/regenerate_regression.py
+Usage: PYTHONPATH=src python tests/regenerate_regression.py
 Overwrites tests/data/regression_values.json in place.  Only do this after
 an intentional change to the solver or grid; the acceptance suite asserts
 agreement with the pinned values within +-20%.

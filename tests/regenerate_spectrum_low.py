@@ -1,6 +1,6 @@
 """Rewrite the recorded ``spectrum_low`` outputs.
 
-Usage: python tests/regenerate_spectrum_low.py
+Usage: PYTHONPATH=src python tests/regenerate_spectrum_low.py
 Overwrites tests/data/spectrum_low_values.json.  Only do this after an
 intended change of the solver, and say which values moved;
 ``test_eigensolver.TestSpectrumLowHint.test_spectrum_low_is_bit_identical_to_the_recorded_values``
@@ -90,7 +90,7 @@ def main() -> None:
         f"10^U(-12, 12), seed {SEED}): levels as float.hex, the ground state as the "
         "SHA-256 of its float64 bytes, or the error raised. "
         "tests/test_eigensolver.py asserts that these stay bit for bit; "
-        "regenerate with python tests/regenerate_spectrum_low.py."
+        "regenerate with PYTHONPATH=src python tests/regenerate_spectrum_low.py."
     )
     out = Path(__file__).parent / "data" / "spectrum_low_values.json"
     recorded = {}

@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Criteria 6 and 8 compare empirical extrema against values pinned in
 tests/data/regression_values.json (+-20%); regenerate that file with
-``python tests/regenerate_regression.py`` after an intentional change.
+``PYTHONPATH=src python tests/regenerate_regression.py`` after an intentional change.
 """
 import json
 import math

@@ -22,7 +22,8 @@ from conftest import FALLBACK_CASES, checks, oracle, workloads
 GOLDEN = Path(__file__).parent / "data" / "golden"
 # Each file in tests/data/golden is the output of ``pathgap <args>
 # --no-timestamp --out tests/data/golden/<file>``, in this order (fit reads
-# the gap-scan file).  ``python tests/regenerate_golden.py`` rewrites them.
+# the gap-scan file).  ``PYTHONPATH=src python tests/regenerate_golden.py``
+# rewrites them.
 GOLDEN_COMMANDS = {
     "spectrum.json": ["spectrum", "--k", "20", "--potential", "0:1", "--format", "json"],
     "gap-scan.csv": ["gap-scan", "--potential", "0:1", "--k-grid", "20:80:geometric:4"],
@@ -288,6 +289,15 @@ class TestCommands:
     def test_verify_bounds_k_zero_exits_two(self, capsys):
         assert main(["verify-bounds", "--potential", "0:1", "--k-grid", "0:0:linear:1"]) == 2
         assert "grid needs 1 <= min <= max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["spectrum", "--k", "1000000000000000"],
+                                      ["verify-bounds", "--k-grid",
+                                       "1000000000000000:1000000000000000:linear:1"]])
+    def test_a_path_beyond_memory_exits_two_naming_k(self, capsys, argv):
+        # n = 2e15 + 1 doubles are 14.2 PiB, an allocation that fails at once
+        # (a k near 1e9 could really allocate memory, so none is tried)
+        assert main([*argv, "--potential", "0:1"]) == 2
+        assert capsys.readouterr().err == "pathgap: out of memory at k = 1000000000000000\n"
 
     def test_spectrum_k_zero_reaches_assemble_hamiltonian(self, capsys):
         assert main(["spectrum", "--potential", "0:1", "--k", "0"]) == 2

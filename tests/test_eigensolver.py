@@ -251,18 +251,17 @@ class TestGroundState:
         assert np.array_equal(got, ground_state(op, r.lambda0))
         assert np.linalg.norm(got - ground) <= 1e-9
 
-    def test_start_is_not_tried_where_the_gap_is_flagged(self):
-        # a gap below 10^3 ulp of the norm bound makes the residual/gap bound
-        # vacuous; the glued start passed it here, 2.4e-14 off mpmath like
-        # inverse iteration from the flat vector
+    def test_start_is_taken_where_the_gap_is_flagged(self):
+        # a gap below 10^3 ulp of the norm bound makes the residual/gap term
+        # vacuous, and the start rests on its own bound err; it is 2.8e-17
+        # off mpmath, where inverse iteration from the flat vector was 2.4e-14
         op = _op(73, [(-62, 623528892358.2329), (-42, 1.950268731830399e-06)])
         r = spectrum_low(op)
         assert r.precision_limited
         start, err = _glued_ground_state(op.n, op.potential, *_roots(op.n, op.potential)[0])
-        got = ground_state(op, r.lambda0, start, err, r.gap)
-        assert not np.array_equal(got, start)
-        assert np.array_equal(got, ground_state(op, r.lambda0))
-        assert np.array_equal(r.ground_state, got)
+        assert ground_state(op, r.lambda0, start, err, r.gap) is start
+        assert np.array_equal(r.ground_state, start)
+        assert np.max(np.abs(start - mp_ground_state(73, op.potential.entries))) <= 1e-16
 
     def test_paper_grid_takes_one_factorization_and_one_solve_per_point(self, monkeypatch):
         # with inverse iteration from the flat vector: 112 and 182
@@ -275,6 +274,21 @@ class TestGroundState:
             for k in ACCEPTANCE_GRID:
                 spectrum_low(assemble_hamiltonian(k, parse_potential_spec(spec)))
         assert calls == {"factor_shifted": 64, "solve_factored": 64}
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_ladder_takes_one_factorization_and_one_solve_per_point(self, monkeypatch, seed):
+        # with inverse iteration first on flagged gaps: 71 and 644 at seed 0,
+        # 71 and 738 at seed 7
+        calls = Counter()
+        for name in ("factor_shifted", "solve_factored"):
+            kernel = getattr(_kernels, name)
+            monkeypatch.setattr(_kernels, name, lambda *args, name=name, kernel=kernel:
+                                calls.update([name]) or kernel(*args))
+        ladder = [c for c in workloads.build("small-k", seed) if c.kind == "spectrum"]
+        assert len(ladder) == 48
+        for c in ladder:
+            spectrum_low(assemble_hamiltonian(c.ks[0], parse_potential_spec(c.potential)))
+        assert calls == {"factor_shifted": 48, "solve_factored": 48}
 
     @pytest.mark.parametrize("spec", BOUND_POTENTIALS)
     def test_spectrum_low_against_mpmath(self, spec):
@@ -520,7 +534,9 @@ class TestGluedGroundState:
     @pytest.mark.parametrize("k", workloads.LADDER_KS)
     def test_every_ladder_strength_exits_zero_with_the_closed_form(self, k, tmp_path):
         # inverse iteration raised at 12 of these 48 points; the construction
-        # holds at all of them, within 1.6e-16 of the even closed form
+        # holds at all of them, within 1.6e-16 of the even closed form, and
+        # spectrum_low returns it (inverse iteration, where it converged on
+        # a flagged gap, was up to 2.4e-9 off)
         from pathgap.cli import main
 
         for e in workloads.LADDER_EXPONENTS:
@@ -533,7 +549,26 @@ class TestGluedGroundState:
             psi, _ = _glued_ground_state(n, potential, *_roots(n, potential)[0])
             t = float(2 * mpmath.asin(mpmath.sqrt(oracle.levels(k, pairs)[0]) / 2))
             want = np.cos(t * (k - np.abs(np.arange(-k, k + 1)) + 0.5))
-            assert np.max(np.abs(psi - want / np.linalg.norm(want))) <= 1e-15, e
+            want /= np.linalg.norm(want)
+            assert np.max(np.abs(psi - want)) <= 1e-15, e
+            got = spectrum_low(assemble_hamiltonian(k, potential)).ground_state
+            assert np.max(np.abs(got - want)) <= 1e-15, e
+
+    def test_zero_gap_exits_zero_with_the_closed_form(self, tmp_path):
+        # the two levels coincide in double precision (gap exactly 0, and at
+        # 60 digits too, so the mpmath ground state is no reference here);
+        # inverse iteration's residual test, 1e-11 of a norm bound of 3.4e71,
+        # accepted the flat vector, 0.11 off.  The glued vector is 5.6e-17 off
+        # the even closed form cos(t (k - |j| + 1/2)), t = pi/(2k + 1)
+        from pathgap.cli import main
+
+        k, spec = 4, "0:3.3888804809460114e+71"
+        assert main(["spectrum", "--k", str(k), f"--potential={spec}", "--format", "json",
+                     "--out", str(tmp_path / "spectrum.json")]) == 0
+        r = spectrum_low(assemble_hamiltonian(k, parse_potential_spec(spec)))
+        assert r.gap == 0.0 and r.precision_limited
+        want = np.cos(math.pi / (2 * k + 1) * (k - np.abs(np.arange(-k, k + 1)) + 0.5))
+        assert np.max(np.abs(r.ground_state - want / np.linalg.norm(want))) <= 1e-15
 
     def test_spectrum_low_takes_it_where_inverse_iteration_fails(self):
         op = _op(20, [(0, 1e9)])
