@@ -24,7 +24,6 @@ from .bounds import (
 )
 from .eigensolver import (
     ConvergenceError,
-    PositivityError,
     SpectralResult,
     dirichlet_ground_energy,
     eigenvalue,

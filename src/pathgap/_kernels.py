@@ -12,7 +12,8 @@ A caller of ``bisect_bracket`` that knows the count outside an interval
 passes a certified band narrower than the stopping width, so it rarely
 sweeps at all.  The first site is a step of its own: seeding one loop
 with a zero off-diagonal term gives the same bits but costs 4-10% per
-call.
+call.  ``factor_shifted`` and ``solve_factored`` make the one solve at
+lambda0 that checks the glued ground state.
 """
 from __future__ import annotations
 
@@ -82,35 +83,28 @@ def bisect_bracket(diag, offsq, index, lo, hi, rel_tol, lam_floor, subst,
 def factor_shifted(diag, off, sigma, pivot_floor):
     """LU factorization (no pivoting) of the shifted matrix H - sigma*I.
 
-    Returns (pivots, multipliers, smallest |pivot| before clamping).
-    ``pivot_floor`` is an overflow guard, orders of magnitude below any
-    meaningful pivot: pivots below it (notably exact zeros) are replaced by
-    +-pivot_floor with their sign kept, so the solve blows up along the
-    wanted near-null direction instead of producing inf/NaN.  With
-    ``pivot_floor`` 0 an exact-zero pivot raises ZeroDivisionError.
+    Returns (pivots, multipliers).  ``pivot_floor`` is an overflow guard,
+    orders of magnitude below any meaningful pivot: pivots below it
+    (notably exact zeros) are replaced by +-pivot_floor with their sign
+    kept, so the solve blows up along the wanted near-null direction
+    instead of producing inf/NaN.  With ``pivot_floor`` 0 an exact-zero
+    pivot raises ZeroDivisionError.
     """
     diag = memoryview(diag)
     piv = array("d")
     mult = array("d")
-    min_abs = math.inf
     d = diag[0] - sigma
-    ad = abs(d)
-    if ad < min_abs:
-        min_abs = ad
-    if ad < pivot_floor:
+    if abs(d) < pivot_floor:
         d = pivot_floor if d >= 0.0 else -pivot_floor
     piv.append(d)
     for a, b in zip(diag[1:], memoryview(off)):
         m = b / d
         mult.append(m)
         d = (a - sigma) - m * b
-        ad = abs(d)
-        if ad < min_abs:
-            min_abs = ad
-        if ad < pivot_floor:
+        if abs(d) < pivot_floor:
             d = pivot_floor if d >= 0.0 else -pivot_floor
         piv.append(d)
-    return np.frombuffer(piv), np.frombuffer(mult), min_abs
+    return np.frombuffer(piv), np.frombuffer(mult)
 
 
 def solve_factored(piv, mult, off, rhs):

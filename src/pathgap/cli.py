@@ -23,8 +23,10 @@ state uses ``bounds.EPSILON`` and band statistics start at
 
 Exit codes: 0 success / all applicable checks hold, 1 a bound check failed,
 2 input or parse error (an unreadable input, an unwritable ``--out`` or a
-path too long for memory too), 3 numerical failure: neither the closed
-form nor inverse iteration gives a ground state.
+path too long for memory too), 3 numerical failure: no ground state that
+both the glued closed form's error bound and one inverse-iteration solve
+vouch for, as on mirror-symmetric double barriers such as
+``-1:1e8,1:1e8`` (spectrum and verify-bounds only).
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bounds import EPSILON, evaluate_bounds
-from .eigensolver import ConvergenceError, PositivityError, eigenvalues_low, spectrum_low
+from .eigensolver import ConvergenceError, eigenvalues_low, spectrum_low
 from .operators import Potential, assemble_hamiltonian, build_potential
 from .scaling import (
     GapSeries,
@@ -320,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConvergenceError, PositivityError) as err:
+    except ConvergenceError as err:
         print(f"pathgap: numerical failure: {err}", file=sys.stderr)
         return 3
     except (ValueError, MemoryError) as err:

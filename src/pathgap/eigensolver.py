@@ -1,6 +1,6 @@
 """Symmetric-tridiagonal eigensolver for path graphs: the two lowest levels
-on Sturm counts, the ground state from its closed form or by inverse
-iteration, and closed-form eigenvalue oracles.
+on Sturm counts, the ground state from its closed form, and closed-form
+eigenvalue oracles.
 
 ``eigenvalues_low`` (gap-scan, alpha-scan) writes a level as
 lambda = 4 sin^2(pi/(4s)), s = n/2 + u, and finds u by secant (Illinois)
@@ -11,12 +11,12 @@ Sturm count of ``_kernels`` (plain Python over float64 buffers) to the
 relative width ``REL_TOL`` = 1e-14, inside the lambda-image of those
 brackets, which decides every midpoint outside it without a sweep; the
 free path takes its closed forms.  Its ground state is the closed form
-glued across the support (``_glued_ground_state``) wherever the
-construction vouches for it and one inverse-iteration solve does not
-reject it, otherwise inverse iteration's.  Both return a
-``SpectralResult``: k, the two eigenvalues and the flag, with ``n`` and
-``gap`` derived from them.  A gap below 10^3 ulp of its rounding scale
-(lambda1 for ``eigenvalues_low``, the matrix norm bound for
+glued across the support (``_glued_ground_state``) under a first-order
+running error bound, checked by one inverse-iteration solve
+(``ground_state``); where either declines it, ``ConvergenceError``.  Both
+return a ``SpectralResult``: k, the two eigenvalues and the flag, with
+``n`` and ``gap`` derived from them.  A gap below 10^3 ulp of its rounding
+scale (lambda1 for ``eigenvalues_low``, the matrix norm bound for
 ``spectrum_low``) carries ``precision_limited=True``, and downstream fits
 drop such points.
 """
@@ -34,7 +34,6 @@ from .operators import Potential, TridiagonalOperator, apply_operator
 __all__ = [
     "SpectralResult",
     "ConvergenceError",
-    "PositivityError",
     "sturm_count",
     "eigenvalue",
     "ground_state",
@@ -46,31 +45,27 @@ __all__ = [
 
 EPS = float(np.finfo(float).eps)
 # relative width at which every eigenvalue bracket stops; the bracketed
-# ground energy is also the inverse-iteration shift
+# ground energy is also the shift of the solve that checks the ground state
 REL_TOL = 1e-14
 # the level below which the stopping width is absolute: REL_TOL times it is
 # the smallest subnormal, so a subnormal level is bisected to its last bit
 LAMBDA_FLOOR = 5e-324 / REL_TOL
 # the smallest normal double; below it a Wronskian or a level has lost bits
 _NORMAL = sys.float_info.min
+# the largest normwise error bound at which the glued ground state is
+# taken, and the scale (times the norm bound) of the residual test of it
 RESIDUAL_SCALE = 1e-11
 GAP_ULP_FACTOR = 1e3
-MAX_SWEEPS = 50
-# iterate-change threshold: the shift sits within ~ulp of the true ground
-# energy, so one extra sweep shrinks the first-excited admixture by orders
-# of magnitude; iterating until the vector stops moving removes admixture
-# that the residual test alone cannot see when the gap is small.
+# slack for the rounding of the one solve in the Davis-Kahan test
 CHANGE_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
-    """Inverse iteration failed to converge; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+    """No ground state that both the glued construction's error bound and
+    one inverse-iteration solve vouch for."""
 
 
+# no longer raised; perfbench/tracer.py imports it by name
 class PositivityError(RuntimeError):
     """Computed ground state has a significantly negative entry."""
 
@@ -156,73 +151,35 @@ def _unit(w: np.ndarray) -> np.ndarray | None:
     return -w if float(np.sum(w)) < 0.0 else w
 
 
-def ground_state(op: TridiagonalOperator, lambda0: float, start: np.ndarray | None = None,
-                 err: float = 0.0, gap: float = math.inf) -> np.ndarray:
-    """Positive normalized ground state (read-only): ``start`` where one
-    inverse-iteration solve does not reject it, otherwise inverse iteration.
+def ground_state(op: TridiagonalOperator, lambda0: float, start: np.ndarray | None,
+                 err: float, gap: float) -> np.ndarray:
+    """``start``, the glued ground state (read-only), where one
+    inverse-iteration solve does not reject it; otherwise ConvergenceError.
 
     ``lambda0`` is the shift, the bisected ground energy; ``start`` a unit
-    vector within ``err`` (normwise) of the ground state, and ``gap`` the
-    distance from lambda0 to the next level.  H - lambda0 is factored once
-    and solved once from ``start``; the solution w, normalized and signed,
-    is within ||H w - lambda0 w|| / gap of the ground state (Davis & Kahan,
-    SIAM J. Numer. Anal. 7, 1970), so ``start`` is returned unchanged where
-    its residual is within 1e-11 * (4 + max strength) and gap (||w - start||
-    - ``CHANGE_TOL`` - 2 err) <= 2 ||H w - lambda0 w||: no division, and a
-    gap ``spectrum_low`` flags passes any such start, which rests on ``err``.
-
-    Otherwise inverse iteration runs from the flat vector: if the shifted
-    factorization hit a pivot below 10^3 eps times the norm bound, the
-    shift is nudged up by 2 ulp of the norm bound and the factorization
-    redone.  Tiny pivots beyond that are kept as-is (they drive the solve
-    along the wanted direction); only a microscopic overflow floor replaces
-    exact zeros.  Converged when ||H v - lambda0 v|| <= 1e-11 * (4 + max
-    strength) and the iterate has stopped moving.
+    vector within ``err`` (normwise) of the ground state, or None where the
+    construction does not vouch for one, and ``gap`` the distance from
+    lambda0 to the next level.  H - lambda0 is factored once and solved
+    once from ``start``; the solution w, normalized and signed, is within
+    ||H w - lambda0 w|| / gap of the ground state (Davis & Kahan, SIAM J.
+    Numer. Anal. 7, 1970), so ``start`` is returned where its residual is
+    within 1e-11 * (4 + max strength) and gap (||w - start|| - ``CHANGE_TOL``
+    - 2 err) <= 2 ||H w - lambda0 w||: no division, and a gap
+    ``spectrum_low`` flags passes any such start, which rests on ``err``.
     """
-    tol = RESIDUAL_SCALE * op.norm_bound
-    pivot_min = 1e3 * EPS * op.norm_bound
-    overflow_floor = 1e-150 * op.norm_bound
-    nudge = 2.0 * math.ulp(op.norm_bound)
-    piv, mult, min_abs = _kernels.factor_shifted(
-        op.diag, op.offdiag, lambda0, overflow_floor
-    )
-    if start is not None and _residual(op, lambda0, start) <= tol:
-        w = _unit(_kernels.solve_factored(piv, mult, op.offdiag, start))
-        if w is not None and gap * (float(np.linalg.norm(w - start)) - CHANGE_TOL
-                                    - 2.0 * err) <= 2.0 * _residual(op, lambda0, w):
-            return start
-    if min_abs < pivot_min:
-        piv, mult, _ = _kernels.factor_shifted(
-            op.diag, op.offdiag, lambda0 + nudge, overflow_floor
-        )
-
-    n = op.n
-    v = np.full(n, 1.0 / math.sqrt(n))
-    residual = math.inf
-    for _ in range(MAX_SWEEPS):
-        w = _unit(_kernels.solve_factored(piv, mult, op.offdiag, v))
-        if w is None:
-            raise ConvergenceError(
-                "inverse iteration produced a non-finite iterate", residual=residual
-            )
-        change = float(np.linalg.norm(w - v))
-        v = w
-        residual = _residual(op, lambda0, v)
-        if residual <= tol and change <= CHANGE_TOL:
-            break
-    else:
+    if start is None:
+        raise ConvergenceError("the closed form's error bound vouches for no ground state")
+    residual = _residual(op, lambda0, start)
+    if not residual <= RESIDUAL_SCALE * op.norm_bound:
         raise ConvergenceError(
-            f"inverse iteration did not converge in {MAX_SWEEPS} sweeps "
-            f"(last residual {residual:.3e}, tol {tol:.3e})",
-            residual=residual,
-        )
-
-    if float(np.min(v)) < -1e-14:
-        raise PositivityError(
-            f"positivity violated: ground-state entry {float(np.min(v)):.3e}"
-        )
-    v.flags.writeable = False
-    return v
+            f"the glued ground state's residual {residual:.3e} is above "
+            f"{RESIDUAL_SCALE:g} times the norm bound")
+    piv, mult = _kernels.factor_shifted(op.diag, op.offdiag, lambda0, 1e-150 * op.norm_bound)
+    w = _unit(_kernels.solve_factored(piv, mult, op.offdiag, start))
+    if w is None or not gap * (float(np.linalg.norm(w - start)) - CHANGE_TOL
+                               - 2.0 * err) <= 2.0 * _residual(op, lambda0, w):
+        raise ConvergenceError("one inverse-iteration solve rejects the glued ground state")
+    return start
 
 
 def _transfer(potential: Potential) -> tuple[float, float]:
@@ -474,65 +431,81 @@ def eigenvalues_low(op: TridiagonalOperator) -> SpectralResult:
     return SpectralResult(k=op.k, lambda0=lam0, lambda1=lam1, precision_limited=limited)
 
 
-def _cancellation(a: float, b: float) -> float:
-    """(|a| + |b|) / |a + b|: how much the sum a + b magnifies the relative
-    errors of a and b (inf where it cancels to zero)."""
-    total = abs(a + b)
-    return (abs(a) + abs(b)) / total if total else math.inf
-
-
-def _edge_sweep(deficit: float, phase: float, half: float, lam: float, strengths: list[float],
-                growth: float) -> tuple[list[tuple[float, int]], list[float]]:
+def _edge_sweep(start: tuple[float, float, float, float, float, float], lam: float, dlam: float,
+                strengths: list[float]) -> list[tuple[float, float, int, float, float]]:
     """psi across the support from one edge, in the order of ``strengths``,
-    where the free profile outside is sin(deficit + 2 half i) at i sites
-    from the edge (deficit + half + phase = pi/2): at each support site the
-    pair (m, e) with psi = m 2^e, and ``growth`` times the product of the
-    cancellation factors of every sum the ``_sweep`` recurrence formed on
-    the way there (a - lambda, the new difference w and the new value v)."""
-    v = math.sin(deficit)
-    w = -2.0 * math.sin(half) * _cos(deficit + half, phase)
+    by the recurrence of ``_sweep``, with a first-order running error bound
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
+
+    ``start`` is (v, w, E_v, E_w, sq, esq): psi at the edge site, its
+    forward difference w, their error bounds, the squared norm of the free
+    stretch outside and that of its error bounds; ``dlam`` bounds the error
+    of lambda.  At each support site the tuple (v, E, e, sq, esq): psi =
+    v 2^e, its error at most E 2^e, and the sums of the squares of psi and
+    of the error bounds from the far end of the free stretch up to the
+    site, times 2^-2e.  (v, w), (E_v, E_w) and the sums are rescaled by the
+    same powers of two."""
+    v, w, ev, ew, sq, esq = start
     e = 0
-    values, growths = [(v, e)], [growth]
-    for a in strengths[:-1]:
-        v, w, e = _rescaled(v, w, e)
-        step = (a - lam) * v
-        growth *= _cancellation(a, -lam) * _cancellation(w, step) * _cancellation(v, w + step)
+    out = []
+    for a in strengths:  # the step after the last site is not read
+        d = 1 + math.frexp(max(abs(v), abs(w)))[1]
+        v, w, ev, ew = (math.ldexp(x, -d) for x in (v, w, ev, ew))
+        sq, esq, e = math.ldexp(sq, -2 * d), math.ldexp(esq, -2 * d), e + d
+        sq, esq = sq + v * v, esq + ev * ev
+        out.append((v, ev, e, sq, esq))
+        c = a - lam
+        step = c * v
+        ew += abs(c) * ev + abs(v) * (EPS * abs(c) + dlam) + EPS * abs(step)
         w += step
+        ew += EPS * abs(w)
         v += w
-        values.append((v, e))
-        growths.append(growth)
-    return values, growths
+        ev += ew + EPS * abs(v)
+    return out
 
 
-def _split(values: list[tuple[float, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (m, e), psi = m 2^e, as arrays of mantissas in [1/2, 1) (0 for
-    a zero) and of exponents."""
-    mantissas, exponents = np.frexp([m for m, _ in values])
-    return mantissas, exponents + np.array([e for _, e in values])
+def _split(rows: list[tuple[float, float, int, float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """The values psi = v 2^e of ``_edge_sweep`` rows as arrays of
+    mantissas in [1/2, 1) (0 for a zero) and of exponents."""
+    mantissas, exponents = np.frexp([v for v, *_ in rows])
+    return mantissas, exponents + np.array([e for _, _, e, *_ in rows])
 
 
 def _glued_ground_state(n: int, potential: Potential, lo: float,
                         hi: float) -> tuple[np.ndarray, float] | None:
     """The ground state from its closed form at the midpoint u of u0's
-    bracket (lo, hi], with its error bound, or None where the construction
-    cannot vouch for it.
+    bracket (lo, hi], with a normwise bound on its error, or None where the
+    bound does not vouch for it.
 
     With t = pi/(2s) it is sin(defL + t (r_min - j)) left of the support and
     sin(defR + t (j - r_max)) right of it (the deficits of ``_sweep``).
-    ``_edge_sweep`` carries each profile across the support; the two are
-    glued at the support site g where the product G of both sweeps'
-    cancellation factors is smallest, the right one scaled to meet the left
-    one there.  Each sweep's first factor is that of its deficit,
-    (hi - lo + EPS (|u| + |r|)) / (EPS |u - r|) at the support edge r: u is
-    known only to the bracket's width.  A rounded operation commits a
-    relative error of at most EPS and a sum magnifies what it is handed by
-    its cancellation factor, so every entry of the glued vector is within
-    about err = 3 (r_max - r_min + 2) EPS G relative of the ground state,
-    so the unit vector is within about err of it normwise, and ||H psi -
-    lambda0 psi|| within err times the norm bound.  The vector is returned
-    with err where err is at most ``RESIDUAL_SCALE``, the residual inverse
-    iteration converges to.  Both sides are scaled by the power of two that
-    takes their largest entry into the double range, so no entry overflows.
+    ``_edge_sweep`` carries each profile across the support with a running
+    error bound, from the first-order errors of its inputs (u is known to
+    the bracket's half-width):
+
+        du = (hi - lo)/2 + eps |u|,  ds = du + eps s,
+        dt = t (ds/s + 2 eps),  dlam = 2 sin(t) dt + 4 eps lambda,
+        ddef = (pi/2) du (n/2 + r)/s^2 + 4 eps |def|
+
+    at the support edge r (r_min, and -r_max for defR), from the derivative
+    of (u - r)/s in u, which stays small where the bracket is wide (a
+    subnormal strength); the edge site starts with |cos def| ddef + eps |v|
+    and its difference w = -2 sin(t/2) cos(def + t/2) with 2 sin(t/2)
+    (ddef + dt/2 + 4 eps) + |cos(def + t/2)| dt.  A free stretch of m sites
+    adds sqrt(m) (ddef + m dt + 4 eps) to its side's error norm.  The
+    right side is scaled to meet the left one at a glue site g, the scale
+    off by at most eps_s = E_L(g)/|L(g)| + E_R(g)/|R(g)| relative; g is
+    admissible where eps_s < 1/2, and the unit vector is then within
+
+        (||E_L|| + |scale| ||E_R||) / ||psi||
+            + 2 eps_s ||L|| ||scale R|| / ||psi||^2
+
+    of the ground state, to first order.  The admissible g with the
+    smallest bound is taken, and the vector returned with it where it is at
+    most ``RESIDUAL_SCALE``.  The bound is first order, not a proof:
+    ``ground_state`` checks it with one solve.  Both sides are scaled by the
+    power of two that takes their largest entry into the double range, so
+    no entry overflows.
     """
     k, rmin, rmax = n // 2, potential.site_min, potential.site_max
     u = 0.5 * (lo + hi)
@@ -540,19 +513,43 @@ def _glued_ground_state(n: int, potential: Potential, lo: float,
     half = 0.25 * math.pi / s
     lam, t = 4.0 * math.sin(half) ** 2, 2.0 * half
     def_l, def_r = 0.5 * math.pi * (u - rmin) / s, 0.5 * math.pi * (u + rmax) / s
+    du = 0.5 * (hi - lo) + EPS * abs(u)
+    ds = du + EPS * s
+    dt = t * (ds / s + 2.0 * EPS)
+    dlam = 2.0 * math.sin(t) * dt + 4.0 * EPS * lam
+    j = np.arange(-k, k + 1, dtype=float)
+    free_l = np.sin(def_l + t * (rmin - j[: rmin + k]))
+    free_r = np.sin(def_r + t * (j[rmax + k + 1:] - rmax))
     strengths = dict(potential.entries)
     support = [strengths.get(site, 0.0) for site in range(rmin, rmax + 1)]
 
-    def deficit_growth(r: int) -> float:
-        return (hi - lo + EPS * (abs(u) + abs(r))) / (EPS * abs(u - r)) if u != r else math.inf
+    def sweep(deficit, r, phase, order, free):
+        ddef = 0.5 * math.pi * (du / s) * ((0.5 * n + r) / s) + 4.0 * EPS * abs(deficit)
+        cos_phase = _cos(deficit + half, phase)
+        v, w = math.sin(deficit), -2.0 * math.sin(half) * cos_phase
+        ev = abs(math.cos(deficit)) * ddef + EPS * abs(v)
+        ew = 2.0 * math.sin(half) * (ddef + 0.5 * dt + 4.0 * EPS) + abs(cos_phase) * dt
+        free_err = math.sqrt(free.size) * (ddef + free.size * dt + 4.0 * EPS)
+        return _edge_sweep((v, w, ev, ew, float(free @ free), free_err * free_err), lam, dlam,
+                           order)
 
-    left, grow_l = _edge_sweep(def_l, t * (k + rmin), half, lam, support, deficit_growth(rmin))
-    right, grow_r = _edge_sweep(def_r, t * (k - rmax), half, lam, support[::-1],
-                                deficit_growth(-rmax))
-    right, grow_r = right[::-1], grow_r[::-1]
-    growth, g = min((a * b, i) for i, (a, b) in enumerate(zip(grow_l, grow_r)))
-    err = 3.0 * (rmax - rmin + 2) * EPS * growth
-    if not err <= RESIDUAL_SCALE:
+    left = sweep(def_l, rmin, t * (k + rmin), support, free_l)
+    right = sweep(def_r, -rmax, t * (k - rmax), support[::-1], free_r)[::-1]
+    # each side in units of its entry at g, so at least 1 (its square can
+    # underflow): a norm of nan or inf (a side many orders of magnitude
+    # above its entry there) is never chosen
+    bound, g = math.inf, -1
+    for site, ((lv, lerr, _, lsq, lesq), (rv, rerr, _, rsq, resq)) in enumerate(zip(left, right)):
+        if lv == 0.0 or rv == 0.0:
+            continue
+        eps_s = lerr / abs(lv) + rerr / abs(rv)
+        nl, nr = max(1.0, math.sqrt(lsq) / abs(lv)), max(1.0, math.sqrt(rsq) / abs(rv))
+        norm_sq = nl * nl + nr * nr - 1.0  # the glue entry is in both sides
+        b = ((math.sqrt(lesq) / abs(lv) + math.sqrt(resq) / abs(rv)) / math.sqrt(norm_sq)
+             + 2.0 * eps_s * nl * nr / norm_sq)
+        if eps_s < 0.5 and b < bound:
+            bound, g = b, site
+    if not bound <= RESIDUAL_SCALE:
         return None
     # the right side times psi_L(g) / psi_R(g) = scale 2^shift, |scale| in
     # (1/2, 2); every entry times 2^-top, the least power that takes each
@@ -563,42 +560,40 @@ def _glued_ground_state(n: int, potential: Potential, lo: float,
     scale, shift = lm[-1] / rm[0], int(le[-1] - re[0])
     top = max(0, int(le.max()), int(re.max()) + shift + 1, shift + 1)
     psi = np.empty(n)
-    j = np.arange(-k, k + 1, dtype=float)
-    psi[: rmin + k] = np.ldexp(np.sin(def_l + t * (rmin - j[: rmin + k])), -top)
-    psi[rmax + k + 1:] = np.ldexp(scale * np.sin(def_r + t * (j[rmax + k + 1:] - rmax)),
-                                  shift - top)
+    psi[: rmin + k] = np.ldexp(free_l, -top)
+    psi[rmax + k + 1:] = np.ldexp(scale * free_r, shift - top)
     psi[rmin + k: rmin + k + g + 1] = np.ldexp(lm, le - top)
     psi[rmin + k + g: rmax + k + 1] = np.ldexp(scale * rm, re + shift - top)
     psi /= np.linalg.norm(psi)
     psi.flags.writeable = False
-    return psi, err
+    return psi, bound
 
 
 def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
     """Two lowest eigenvalues and the ground state.
 
-    On the free path the levels are the closed forms 0 and 4 sin^2(pi/(2n)).
-    Otherwise each is bisected on the O(n) Sturm count from [0, norm_bound]
-    inside the lambda-image of its certified u-bracket from ``_roots``,
-    which decides every midpoint outside it without a sweep.  The ground
-    state is ``ground_state`` at lambda0 from ``_glued_ground_state`` at the
-    midpoint of u0's bracket: the glued vector wherever the construction
-    vouches for it and one solve does not reject it, otherwise inverse
-    iteration's, whose errors are raised.  The gap is flagged below 10^3
-    ulp of the norm bound."""
+    On the free path the levels are the closed forms 0 and 4 sin^2(pi/(2n)),
+    and the ground state is the flat vector 1/sqrt(n).  Otherwise each level
+    is bisected on the O(n) Sturm count from [0, norm_bound] inside the
+    lambda-image of its certified u-bracket from ``_roots``, which decides
+    every midpoint outside it without a sweep, and the ground state is
+    ``_glued_ground_state`` at the midpoint of u0's bracket, vouched for by
+    ``ground_state``'s one solve at lambda0; where either declines it,
+    ConvergenceError.  The gap is flagged below 10^3 ulp of the norm
+    bound."""
     n = op.n
     if op.potential.is_empty:
         lam0, lam1 = 0.0, _level(n, 0.0)
-        brackets = None
+        psi = np.full(n, 1.0 / math.sqrt(n))
+        psi.flags.writeable = False
     else:
         brackets = _roots(n, op.potential)
         (lo0, hi0), (lo1, hi1) = (_eigenvalue_bracket(op, i, (_level(n, hi), _level(n, lo)))
                                   for i, (lo, hi) in enumerate(brackets))
         lam0, lam1 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1)
+        start, err = _glued_ground_state(n, op.potential, *brackets[0]) or (None, 0.0)
+        psi = ground_state(op, lam0, start, err, lam1 - lam0)
     limited = lam1 - lam0 < GAP_ULP_FACTOR * math.ulp(op.norm_bound)
-    glued = None if brackets is None else _glued_ground_state(n, op.potential, *brackets[0])
-    start, err = glued or (None, 0.0)
-    psi = ground_state(op, lam0, start, err, lam1 - lam0)
     return SpectralResult(op.k, lam0, lam1, limited, psi)
 
 

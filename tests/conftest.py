@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -34,9 +35,18 @@ FALLBACK_CASES = ((10, "0:1e-3"), (100, "0:1e-6"), (6, "-5:1"), (6, "-4:1,5:2"),
                   (25600, "-8:100,8:100"))
 
 
-def mp_ground_state(k, pairs, dps=60):
+def mp_ground_state(k, pairs, dps=None):
     """The ground state in mpmath: lambda0 by bisection on the positivity
-    of the LDL^T pivots, then two inverse-iteration solves just below it."""
+    of the LDL^T pivots, then two inverse-iteration solves just below it.
+
+    ``dps`` defaults to 60 + 2 log10 of the largest strength a (at least
+    60): a barrier splits the two lowest levels by about 1/a relative, and
+    the two solves separate their states only where the working precision
+    resolves lambda0 far below that split.  At k = 4 with
+    0:3.3888804809460114e+71, 60 digits give a ground state 0.033
+    asymmetric."""
+    if dps is None:
+        dps = 60 + 2 * math.ceil(math.log10(max([1.0, *(a for _, a in pairs)])))
     with mpmath.workdps(dps):
         d = [mpmath.mpf(2)] * (2 * k + 1)
         d[0] = d[-1] = mpmath.mpf(1)

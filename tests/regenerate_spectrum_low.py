@@ -4,11 +4,11 @@ Usage: PYTHONPATH=src python tests/regenerate_spectrum_low.py
 Overwrites tests/data/spectrum_low_values.json.  Only do this after an
 intended change of the solver, and say which values moved;
 ``test_eigensolver.TestSpectrumLowHint.test_spectrum_low_is_bit_identical_to_the_recorded_values``
-compares ``spectrum_low`` with this file bit for bit.  For each case whose
-ground state moved, it prints the largest per-entry error against the
-60-digit mpmath ground state of the new vector and of inverse iteration
-from the flat vector (``ground_state`` with no start), and whether the
-latter is the vector recorded before.
+compares ``spectrum_low`` with this file bit for bit.  Every ground state
+is compared with the mpmath ground state (``conftest.mp_ground_state``):
+for each one that moved it prints the normwise error and its ratio to the
+glued construction's error bound, and at the end the worst ratio over all
+cases.  The mpmath references take a few minutes.
 """
 import hashlib
 import json
@@ -17,14 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from pathgap import (
-    ConvergenceError,
-    PositivityError,
-    assemble_hamiltonian,
-    build_potential,
-    ground_state,
-    spectrum_low,
-)
+from pathgap import ConvergenceError, assemble_hamiltonian, build_potential, spectrum_low
+from pathgap.eigensolver import _glued_ground_state, _roots
 
 from conftest import mp_ground_state
 
@@ -47,32 +41,26 @@ def cases() -> list[tuple[int, list[list]]]:
     return out
 
 
-def _sha256(psi: np.ndarray) -> str:
-    return hashlib.sha256(psi.tobytes()).hexdigest()
-
-
-def record(k: int, entries: list[list], recorded: dict | None = None) -> dict:
+def record(k: int, entries: list[list], recorded: dict | None, ratios: list[float]) -> dict:
     """Levels as float.hex, the flag and the SHA-256 of the ground state's
-    float64 bytes, or the name of the error raised.  Prints the errors
-    against mpmath where the ground state differs from ``recorded``."""
+    float64 bytes, or the name of the error raised.  Appends the ratio of
+    the ground state's error against mpmath to its bound to ``ratios``, and
+    prints both where the ground state differs from ``recorded``."""
     pairs = [tuple(pair) for pair in entries]
     op = assemble_hamiltonian(k, build_potential(pairs, empty_baseline=not pairs))
     try:
         res = spectrum_low(op)
-    except (ConvergenceError, PositivityError) as err:
+    except ConvergenceError as err:
+        print(f"k = {k} {entries}: {type(err).__name__}")
         return {"k": k, "entries": entries, "error": type(err).__name__}
-    sha = _sha256(res.ground_state)
-    if recorded is not None and recorded.get("ground_state_sha256") != sha:
-        want = mp_ground_state(k, pairs)
-        try:
-            flat = ground_state(op, res.lambda0)
-            flat_err = f"{np.max(np.abs(flat - want)):.2g}"
-            if _sha256(flat) == recorded.get("ground_state_sha256"):
-                flat_err += " (recorded)"
-        except (ConvergenceError, PositivityError) as err:
-            flat_err = type(err).__name__
-        print(f"k = {k} {entries}: {np.max(np.abs(res.ground_state - want)):.2g}, "
-              f"flat start {flat_err}")
+    sha = hashlib.sha256(res.ground_state.tobytes()).hexdigest()
+    if pairs:
+        bound = _glued_ground_state(op.n, op.potential, *_roots(op.n, op.potential)[0])[1]
+        err = float(np.linalg.norm(res.ground_state - mp_ground_state(k, pairs)))
+        ratios.append(err / bound)
+        if recorded is None or recorded.get("ground_state_sha256") != sha:
+            print(f"k = {k} {entries}: error {err:.2g}, bound {bound:.2g}, "
+                  f"ratio {err / bound:.2g}")
     return {
         "k": k,
         "entries": entries,
@@ -97,9 +85,12 @@ def main() -> None:
     if out.exists():
         recorded = {(case["k"], json.dumps(case["entries"])): case
                     for case in json.loads(out.read_text())["cases"]}
-    rows = ",\n".join("  " + json.dumps(record(k, entries, recorded.get((k, json.dumps(entries)))))
-                       for k, entries in cases())
+    ratios: list[float] = []
+    rows = ",\n".join(
+        "  " + json.dumps(record(k, entries, recorded.get((k, json.dumps(entries))), ratios))
+        for k, entries in cases())
     out.write_text(f'{{\n "comment": {json.dumps(comment)},\n "cases": [\n{rows}\n ]\n}}\n')
+    print(f"worst error/bound ratio over {len(ratios)} ground states: {max(ratios):.2g}")
     print(f"wrote {out}")
 
 

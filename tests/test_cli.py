@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pathgap import fit_power_law, gap_series, geometric_grid
@@ -252,9 +253,9 @@ class TestCommands:
         assert code == 1
 
     def test_nonconvergence_exits_three(self, capsys):
-        # a mirror-symmetric double barrier: inverse iteration cannot
-        # settle, and the closed-form ground state cannot weigh the two
-        # wells either, so the CLI reports a numerical failure
+        # a mirror-symmetric double barrier: the digits of u0 cannot weigh
+        # the two wells, so no glue site is admissible and the error bound
+        # vouches for no ground state; the CLI reports a numerical failure
         code = main(["spectrum", "--k", "20", "--potential=-1:1e8,1:1e8"])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -303,10 +304,26 @@ class TestCommands:
         assert main(["spectrum", "--potential", "0:1", "--k", "0"]) == 2
         assert "half-width k must be a positive integer" in capsys.readouterr().err
 
+    def test_strong_barrier_at_k_200_exits_zero(self, tmp_path):
+        # a gap far below eps * ||H||, where no solve from the flat vector
+        # settles: the ground state is the glued closed form, which is even,
+        # cos(t (k - |j| + 1/2)) normalized
+        k, out = 200, tmp_path / "spectrum.json"
+        assert main(["spectrum", "--k", str(k), "--potential", "0:1e6", "--format", "json",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        lam0 = oracle.levels(k, ((0, 1e6),))[0]
+        t = 2 * math.asin(math.sqrt(float(lam0)) / 2)
+        want = np.cos(t * (k - np.abs(np.arange(-k, k + 1)) + 0.5))
+        want /= np.linalg.norm(want)
+        for key, value in (("min", want.min()), ("max", want.max()), ("at_origin", want[k])):
+            assert abs(payload[f"ground_state_{key}"] - value) <= 1e-15, key
+
     def test_gap_scan_needs_no_ground_state(self, capsys):
-        # the point where spectrum exits 3 (test_nonconvergence_exits_three):
-        # gap-scan reads only the eigenvalues, and the Wronskian roots
-        # resolve the gap, so it is reported unflagged and correct
+        # a gap far below eps * ||H||, where inverse iteration from the flat
+        # vector once made spectrum exit 3: gap-scan reads only the
+        # eigenvalues, and the Wronskian roots resolve the gap, so it is
+        # reported unflagged and correct
         assert main(["gap-scan", "--potential", "0:1000000", "--k-grid",
                      "200:201:linear:2", "--no-timestamp"]) == 0
         rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from pathgap import (
     ConvergenceError,
-    PositivityError,
     _kernels,
     apply_operator,
     assemble_hamiltonian,
@@ -179,14 +178,15 @@ class TestClosedForms:
 
 
 def _ground(op):
-    return ground_state(op, eigenvalue(op, 0))
+    return spectrum_low(op).ground_state
 
 
 class TestGroundState:
     def test_free_kernel_vector(self):
+        # the free path's closed form, without a solve
         op = _op(1, [])
         assert eigenvalue(op, 0) == pytest.approx(0.0, abs=1e-14)
-        assert _ground(op) == pytest.approx(np.full(3, 1 / math.sqrt(3)), abs=1e-12)
+        assert np.array_equal(_ground(op), np.full(3, 1 / math.sqrt(3)))
 
     def test_exact_3x3(self):
         phi = _ground(_op(1, [(0, 5.0)]))
@@ -203,8 +203,8 @@ class TestGroundState:
     @pytest.mark.parametrize("k,pairs", [(5, [(0, 1.0)]), (30, [(0, 8.0)]), (20, [(-2, 5.0), (3, 7.0)])])
     def test_contract(self, k, pairs):
         op = _op(k, pairs)
-        lam0 = eigenvalue(op, 0)
-        phi = ground_state(op, lam0)
+        r = spectrum_low(op)
+        lam0, phi = r.lambda0, r.ground_state
         assert float(np.min(phi)) > 0.0
         assert float(np.linalg.norm(phi)) == pytest.approx(1.0, abs=1e-13)
         assert float(np.sum(phi)) > 0.0
@@ -231,14 +231,10 @@ class TestGroundState:
                 eigenvalue(op, 0), rel=1e-12, abs=1e-15
             )
 
-    def test_unresolvable_gap_raises(self):
-        # gap far below eps * ||H||: the iterate cannot settle
-        with pytest.raises(ConvergenceError):
-            _ground(_op(200, [(0, 1e6)]))
-
     def test_start_with_an_excited_admixture_is_rejected(self):
         # its residual, 1e-6 gap, passes the residual test; one solve removes
-        # the admixture and so moves it by 1e-6, far beyond the bound
+        # the admixture and so moves it by 1e-6, far beyond the bound, and
+        # with no other path to a ground state that is a numerical failure
         op = _op(100, [(0, 1.0)])
         r = spectrum_low(op)
         vecs = np.linalg.eigh(_dense(op))[1]
@@ -247,9 +243,9 @@ class TestGroundState:
         start /= np.linalg.norm(start)
         assert np.linalg.norm(apply_operator(op, start) - r.lambda0 * start) <= (
             eigensolver.RESIDUAL_SCALE * op.norm_bound)
-        got = ground_state(op, r.lambda0, start, gap=r.gap)
-        assert np.array_equal(got, ground_state(op, r.lambda0))
-        assert np.linalg.norm(got - ground) <= 1e-9
+        with pytest.raises(ConvergenceError, match="rejects"):
+            ground_state(op, r.lambda0, start, 0.0, r.gap)
+        assert ground_state(op, r.lambda0, ground, 0.0, r.gap) is ground
 
     def test_start_is_taken_where_the_gap_is_flagged(self):
         # a gap below 10^3 ulp of the norm bound makes the residual/gap term
@@ -292,7 +288,7 @@ class TestGroundState:
 
     @pytest.mark.parametrize("spec", BOUND_POTENTIALS)
     def test_spectrum_low_against_mpmath(self, spec):
-        # the glued vector: at most 1.8e-16 per entry; inverse iteration
+        # the glued vector: at most 2.8e-17 per entry; inverse iteration
         # from the flat vector was 8.7e-16 to 1.8e-12 off
         pot = parse_potential_spec(spec)
         psi = spectrum_low(assemble_hamiltonian(100, pot)).ground_state
@@ -480,7 +476,7 @@ class TestSpectrumLowHint:
             op = _op(case["k"], [tuple(pair) for pair in case["entries"]])
             try:
                 res = spectrum_low(op)
-            except (ConvergenceError, PositivityError) as err:
+            except ConvergenceError as err:
                 assert type(err).__name__ == case.get("error"), case
                 continue
             got = {
@@ -523,6 +519,18 @@ class TestRootsFallback:
         assert _level(n, 0.5 * sum(brackets[0])) <= 5e-324
 
 
+# points where inverse iteration from the flat vector returned the first
+# excited state, 1.4 off normwise, and exited 0: one barrier too strong for
+# the factorization of H - lambda0 to see a gap below eps times the norm
+# bound.  The last three are recorded operators (spectrum_low_values.json)
+_EXCITED_STATE_POINTS = (
+    (20, ((-3, 1e10), (-2, 1.0), (4, 3e12))),
+    (238, ((60, 270578439604.99896),)),
+    (155, ((-49, 0.00032710746178693387), (-44, 7.7080754978363295), (74, 930496919493.4572))),
+    (190, ((-51, 47586929738.82373), (3, 2.4267200183699664e-05), (34, 204733054678.3947))),
+    (381, ((-94, 521556715791.26685), (207, 28221612736.516476), (360, 1.264835389167755))),
+)
+
 # a well between two walls: one wall site of strength 1e200 to 1.7e308 on
 # either side, and 26 sites of 1e13 on either side of a 7-site well
 _WALLED_WELLS = ((3, "-2:1e200,2:1e200"), (4, "-3:1e307,3:1e307"),
@@ -555,8 +563,7 @@ class TestGluedGroundState:
             assert np.max(np.abs(got - want)) <= 1e-15, e
 
     def test_zero_gap_exits_zero_with_the_closed_form(self, tmp_path):
-        # the two levels coincide in double precision (gap exactly 0, and at
-        # 60 digits too, so the mpmath ground state is no reference here);
+        # the two levels coincide in double precision (gap exactly 0);
         # inverse iteration's residual test, 1e-11 of a norm bound of 3.4e71,
         # accepted the flat vector, 0.11 off.  The glued vector is 5.6e-17 off
         # the even closed form cos(t (k - |j| + 1/2)), t = pi/(2k + 1)
@@ -570,12 +577,15 @@ class TestGluedGroundState:
         want = np.cos(math.pi / (2 * k + 1) * (k - np.abs(np.arange(-k, k + 1)) + 0.5))
         assert np.max(np.abs(r.ground_state - want / np.linalg.norm(want))) <= 1e-15
 
-    def test_spectrum_low_takes_it_where_inverse_iteration_fails(self):
+    def test_spectrum_low_returns_the_glued_vector(self):
+        # inverse iteration from the flat vector did not converge here; the
+        # glued vector is the only path, so without it ground_state raises
         op = _op(20, [(0, 1e9)])
-        with pytest.raises(ConvergenceError):
-            ground_state(op, spectrum_low(op).lambda0)
+        r = spectrum_low(op)
         psi, _ = _glued_ground_state(op.n, op.potential, *_roots(op.n, op.potential)[0])
-        assert np.array_equal(spectrum_low(op).ground_state, psi)
+        assert np.array_equal(r.ground_state, psi)
+        with pytest.raises(ConvergenceError, match="vouches for no ground state"):
+            ground_state(op, r.lambda0, None, 0.0, r.gap)
 
     @pytest.mark.parametrize("k", [6, 20])
     @pytest.mark.parametrize("spec", ["0:1e9", "0:1e12", "0:100", "0:1e3,1:1e9",
@@ -591,24 +601,57 @@ class TestGluedGroundState:
         # the bound it returns holds normwise
         assert np.linalg.norm(psi - want) <= err
 
+    @pytest.mark.parametrize("k, pairs", _EXCITED_STATE_POINTS)
+    def test_returns_the_ground_state_where_inverse_iteration_took_the_excited_one(self, k, pairs):
+        op = _op(k, pairs)
+        psi, bound = _glued_ground_state(op.n, op.potential, *_roots(op.n, op.potential)[0])
+        assert np.array_equal(spectrum_low(op).ground_state, psi)
+        err = np.linalg.norm(psi - mp_ground_state(k, pairs))
+        assert err <= 1e-15
+        assert err <= bound
+
+    def test_mp_ground_state_is_a_reference_at_the_zero_gap(self):
+        # the two levels agree beyond 60 digits, where the mpmath ground
+        # state was 0.033 asymmetric; at its default precision it is
+        # mirror-symmetric and the even closed form, t = pi/(2k + 1)
+        k = 4
+        got = mp_ground_state(k, ((0, 3.3888804809460114e+71),))
+        assert np.max(np.abs(got - got[::-1])) <= 1e-16
+        want = np.cos(math.pi / (2 * k + 1) * (k - np.abs(np.arange(-k, k + 1)) + 0.5))
+        assert np.max(np.abs(got - want / np.linalg.norm(want))) <= 1e-15
+
     @pytest.mark.parametrize("k", [6, 20])
-    @pytest.mark.parametrize("spec", ["-1:1e12,1:1e12", "-1:1e8,1:1e8", "-2:1e4,2:1e4",
-                                      "-1:100,1:100"])
+    @pytest.mark.parametrize("spec", ["-1:1e12,1:1e12", "-1:1e8,1:1e8", "-2:1e4,2:1e4"])
     def test_rejects_symmetric_double_barriers(self, k, spec):
         # glued without the bound these err by 1.6e-13 to 0.45 per entry:
         # two wells of nearly equal ground energy fix the weights of the two
-        # sides only through digits the bracket of u0 does not carry
+        # sides only through digits the bracket of u0 does not carry.  The
+        # bound is about 2e-7 on the third, above RESIDUAL_SCALE; no glue
+        # site is admissible on the other two
         pairs = [(int(s), float(a)) for s, a in (t.split(":") for t in spec.split(","))]
         potential = build_potential(pairs)
         assert _glued_ground_state(2 * k + 1, potential, *_roots(2 * k + 1, potential)[0]) is None
+        with pytest.raises(ConvergenceError):
+            spectrum_low(_op(k, pairs))
+
+    @pytest.mark.parametrize("k", [6, 20])
+    def test_vouches_for_a_weak_symmetric_double_barrier(self, k):
+        # bound 6e-12; inverse iteration from the flat vector was 1.3e-11
+        # (k = 6) and 2.8e-10 (k = 20) off
+        pairs = [(-1, 100.0), (1, 100.0)]
+        op = _op(k, pairs)
+        psi, bound = _glued_ground_state(op.n, op.potential, *_roots(op.n, op.potential)[0])
+        assert bound <= eigensolver.RESIDUAL_SCALE
+        assert np.array_equal(spectrum_low(op).ground_state, psi)
+        assert np.linalg.norm(psi - mp_ground_state(k, pairs)) <= bound
 
     @pytest.mark.parametrize("k, spec", _WALLED_WELLS)
     def test_walled_wells_exit_zero_with_the_ground_state(self, k, spec, tmp_path):
         # both sweeps cross a wall into the well, so its entries lie beyond
         # the double range on either side of the glue site; scaled from that
         # site alone they overflowed, into zero vectors (the first two) or
-        # an OverflowError (the third).  The last one's glued vector is
-        # rejected by its bound, and inverse iteration delivers
+        # an OverflowError (the third).  The last one's bound, 2.2e-13, is
+        # the largest of the four
         from pathgap.cli import main
 
         out = tmp_path / "spectrum.json"

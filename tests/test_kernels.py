@@ -53,25 +53,18 @@ def _ref_factor_shifted(diag, off, sigma, pivot_floor):
     n = diag.shape[0]
     piv = np.empty(n)
     mult = np.empty(n - 1)
-    min_abs = np.inf
     d = diag[0] - sigma
-    ad = abs(d)
-    if ad < min_abs:
-        min_abs = ad
-    if pivot_floor > 0.0 and ad < pivot_floor:
+    if pivot_floor > 0.0 and abs(d) < pivot_floor:
         d = pivot_floor if d >= 0.0 else -pivot_floor
     piv[0] = d
     for i in range(1, n):
         m = off[i - 1] / piv[i - 1]
         mult[i - 1] = m
         d = (diag[i] - sigma) - m * off[i - 1]
-        ad = abs(d)
-        if ad < min_abs:
-            min_abs = ad
-        if pivot_floor > 0.0 and ad < pivot_floor:
+        if pivot_floor > 0.0 and abs(d) < pivot_floor:
             d = pivot_floor if d >= 0.0 else -pivot_floor
         piv[i] = d
-    return piv, mult, min_abs
+    return piv, mult
 
 
 def _ref_solve_factored(piv, mult, off, rhs):
@@ -179,23 +172,21 @@ def test_bisect_bracket_matches_reference_on_the_paper_operator():
 def test_factor_and_solve_match_reference(matrix, shift):
     diag, off = matrix
     with np.errstate(all="ignore"):
-        want_piv, want_mult, want_min = _ref_factor_shifted(diag, off, shift, PIVOT_FLOOR)
-        piv, mult, min_abs = _kernels.factor_shifted(diag, off, shift, PIVOT_FLOOR)
+        want_piv, want_mult = _ref_factor_shifted(diag, off, shift, PIVOT_FLOOR)
+        piv, mult = _kernels.factor_shifted(diag, off, shift, PIVOT_FLOOR)
         assert _bits(piv) == _bits(want_piv)
         assert _bits(mult) == _bits(want_mult)
-        assert _bits(min_abs) == _bits(want_min)
 
         rhs = _frozen(np.linspace(1.0, 2.0, diag.shape[0]))
         x = _kernels.solve_factored(piv, mult, off, rhs)
         assert _bits(x) == _bits(_ref_solve_factored(want_piv, want_mult, off, rhs))
     assert x.dtype == np.float64 and x.shape == diag.shape
-    assert x.flags.writeable  # inverse iteration normalizes the iterate in place
+    assert x.flags.writeable  # ground_state normalizes the solution in place
 
 
 def test_exact_zero_pivots_take_the_substitutes():
     diag, off = _free_laplacian(5)
     # every pivot of the free Laplacian at 0 is 1 except the last, exactly 0
     assert _kernels.sturm_count(diag, off * off, 0.0, SUBST) == 0
-    piv, _, min_abs = _kernels.factor_shifted(diag, off, 0.0, PIVOT_FLOOR)
-    assert min_abs == 0.0
+    piv, _ = _kernels.factor_shifted(diag, off, 0.0, PIVOT_FLOOR)
     assert piv[-1] == PIVOT_FLOOR
