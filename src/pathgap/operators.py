@@ -34,8 +34,8 @@ __all__ = [
 class Potential:
     """Finite map site -> strength with all strengths finite and > 0.
 
-    The empty potential (free Laplacian baseline) is only available through
-    ``build_potential([], empty_baseline=True)``; bound evaluations reject it.
+    The empty potential, ``build_potential([])``, is the free Laplacian
+    baseline; bound evaluations reject it.
     """
 
     entries: tuple[tuple[int, float], ...]
@@ -102,10 +102,10 @@ class Potential:
 class TridiagonalOperator:
     """Symmetric tridiagonal matrix: Laplacian of a path plus the potential.
 
-    An operator is ``(k, potential)``; equality and hash are by them.
-    ``diag`` (length n = 2k+1) and ``offdiag`` (length n-1, all entries -1)
-    are read-only arrays built on first access, so a solver that reads
-    neither reaches any k.
+    An operator is ``(k, potential)``; equality and hash are by them.  The
+    coupling is -1 on every edge, so the only array is ``diag`` (length
+    n = 2k+1), read-only and built on first access: a solver that does not
+    read it reaches any k.
     """
 
     k: int
@@ -130,30 +130,18 @@ class TridiagonalOperator:
         diag.flags.writeable = False
         return diag
 
-    @cached_property
-    def offdiag(self) -> np.ndarray:
-        offdiag = np.full(self.n - 1, -1.0)
-        offdiag.flags.writeable = False
-        return offdiag
-
 
 def build_potential(
     pairs: list[tuple[int, float]] | tuple[tuple[int, float], ...],
-    *,
-    empty_baseline: bool = False,
 ) -> Potential:
     """Potential from (site, strength) pairs.
 
     The one validator of potentials: sites must be pairwise distinct
     integers and strengths finite and strictly positive; errors name the
-    offending pair by its 1-based position.  An empty list is only accepted
-    with ``empty_baseline=True`` (free Laplacian).
+    offending pair by its 1-based position.  An empty list is the free
+    Laplacian baseline.
     """
     pairs = list(pairs)
-    if not pairs:
-        if not empty_baseline:
-            raise ValueError("empty potential requires empty_baseline=True")
-        return Potential(())
     seen: set[int] = set()
     for i, (site, strength) in enumerate(pairs, start=1):
         if int(site) != site:
@@ -173,7 +161,7 @@ def build_potential(
 
 def assemble_hamiltonian(k: int, potential: Potential) -> TridiagonalOperator:
     """Tridiagonal operator on the path -k..k: diag(v) = degree(v) +
-    strength(v), offdiag = -1 (both built on first access).
+    strength(v) (built on first access), coupling -1 on every edge.
 
     Rejects a half-width k that is not a positive integer, and a non-empty
     potential whose support does not leave a non-empty sub-path on each
@@ -203,8 +191,8 @@ def apply_operator(op: TridiagonalOperator, f: np.ndarray) -> np.ndarray:
     if f.shape != (op.n,):
         raise ValueError(f"vector length {f.shape} does not match n = {op.n}")
     out = op.diag * f
-    out[:-1] += op.offdiag * f[1:]
-    out[1:] += op.offdiag * f[:-1]
+    out[:-1] -= f[1:]
+    out[1:] -= f[:-1]
     return out
 
 

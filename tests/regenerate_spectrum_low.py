@@ -47,7 +47,7 @@ def record(k: int, entries: list[list], recorded: dict | None, ratios: list[floa
     the ground state's error against mpmath to its bound to ``ratios``, and
     prints both where the ground state differs from ``recorded``."""
     pairs = [tuple(pair) for pair in entries]
-    op = assemble_hamiltonian(k, build_potential(pairs, empty_baseline=not pairs))
+    op = assemble_hamiltonian(k, build_potential(pairs))
     try:
         res = spectrum_low(op)
     except ConvergenceError as err:

@@ -49,7 +49,7 @@ def _within_regression(observed: float, pinned: float) -> bool:
 def test_criterion_01_eigensolver_oracle():
     worst = 0.0
     for k in range(1, 51):
-        op = assemble_hamiltonian(k, build_potential([], empty_baseline=True))
+        op = assemble_hamiltonian(k, build_potential([]))
         oracle = free_spectrum(k)
         for i in range(op.n):
             worst = max(worst, abs(eigenvalue(op, i) - oracle[i]))

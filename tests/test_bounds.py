@@ -68,7 +68,7 @@ class TestSideCorrections:
 
     def test_empty_potential_rejected(self):
         # assemble_hamiltonian accepts the empty baseline; the bounds do not
-        op = assemble_hamiltonian(1, build_potential([], empty_baseline=True))
+        op = assemble_hamiltonian(1, build_potential([]))
         with pytest.raises(ValueError, match="non-empty"):
             compute_side_corrections(op, np.ones(3) / math.sqrt(3))
 
@@ -317,7 +317,7 @@ class TestEvaluateBounds:
         )
 
     def test_empty_potential_rejected(self):
-        pot = build_potential([], empty_baseline=True)
+        pot = build_potential([])
         op = assemble_hamiltonian(5, pot)
         res = spectrum_low(op)
         with pytest.raises(ValueError, match="non-empty"):

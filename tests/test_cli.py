@@ -53,8 +53,8 @@ class TestParsePotentialSpec:
         assert p.entries == ((-1, 2.0), (0, 3.0), (1, 2.0))
         assert p.strength_sum == 7.0
 
-    def test_none_is_empty_baseline(self):
-        assert parse_potential_spec("none").is_empty
+    def test_none_is_the_free_baseline(self):
+        assert parse_potential_spec("none") == build_potential([])
         assert parse_potential_spec(" NONE ").is_empty
 
     def test_nonpositive_strength_names_token(self):

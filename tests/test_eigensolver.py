@@ -56,11 +56,11 @@ DATA = Path(__file__).parent / "data"
 
 
 def _op(k, pairs):
-    return assemble_hamiltonian(k, build_potential(pairs, empty_baseline=not pairs))
+    return assemble_hamiltonian(k, build_potential(pairs))
 
 
 def _dense(op):
-    return np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
+    return np.diag(op.diag) - np.eye(op.n, k=1) - np.eye(op.n, k=-1)
 
 
 class TestSturmCount:
@@ -577,6 +577,24 @@ class TestGluedGroundState:
         want = np.cos(math.pi / (2 * k + 1) * (k - np.abs(np.arange(-k, k + 1)) + 0.5))
         assert np.max(np.abs(r.ground_state - want / np.linalg.norm(want))) <= 1e-15
 
+    @pytest.mark.parametrize("k", [1, 3, 4, 20, 200])
+    @pytest.mark.parametrize("strength", ["1e155", "1e160", "1e200", "1e300"])
+    def test_strong_single_site_exits_zero_with_the_closed_form(self, tmp_path, k, strength):
+        # each side's norm is above 1e154 times its entry at the origin, so
+        # its square overflowed: the bound was 0.0 from 1e154, and NaN at
+        # every glue site (exit 3) from about 1e160
+        from pathgap.cli import main
+
+        spec = f"0:{strength}"
+        assert main(["spectrum", "--k", str(k), f"--potential={spec}", "--format", "json",
+                     "--out", str(tmp_path / "spectrum.json")]) == 0
+        op = assemble_hamiltonian(k, parse_potential_spec(spec))
+        _, err = _glued_ground_state(op.n, op.potential, *_roots(op.n, op.potential)[0])
+        assert 0.0 < err <= 1e-14
+        want = np.cos(math.pi / (2 * k + 1) * (k - np.abs(np.arange(-k, k + 1)) + 0.5))
+        psi = spectrum_low(op).ground_state
+        assert np.max(np.abs(psi - want / np.linalg.norm(want))) <= 2e-16
+
     def test_spectrum_low_returns_the_glued_vector(self):
         # inverse iteration from the flat vector did not converge here; the
         # glued vector is the only path, so without it ground_state raises
@@ -686,6 +704,5 @@ def test_sweep_count_is_the_sturm_count(sites, exponents, k, fraction):
     assume(lam > 0.0)
     u = math.pi / (4.0 * math.asin(math.sqrt(lam) / 2.0)) - 0.5 * op.n
     assume(0.5 * op.n + u > 0.5)
-    offsq = op.offdiag * op.offdiag
-    want = _kernels.sturm_count(op.diag, offsq, _level(op.n, u), EPS * op.norm_bound)
+    want = _kernels.sturm_count(op.diag, np.ones(op.n - 1), _level(op.n, u), EPS * op.norm_bound)
     assert _sweep(op.n, op.potential, u)[0] == want

@@ -158,7 +158,7 @@ def test_bisect_bracket_matches_reference(matrix, index, digits):
 def test_bisect_bracket_matches_reference_on_the_paper_operator():
     # the benchmark's size, n = 3201; the hypothesis cases above have n <= 24
     op = assemble_hamiltonian(1600, parse_potential_spec("0:1"))
-    offsq = op.offdiag * op.offdiag
+    offsq = np.ones(op.n - 1)
     subst = eigensolver.EPS * op.norm_bound
     for index in (0, 1):
         args = (op.diag, offsq, index, 0.0, op.norm_bound,
@@ -170,15 +170,17 @@ def test_bisect_bracket_matches_reference_on_the_paper_operator():
 @_examples
 @given(matrix=tridiagonals(), shift=_entry)
 def test_factor_and_solve_match_reference(matrix, shift):
-    diag, off = matrix
+    # the kernels use the path's unit coupling: the general reference at -1
+    diag = matrix[0]
+    off = _frozen(np.full(diag.shape[0] - 1, -1.0))
     with np.errstate(all="ignore"):
         want_piv, want_mult = _ref_factor_shifted(diag, off, shift, PIVOT_FLOOR)
-        piv, mult = _kernels.factor_shifted(diag, off, shift, PIVOT_FLOOR)
+        piv, mult = _kernels.factor_shifted(diag, shift, PIVOT_FLOOR)
         assert _bits(piv) == _bits(want_piv)
         assert _bits(mult) == _bits(want_mult)
 
         rhs = _frozen(np.linspace(1.0, 2.0, diag.shape[0]))
-        x = _kernels.solve_factored(piv, mult, off, rhs)
+        x = _kernels.solve_factored(piv, mult, rhs)
         assert _bits(x) == _bits(_ref_solve_factored(want_piv, want_mult, off, rhs))
     assert x.dtype == np.float64 and x.shape == diag.shape
     assert x.flags.writeable  # ground_state normalizes the solution in place
@@ -188,5 +190,5 @@ def test_exact_zero_pivots_take_the_substitutes():
     diag, off = _free_laplacian(5)
     # every pivot of the free Laplacian at 0 is 1 except the last, exactly 0
     assert _kernels.sturm_count(diag, off * off, 0.0, SUBST) == 0
-    piv, _ = _kernels.factor_shifted(diag, off, 0.0, PIVOT_FLOOR)
+    piv, _ = _kernels.factor_shifted(diag, 0.0, PIVOT_FLOOR)
     assert piv[-1] == PIVOT_FLOOR

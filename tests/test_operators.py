@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathgap import (
+    Potential,
     apply_operator,
     assemble_hamiltonian,
     build_potential,
@@ -16,7 +17,7 @@ from pathgap import (
 
 
 def _op(k, pairs):
-    return assemble_hamiltonian(k, build_potential(pairs, empty_baseline=not pairs))
+    return assemble_hamiltonian(k, build_potential(pairs))
 
 
 class TestBuildPotential:
@@ -59,11 +60,9 @@ class TestBuildPotential:
             with pytest.raises(ValueError, match="pair 1: non-"):
                 p.scaled(factor)
 
-    def test_empty_needs_flag(self):
-        with pytest.raises(ValueError):
-            build_potential([])
-        p = build_potential([], empty_baseline=True)
-        assert p.is_empty
+    def test_empty_is_the_free_baseline(self):
+        p = build_potential([])
+        assert p == Potential(()) and p.is_empty
         assert p.strength_sum == 0.0
         with pytest.raises(ValueError):
             p.site_min
@@ -78,17 +77,15 @@ class TestAssemble:
         diag[k] += 0.5
         assert op.n == 2 * k + 1
         assert op.diag.tolist() == diag
-        assert op.offdiag.tolist() == [-1.0] * (2 * k)
 
     @pytest.mark.parametrize("k", [0, -1, 2.5])
     def test_rejects_bad_k(self, k):
         with pytest.raises(ValueError, match="half-width k must be a positive integer"):
-            assemble_hamiltonian(k, build_potential([], empty_baseline=True))
+            assemble_hamiltonian(k, build_potential([]))
 
     def test_free_laplacian(self):
         op = _op(1, [])
         assert op.diag.tolist() == [1.0, 2.0, 1.0]
-        assert op.offdiag.tolist() == [-1.0, -1.0]
 
     def test_with_potential(self):
         op = _op(1, [(0, 5.0)])
@@ -106,6 +103,23 @@ class TestAssemble:
         op = _op(3, [(0, 1.0)])
         with pytest.raises(ValueError):
             op.diag[0] = 9.0
+
+    @pytest.mark.parametrize("k, pairs", [
+        (1, []), (1, [(0, 0.5)]), (7, [(-3, 2.0), (5, 1e3)]), (200, []),
+        (200, [(-199, 3.5), (0, 1.0), (150, 1e-9)]),
+    ])
+    def test_apply_operator_is_the_dense_path_laplacian(self, k, pairs):
+        # degree plus strength on the diagonal, -1 on every edge, built here
+        # without the operator; the columns agree exactly
+        n = 2 * k + 1
+        diag = np.full(n, 2.0)
+        diag[0] = diag[-1] = 1.0
+        for site, strength in pairs:
+            diag[site + k] += strength
+        dense = np.diag(diag) - np.eye(n, k=1) - np.eye(n, k=-1)
+        op = _op(k, pairs)
+        columns = np.column_stack([apply_operator(op, e) for e in np.eye(n)])
+        assert np.array_equal(columns, dense)
 
     def test_equality_and_hash_are_those_of_k_and_potential(self):
         p = build_potential([(0, 1.0)])

@@ -81,7 +81,7 @@ class TestGapSeries:
         assert pt.gap == pytest.approx(SQRT11 - 3.0, abs=1e-13)
 
     def test_free_baseline_point(self):
-        series = gap_series(build_potential([], empty_baseline=True), [100])
+        series = gap_series(build_potential([]), [100])
         assert series.points[0].gap == pytest.approx(
             dirichlet_ground_energy(100), abs=1e-13
         )
@@ -112,7 +112,7 @@ class TestScaledSequence:
         )
 
     def test_free_baseline_near_pi_squared(self):
-        series = gap_series(build_potential([], empty_baseline=True), [100])
+        series = gap_series(build_potential([]), [100])
         (pt,) = series.points
         value = pt.n**2 * pt.gap
         assert value == pytest.approx(201**2 * (2 - 2 * math.cos(math.pi / 201)), rel=1e-12)
@@ -121,7 +121,7 @@ class TestScaledSequence:
     def test_free_envelope_and_monotone(self):
         # n^2 * gap increases toward pi^2 inside the cosine-expansion envelope
         series = gap_series(
-            build_potential([], empty_baseline=True), list(range(10, 90, 7))
+            build_potential([]), list(range(10, 90, 7))
         )
         prev = -math.inf
         for pt in series.points:
@@ -155,7 +155,7 @@ class TestFitPowerLaw:
 
     def test_free_baseline_exponent(self):
         series = gap_series(
-            build_potential([], empty_baseline=True), geometric_grid(100, 800, 6)
+            build_potential([]), geometric_grid(100, 800, 6)
         )
         fit = fit_power_law(series)
         assert -2.01 <= fit.exponent <= -1.99
