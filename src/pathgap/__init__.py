@@ -43,14 +43,11 @@ from .operators import (
     rayleigh_quotient,
 )
 from .scaling import (
-    GapSeries,
     ScalingFit,
     fit_power_law,
     gap_series,
     geometric_grid,
     linear_grid,
-    series_from_csv,
-    series_to_csv,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,8 @@ support edge.  This module computes
 * single-site diagnostics (ground-state value at the origin, potential
   energy),
 
-and aggregates every inequality into a report with per-check status.
+and aggregates every inequality into a report with per-check status;
+``cli`` writes the report's fields.
 """
 from __future__ import annotations
 
@@ -96,12 +97,6 @@ class BoundCheck:
     def applicable(self) -> bool:
         return self.skipped_reason is None
 
-    def to_dict(self) -> dict:
-        d = {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "holds": self.holds}
-        if self.skipped_reason is not None:
-            d["skipped_reason"] = self.skipped_reason
-        return d
-
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -145,34 +140,6 @@ class BoundsReport:
     @property
     def all_hold(self) -> bool:
         return all(c.holds for c in self.checks if c.applicable)
-
-    def to_dict(self) -> dict:
-        res = self.result
-        d = {
-            "k": self.k,
-            "n": res.n,
-            "potential": self.potential.spec_string(),
-            "epsilon": EPSILON,
-            "lambda0": res.lambda0,
-            "lambda1": res.lambda1,
-            "gap": res.gap,
-            "ground_lower": self.ground_lower,
-            "ground_upper": self.ground_upper,
-            "excited_lower": self.excited_lower,
-            "excited_upper": self.excited_upper,
-            "side_energy_min": min(side_energies(self.k, self.potential)),
-            "side_energy_max": self.excited_upper,
-            "side_correction_left": self.side.left,
-            "side_correction_right": self.side.right,
-            "mixing_weight": None if self.trial is None else self.trial.mixing,
-            "all_hold": self.all_hold,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-        if self.potential.sites == (0,):
-            d["ground_at_origin"], d["potential_energy"], _ = single_site_diagnostics(
-                res, self.potential
-            )
-        return d
 
 
 def side_energies(k: int, potential: Potential) -> tuple[float, float]:

@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end, and the one module that turns results into
+bytes and back.
 
 Commands::
 
@@ -21,13 +22,17 @@ almost every midpoint, and take the free path's closed forms.  The trial
 state uses ``bounds.EPSILON`` and band statistics start at
 ``scaling.BAND_K_MIN``.
 
+Every format is here: the spec syntax and its inverse ``spec_string``,
+the report fields, and the gap-scan CSV and its reader.  Both CSVs take
+one field rule (``_scalar``: 17 significant digits, ``nan`` and ``inf``
+as such), which JSON shares with null for None and non-finite floats.
+
 Exit codes: 0 success / all applicable checks hold, 1 a bound check failed,
 2 input or parse error (an unreadable input, an unwritable ``--out`` or a
 path too long for memory too), 3 numerical failure: no ground state that
 both the glued closed form's error bound and one inverse-iteration solve
 vouch for, as on mirror-symmetric double barriers such as
-``-1:1e8,1:1e8`` or a strong single site off the origin such as
-``3:1e15`` at k = 20 (spectrum and verify-bounds only).
+``-1:1e8,1:1e8`` at k = 20 (spectrum and verify-bounds only).
 """
 from __future__ import annotations
 
@@ -38,20 +43,15 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import EPSILON, evaluate_bounds
-from .eigensolver import ConvergenceError, eigenvalues_low, spectrum_low
+from .bounds import EPSILON, BoundsReport, evaluate_bounds, side_energies, single_site_diagnostics
+from .eigensolver import ConvergenceError, SpectralResult, eigenvalues_low, spectrum_low
 from .operators import Potential, assemble_hamiltonian, build_potential
-from .scaling import (
-    GapSeries,
-    fit_power_law,
-    gap_series,
-    geometric_grid,
-    linear_grid,
-    series_from_csv,
-    series_to_csv,
-)
+from .scaling import ScalingFit, fit_power_law, gap_series, geometric_grid, linear_grid
 
-__all__ = ["parse_potential_spec", "parse_k_grid", "main"]
+__all__ = ["CSV_HEADER", "parse_potential_spec", "spec_string", "parse_k_grid", "to_json",
+           "series_to_csv", "series_from_csv", "report_fields", "fit_fields", "main"]
+
+CSV_HEADER = "k,n,alpha_sum,lambda0,lambda1,gap,gap_n2,gap_n3,precision_limited"
 
 
 def parse_potential_spec(s: str) -> Potential:
@@ -80,6 +80,18 @@ def parse_potential_spec(s: str) -> Potential:
     return build_potential(pairs)
 
 
+def spec_string(potential: Potential) -> str:
+    """Inverse of ``parse_potential_spec``, ``none`` for the empty baseline.
+
+    Each strength is written with ``:g`` when that reads back as the same
+    float, and with ``repr`` otherwise.
+    """
+    if potential.is_empty:
+        return "none"
+    return ",".join(f"{s}:{a:g}" if float(f"{a:g}") == a else f"{s}:{a!r}"
+                    for s, a in potential.entries)
+
+
 def parse_k_grid(s: str) -> list[int]:
     """Parse ``min:max:geometric|linear:count``."""
     parts = s.split(":")
@@ -99,22 +111,27 @@ def parse_k_grid(s: str) -> list[int]:
     raise ValueError(f"bad k-grid kind {kind!r}: use geometric or linear")
 
 
-def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
+def _scalar(value) -> str:
+    """A CSV field: true/false, an int, or a float that ``float`` reads back."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
-            return "null"
-        return format(v, ".17g")
+        return format(float(value), ".17g")
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _json_scalar(value) -> str:
+    """``_scalar``, with null for None and non-finite floats; strings quoted."""
+    if value is None:
+        return "null"
     if isinstance(value, str):
         out = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{out}"'
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return "null"
+    return _scalar(value)
 
 
 def to_json(value, indent: int = 0) -> str:
@@ -135,8 +152,9 @@ def to_json(value, indent: int = 0) -> str:
     return _json_scalar(value)
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def _timestamp(args: argparse.Namespace) -> str | None:
+    """The UTC time of the run, or None under ``--no-timestamp``."""
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ") if args.timestamp else None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -153,9 +171,142 @@ def _emit(text: str, out: str | None) -> None:
 def _emit_json(payload: dict, args: argparse.Namespace) -> None:
     """JSON report to ``--out``, led by a "generated" field unless
     ``--no-timestamp``."""
-    if args.timestamp:
-        payload = {"generated": _now(), **payload}
+    timestamp = _timestamp(args)
+    if timestamp is not None:
+        payload = {"generated": timestamp, **payload}
     _emit(to_json(payload) + "\n", args.out)
+
+
+def _csv(header: str, rows, timestamp: str | None) -> str:
+    """A ``# generated`` line unless ``timestamp`` is None, the header and
+    the rows."""
+    lines = [] if timestamp is None else [f"# generated {timestamp}"]
+    lines.append(header)
+    lines.extend(",".join(map(_scalar, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def series_to_csv(points: tuple[SpectralResult, ...], alpha_sum: float,
+                  timestamp: str | None = None) -> str:
+    """The gap-scan CSV of a sweep (``gap_series``), one row per point;
+    ``alpha_sum`` is the total strength of its potential."""
+    rows = ((pt.k, pt.n, alpha_sum, pt.lambda0, pt.lambda1, pt.gap, pt.n**2 * pt.gap,
+             pt.n**3 * pt.gap, pt.precision_limited) for pt in points)
+    return _csv(CSV_HEADER, rows, timestamp)
+
+
+def series_from_csv(text: str) -> tuple[SpectralResult, ...]:
+    """The points of a gap-scan CSV (the inverse of ``series_to_csv``; the
+    alpha_sum column is parsed, not kept).
+
+    Raises ValueError naming the row when a row has the wrong field count,
+    a field that does not parse, a k below 1 or not above the previous
+    row's, an n other than 2k+1, a gap other than lambda1 - lambda0, a
+    precision_limited other than true/false, or a gap_n2 / gap_n3 other
+    than n**2 * gap / n**3 * gap.
+    """
+    rows = [
+        line.strip()
+        for line in text.splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    if not rows or rows[0] != CSV_HEADER:
+        raise ValueError(
+            f"unrecognized gap-scan CSV (expected header {CSV_HEADER!r})"
+        )
+    points: list[SpectralResult] = []
+    for row in rows[1:]:
+        fields = row.split(",")
+        if len(fields) != 9:
+            raise ValueError(f"malformed CSV row: {row!r}")
+        try:
+            k, n = int(fields[0]), int(fields[1])
+            float(fields[2])  # alpha_sum: parsed, not kept
+            lam0, lam1, gap, gap_n2, gap_n3 = (float(f) for f in fields[3:8])
+        except ValueError as err:
+            raise ValueError(f"CSV row {row!r}: {err}") from None
+        flag = fields[8]
+        if k < 1:
+            raise ValueError(
+                f"CSV row {row!r}: half-width k must be a positive integer, got {k}"
+            )
+        if points and k <= points[-1].k:
+            raise ValueError(
+                f"CSV row {row!r}: k = {k} does not exceed the previous row's "
+                f"k = {points[-1].k}"
+            )
+        if n != 2 * k + 1:
+            raise ValueError(f"CSV row {row!r}: n = {n} is not 2k+1 for k = {k}")
+        # exact: gap-scan writes every float with 17 significant digits
+        if gap != lam1 - lam0:
+            raise ValueError(
+                f"CSV row {row!r}: gap = {gap!r} is not lambda1 - lambda0 = "
+                f"{lam1 - lam0!r}"
+            )
+        if flag not in ("true", "false"):
+            raise ValueError(
+                f"CSV row {row!r}: precision_limited must be true or false, got {flag!r}"
+            )
+        for name, scaled, p in (("gap_n2", gap_n2, 2), ("gap_n3", gap_n3, 3)):
+            if scaled != n**p * gap:
+                raise ValueError(
+                    f"CSV row {row!r}: {name} = {scaled!r} is not n**{p} * gap = "
+                    f"{n**p * gap!r}"
+                )
+        points.append(
+            SpectralResult(
+                k=k, lambda0=lam0, lambda1=lam1, precision_limited=flag == "true"
+            )
+        )
+    return tuple(points)
+
+
+def report_fields(rep: BoundsReport) -> dict:
+    """The fields of one ``verify-bounds`` point; a single site at the
+    origin adds its diagnostics."""
+    res, potential = rep.result, rep.potential
+    d = {
+        "k": rep.k,
+        "n": res.n,
+        "potential": spec_string(potential),
+        "epsilon": EPSILON,
+        "lambda0": res.lambda0,
+        "lambda1": res.lambda1,
+        "gap": res.gap,
+        "ground_lower": rep.ground_lower,
+        "ground_upper": rep.ground_upper,
+        "excited_lower": rep.excited_lower,
+        "excited_upper": rep.excited_upper,
+        "side_energy_min": min(side_energies(rep.k, potential)),
+        "side_energy_max": rep.excited_upper,
+        "side_correction_left": rep.side.left,
+        "side_correction_right": rep.side.right,
+        "mixing_weight": None if rep.trial is None else rep.trial.mixing,
+        "all_hold": rep.all_hold,
+        "checks": [
+            {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "holds": c.holds,
+             **({} if c.applicable else {"skipped_reason": c.skipped_reason})}
+            for c in rep.checks
+        ],
+    }
+    if potential.sites == (0,):
+        d["ground_at_origin"], d["potential_energy"], _ = single_site_diagnostics(res, potential)
+    return d
+
+
+def fit_fields(fit: ScalingFit, points: tuple[SpectralResult, ...]) -> dict:
+    """The fields of a ``fit`` report of ``fit_power_law(points)``."""
+    return {
+        "exponent": fit.exponent,
+        "prefactor": fit.prefactor,
+        "r_squared": fit.r_squared,
+        "band_min": fit.band_min,
+        "band_max": fit.band_max,
+        "band_ratio": fit.band_ratio,
+        "band_power": fit.band_power,
+        "points_excluded": fit.points_excluded,
+        "points_used": len(points) - fit.points_excluded,
+    }
 
 
 def _spectrum_low(op):
@@ -177,7 +328,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     payload = {
         "k": args.k,
         "n": n,
-        "potential": potential.spec_string(),
+        "potential": spec_string(potential),
         "lambda0": res.lambda0,
         "lambda1": res.lambda1,
         "gap": res.gap,
@@ -201,8 +352,8 @@ def _cmd_gap_scan(args: argparse.Namespace) -> int:
         raise ValueError("gap-scan requires --k-grid")
     k_values = parse_k_grid(args.k_grid)
     potential = parse_potential_spec(args.potential)
-    series = gap_series(potential, k_values)
-    _emit(series_to_csv(series, _now() if args.timestamp else None), args.out)
+    points = gap_series(potential, k_values)
+    _emit(series_to_csv(points, potential.strength_sum, _timestamp(args)), args.out)
     return 0
 
 
@@ -221,16 +372,12 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
     if base.is_empty:
         raise ValueError("alpha-scan needs a non-empty base potential to scale")
     n = 2 * args.k + 1
-    lines = []
-    if args.timestamp:
-        lines.append(f"# generated {_now()}")
-    lines.append("alpha,k,n,gap,alpha_n3_gap,precision_limited")
+    rows = []
     for a in alphas:
-        op = assemble_hamiltonian(args.k, base.scaled(a))
-        res = eigenvalues_low(op)
-        row = (a, args.k, n, res.gap, a * n**3 * res.gap, res.precision_limited)
-        lines.append(",".join(_json_scalar(v) for v in row))
-    _emit("\n".join(lines) + "\n", args.out)
+        res = eigenvalues_low(assemble_hamiltonian(args.k, base.scaled(a)))
+        rows.append((a, args.k, n, res.gap, a * n**3 * res.gap, res.precision_limited))
+    _emit(_csv("alpha,k,n,gap,alpha_n3_gap,precision_limited", rows, _timestamp(args)),
+          args.out)
     return 0
 
 
@@ -244,10 +391,10 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     points = []
     for k in grid:
         op = assemble_hamiltonian(k, potential)
-        points.append(evaluate_bounds(op, _spectrum_low(op)).to_dict())
+        points.append(report_fields(evaluate_bounds(op, _spectrum_low(op))))
     all_hold = all(point["all_hold"] for point in points)
     payload = {
-        "potential": potential.spec_string(),
+        "potential": spec_string(potential),
         "epsilon": EPSILON,
         "all_hold": all_hold,
         "points": points,
@@ -265,11 +412,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 text = fh.read()
         except OSError as err:
             raise ValueError(f"cannot read {args.input}: {err}") from None
-    series: GapSeries = series_from_csv(text)
-    fit = fit_power_law(series)
-    payload = fit.to_dict()
-    payload["points_used"] = len(series.points) - fit.points_excluded
-    _emit_json(payload, args)
+    points = series_from_csv(text)
+    _emit_json(fit_fields(fit_power_law(points), points), args)
     return 0
 
 

@@ -380,8 +380,8 @@ def _roots(n: int, potential: Potential) -> tuple[tuple[float, float], tuple[flo
     sigma, delta = _transfer(potential)
     ends = (sigma + 1.5 * delta, sigma, sigma - 1.5 * delta)
     # the gap needs each root to about EPS * Delta, each level to ulp(s)
-    tol = EPS * min(delta, 0.5 * n + ends[2])
-    tol = tol if 0.0 < tol < math.inf else 0.5 * EPS
+    scale = min(delta, 0.5 * n + ends[2])
+    tol = max(EPS * scale, math.ulp(0.0)) if 0.0 < scale < math.inf else 0.5 * EPS
     floor = 0.5 - 0.5 * n
     brackets = []
     for index in (0, 1):
@@ -472,6 +472,20 @@ def _split(rows: list[tuple[float, float, int, float, float]]) -> tuple[np.ndarr
     return mantissas, exponents + np.array([e for _, _, e, *_ in rows])
 
 
+def _glue(free_a: np.ndarray, rows_a: list, rows_b: list, free_b: np.ndarray) -> np.ndarray:
+    """``free_a``, the ``_edge_sweep`` rows ``rows_a`` up to the glue site,
+    and side b (``rows_b`` from it, ``free_b``) times a(g)/b(g) = scale
+    2^shift, |scale| in (1/2, 2) or 0; all times a power 2^-top that takes
+    each entry below 1 (|sin| <= 1, mantissas below 1): none overflows."""
+    am, ae = _split(rows_a)
+    bm, be = _split(rows_b)
+    scale, shift = am[-1] / bm[0], int(ae[-1] - be[0])
+    top = max(0, int(ae.max()), int(be.max()) + shift + 1, shift + 1)
+    return np.concatenate((np.ldexp(free_a, -top), np.ldexp(am[:-1], ae[:-1] - top),
+                           np.ldexp(scale * bm, be + shift - top),
+                           np.ldexp(scale * free_b, shift - top)))
+
+
 def _glued_ground_state(n: int, potential: Potential, lo: float,
                         hi: float) -> tuple[np.ndarray, float] | None:
     """The ground state from its closed form at the midpoint u of u0's
@@ -493,15 +507,18 @@ def _glued_ground_state(n: int, potential: Potential, lo: float,
     subnormal strength); the edge site starts with |cos def| ddef + eps |v|
     and its difference w = -2 sin(t/2) cos(def + t/2) with 2 sin(t/2)
     (ddef + dt/2 + 4 eps) + |cos(def + t/2)| dt.  A free stretch of m sites
-    adds sqrt(m) (ddef + m dt + 4 eps) to its side's error norm.  The
-    right side is scaled to meet the left one at a glue site g, the scale
-    off by at most eps_s = E_L(g)/|L(g)| + E_R(g)/|R(g)| relative; g is
-    admissible where eps_s < 1/2, and the unit vector is then within
+    adds sqrt(m) (ddef + m dt + 4 eps) to its side's error norm.  At a glue
+    site g one side, the divisor D, is scaled by N(g)/D(g) to meet the
+    other, N: D is the right side where E_R(g) < |R(g)|/2 and the left one
+    otherwise, and g is admissible where E_D(g) < |D(g)|/2.  The scale is
+    linear in N(g), which may be 0 or known to no digit (a strong site
+    next to the ground state's node), and off by at most
+    d = (E_N(g) + |scale| E_D(g)) / |D(g)|; the unit vector is then within
 
-        (||E_L|| + |scale| ||E_R||) / ||psi||
-            + 2 eps_s ||L|| ||scale R|| / ||psi||^2
+        (||E_N|| + |scale| ||E_D||) / ||psi|| + 2 d ||N|| ||D|| / ||psi||^2
 
-    of the ground state, to first order.  The admissible g with the
+    of the ground state, to first order, whichever side divides where
+    both entries are nonzero.  The admissible g with the
     smallest bound is taken, and the vector returned with it where it is at
     most ``RESIDUAL_SCALE``.  The bound is first order, not a proof:
     ``ground_state`` checks it with one solve.  Both sides are scaled by the
@@ -536,37 +553,33 @@ def _glued_ground_state(n: int, potential: Potential, lo: float,
 
     left = sweep(def_l, rmin, t * (k + rmin), support, free_l)
     right = sweep(def_r, -rmax, t * (k - rmax), support[::-1], free_r)[::-1]
-    # each side's norm in units of its entry at g (at least 1, its square
-    # can underflow), then of the larger one (no square overflows): a norm
-    # of nan or inf is never chosen
-    bound, g = math.inf, -1
-    for site, ((lv, lerr, _, lsq, lesq), (rv, rerr, _, rsq, resq)) in enumerate(zip(left, right)):
-        if lv == 0.0 or rv == 0.0:
+    # x = |N(g)|/||N|| and y = |D(g)|/||D|| are at most 1 (a norm is at
+    # least its entry, whose square can underflow); the glued vector times
+    # y/(||N|| m), m = max(x, y), is (y/m) N/||N|| beside (x/m) D/||D||, of
+    # norm^2 at least 1, so nothing overflows.  The right side divides
+    # wherever it may: the choice decides only whose rounding builds psi
+    bound, g, by_left = math.inf, -1, False
+    for site, rows in enumerate(zip(left, right)):
+        rel = [err / abs(v) if v else math.inf for v, err, *_ in rows]
+        if not min(rel) < 0.5:
             continue
-        eps_s = lerr / abs(lv) + rerr / abs(rv)
-        nl, nr = max(1.0, math.sqrt(lsq) / abs(lv)), max(1.0, math.sqrt(rsq) / abs(rv))
-        big = max(nl, nr)
-        nl, nr = nl / big, nr / big
-        norm_sq = nl * nl + nr * nr - (1.0 / big) ** 2  # the glue entry is in both sides
-        b = ((math.sqrt(lesq) / abs(lv) + math.sqrt(resq) / abs(rv)) / (big * math.sqrt(norm_sq))
-             + 2.0 * eps_s * nl * nr / norm_sq)
-        if eps_s < 0.5 and b < bound:
-            bound, g = b, site
+        left_divides = not rel[1] < 0.5
+        (nv, ne, _, nsq, nesq), (dv, de, _, dsq, desq) = rows[::-1] if left_divides else rows
+        norm_n, norm_d = max(math.sqrt(nsq), abs(nv)), max(math.sqrt(dsq), abs(dv))
+        x, y = abs(nv) / norm_n, abs(dv) / norm_d
+        m = max(x, y)
+        xs, ys = x / m, y / m
+        norm_sq = xs * xs + ys * ys - (xs * y) ** 2  # the glue entry is in both sides
+        b = ((ys * math.sqrt(nesq) / norm_n + xs * math.sqrt(desq) / norm_d) / math.sqrt(norm_sq)
+             + 2.0 * (ys * ne / norm_n + xs * de / norm_d) / (m * norm_sq))
+        if b < bound:
+            bound, g, by_left = b, site, left_divides
     if not bound <= RESIDUAL_SCALE:
         return None
-    # the right side times psi_L(g) / psi_R(g) = scale 2^shift, |scale| in
-    # (1/2, 2); every entry times 2^-top, the least power that takes each
-    # below 1 (|sin| <= 1, mantissas below 1), so an entry can underflow
-    # but not overflow
-    lm, le = _split(left[: g + 1])
-    rm, re = _split(right[g:])
-    scale, shift = lm[-1] / rm[0], int(le[-1] - re[0])
-    top = max(0, int(le.max()), int(re.max()) + shift + 1, shift + 1)
-    psi = np.empty(n)
-    psi[: rmin + k] = np.ldexp(free_l, -top)
-    psi[rmax + k + 1:] = np.ldexp(scale * free_r, shift - top)
-    psi[rmin + k: rmin + k + g + 1] = np.ldexp(lm, le - top)
-    psi[rmin + k + g: rmax + k + 1] = np.ldexp(scale * rm, re + shift - top)
+    if by_left:  # the mirror image, glued with the left side as the divisor
+        psi = _glue(free_r[::-1], right[g:][::-1], left[: g + 1][::-1], free_l[::-1])[::-1]
+    else:
+        psi = _glue(free_l, left[: g + 1], right[g:], free_r)
     psi /= np.linalg.norm(psi)
     psi.flags.writeable = False
     return psi, bound

@@ -9,7 +9,8 @@ off-diagonal = -1 on every edge.
 
 Sites are the public coordinate system; internally arrays are 0-indexed with
 index = site + k.  All types are immutable after construction and every
-operation is a pure function.
+operation is a pure function.  ``cli`` reads and writes the spec syntax of
+a potential.
 """
 from __future__ import annotations
 
@@ -81,17 +82,6 @@ class Potential:
         if self.is_empty:
             raise ValueError("cannot scale the empty baseline potential")
         return build_potential([(s, a * factor) for s, a in self.entries])
-
-    def spec_string(self) -> str:
-        """Inverse of the CLI spec syntax, ``none`` for the empty baseline.
-
-        Each strength is written with ``:g`` when that reads back as the
-        same float, and with ``repr`` otherwise.
-        """
-        if self.is_empty:
-            return "none"
-        return ",".join(f"{s}:{a:g}" if float(f"{a:g}") == a else f"{s}:{a!r}"
-                        for s, a in self.entries)
 
     def _require_nonempty(self) -> None:
         if self.is_empty:

@@ -24,6 +24,7 @@ from pathgap import (
 )
 from pathgap import bounds
 from pathgap.bounds import EPSILON
+from pathgap.cli import report_fields
 
 SQRT11 = math.sqrt(11.0)
 
@@ -295,7 +296,7 @@ class TestEvaluateBounds:
     def test_json_serialization(self):
         op, res = _op_low(30, [(0, 1.0)])
         rep = evaluate_bounds(op, res)
-        payload = rep.to_dict()
+        payload = report_fields(rep)
         text = json.dumps(payload)
         parsed = json.loads(text)
         assert parsed["k"] == 30
@@ -310,7 +311,7 @@ class TestEvaluateBounds:
         assert rep.ground_lower == ground_energy_lower_bound(op, rep.side)
         assert rep.ground_upper == ground_energy_upper_bound(op, rep.trial)
         assert (rep.excited_lower, rep.excited_upper) == excited_energy_bounds(op)
-        d = rep.to_dict()
+        d = report_fields(rep)
         assert (d["lambda0"], d["lambda1"], d["gap"]) == (res.lambda0, res.lambda1, res.gap)
         assert (d["side_energy_min"], d["side_energy_max"]) == (
             dirichlet_ground_energy(38), dirichlet_ground_energy(37)

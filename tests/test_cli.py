@@ -14,6 +14,8 @@ from pathgap.cli import (
     main,
     parse_k_grid,
     parse_potential_spec,
+    series_from_csv,
+    spec_string,
     to_json,
 )
 from pathgap.operators import build_potential
@@ -84,14 +86,14 @@ class TestParsePotentialSpec:
 
     def test_round_trip_with_spec_string(self):
         p = build_potential([(-2, 0.5), (4, 12.0)])
-        assert parse_potential_spec(p.spec_string()).entries == p.entries
+        assert parse_potential_spec(spec_string(p)).entries == p.entries
 
     @pytest.mark.parametrize("strengths", [
         (1.23456789, 1 / 3), (123456789.0, 1e-300),
     ])
     def test_round_trip_lossless_strengths(self, strengths):
         p = build_potential([(-2, strengths[0]), (4, strengths[1])])
-        assert parse_potential_spec(p.spec_string()).entries == p.entries
+        assert parse_potential_spec(spec_string(p)).entries == p.entries
 
 
 class TestParseKGrid:
@@ -206,6 +208,27 @@ class TestCommands:
         # alpha * n^3 * gap stays within a narrow band across strengths
         v = [float(r[4]) for r in rows]
         assert max(v) / min(v) < 2.0
+
+    def test_alpha_scan_writes_an_undefined_product_as_nan(self, capsys):
+        # the gap is 0 and 1e300 * n^3 overflows: inf * 0 is nan, which the
+        # CSV field rule writes as nan (JSON's would write null) and float()
+        # reads back
+        assert main(["alpha-scan", "--potential=0:1", "--k", "100000", "--alphas", "1e300",
+                     "--no-timestamp"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row == "1.0000000000000001e+300,100000,200001,0,nan,true"
+        assert math.isnan(float(row.split(",")[4]))
+
+    def test_gap_scan_with_an_infinite_alpha_sum_reads_back(self, tmp_path):
+        # each strength is finite, their sum is not
+        spec, grid = "0:1.7e308,1:1.7e308", "5:50:geometric:3"
+        out = tmp_path / "scan.csv"
+        assert main(["gap-scan", f"--potential={spec}", "--k-grid", grid, "--no-timestamp",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["inf"] * 3
+        assert series_from_csv(out.read_text()) == gap_series(parse_potential_spec(spec),
+                                                              parse_k_grid(grid))
 
     def test_alpha_scan_needs_base_potential(self, capsys):
         assert main(["alpha-scan", "--potential", "none", "--k", "10",

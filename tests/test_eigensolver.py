@@ -578,11 +578,14 @@ class TestGluedGroundState:
         assert np.max(np.abs(r.ground_state - want / np.linalg.norm(want))) <= 1e-15
 
     @pytest.mark.parametrize("k", [1, 3, 4, 20, 200])
-    @pytest.mark.parametrize("strength", ["1e155", "1e160", "1e200", "1e300"])
+    @pytest.mark.parametrize("strength", ["1e155", "1e160", "1e200", "1e300", "1.7e308"])
     def test_strong_single_site_exits_zero_with_the_closed_form(self, tmp_path, k, strength):
         # each side's norm is above 1e154 times its entry at the origin, so
         # its square overflowed: the bound was 0.0 from 1e154, and NaN at
-        # every glue site (exit 3) from about 1e160
+        # every glue site (exit 3) from about 1e160.  At 1.7e308 u0 is
+        # subnormal: its stopping width underflowed to 0 and fell back to
+        # EPS / 2 (a bracket 40% wide), and the norm in units of the
+        # subnormal entry overflowed
         from pathgap.cli import main
 
         spec = f"0:{strength}"
@@ -594,6 +597,27 @@ class TestGluedGroundState:
         want = np.cos(math.pi / (2 * k + 1) * (k - np.abs(np.arange(-k, k + 1)) + 0.5))
         psi = spectrum_low(op).ground_state
         assert np.max(np.abs(psi - want / np.linalg.norm(want))) <= 2e-16
+
+    @pytest.mark.parametrize("spec", ["3:1e15", "-7:1e15", "1:1e16", "-1:1e16"])
+    def test_strong_single_site_off_the_origin_exits_zero(self, tmp_path, spec):
+        # u0 lies within an ulp or two of the site, so the profile entering
+        # it from the small well's side is 0 (+-1:1e16) or known to no digit:
+        # the scale is linear in that entry, and only the divisor, the other
+        # side's entry, needs a relative error below 1/2 (worst seen:
+        # 5.6e-17 per entry, bound 3.3e-15)
+        from pathgap.cli import main
+
+        k = 20
+        assert main(["spectrum", "--k", str(k), f"--potential={spec}", "--format", "json",
+                     "--out", str(tmp_path / "spectrum.json")]) == 0
+        op = _op(k, parse_potential_spec(spec).entries)
+        psi, err = _glued_ground_state(op.n, op.potential, *_roots(op.n, op.potential)[0])
+        assert np.array_equal(spectrum_low(op).ground_state, psi)
+        want = mp_ground_state(k, op.potential.entries)
+        assert np.max(np.abs(psi - want)) <= 5e-16
+        assert np.linalg.norm(psi - want) <= err
+        assert main(["verify-bounds", f"--potential={spec}", "--k-grid", "20:20:linear:1",
+                     "--no-timestamp", "--out", str(tmp_path / "bounds.json")]) == 0
 
     def test_spectrum_low_returns_the_glued_vector(self):
         # inverse iteration from the flat vector did not converge here; the

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from pathgap import (
-    GapSeries,
     SpectralResult,
     build_potential,
     dirichlet_ground_energy,
@@ -11,16 +10,14 @@ from pathgap import (
     gap_series,
     geometric_grid,
     linear_grid,
-    series_from_csv,
-    series_to_csv,
 )
-from pathgap.scaling import CSV_HEADER
+from pathgap.cli import CSV_HEADER, series_from_csv, series_to_csv
 
 SQRT11 = math.sqrt(11.0)
 
 
 def _synthetic(prefactor, exponent, ks, flagged=()):
-    pts = tuple(
+    return tuple(
         SpectralResult(
             k=k,
             lambda0=0.0,
@@ -29,7 +26,6 @@ def _synthetic(prefactor, exponent, ks, flagged=()):
         )
         for k in ks
     )
-    return GapSeries(potential=None, points=pts)
 
 
 class TestGrids:
@@ -76,25 +72,25 @@ class TestGrids:
 class TestGapSeries:
     def test_single_point_exact(self):
         series = gap_series(build_potential([(0, 5.0)]), [1])
-        (pt,) = series.points
+        (pt,) = series
         assert pt.n == 3
         assert pt.gap == pytest.approx(SQRT11 - 3.0, abs=1e-13)
 
     def test_free_baseline_point(self):
         series = gap_series(build_potential([]), [100])
-        assert series.points[0].gap == pytest.approx(
+        assert series[0].gap == pytest.approx(
             dirichlet_ground_energy(100), abs=1e-13
         )
 
     def test_sorted_and_unique(self):
         series = gap_series(build_potential([(0, 1.0)]), [9, 3, 6])
-        assert [pt.k for pt in series.points] == [3, 6, 9]
+        assert [pt.k for pt in series] == [3, 6, 9]
         with pytest.raises(ValueError, match="duplicates"):
             gap_series(build_potential([(0, 1.0)]), [3, 3])
 
     def test_gaps_decrease_along_sweep(self):
         series = gap_series(build_potential([(0, 1.0)]), geometric_grid(50, 800, 8))
-        gaps = [pt.gap for pt in series.points]
+        gaps = [pt.gap for pt in series]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_inadmissible_k_aborts(self):
@@ -107,13 +103,13 @@ class TestScaledSequence:
 
     def test_p_zero_identity(self):
         series = _synthetic(7.0, -3.0, [10, 20, 40])
-        assert [pt.n**0.0 * pt.gap for pt in series.points] == pytest.approx(
-            [pt.gap for pt in series.points]
+        assert [pt.n**0.0 * pt.gap for pt in series] == pytest.approx(
+            [pt.gap for pt in series]
         )
 
     def test_free_baseline_near_pi_squared(self):
         series = gap_series(build_potential([]), [100])
-        (pt,) = series.points
+        (pt,) = series
         value = pt.n**2 * pt.gap
         assert value == pytest.approx(201**2 * (2 - 2 * math.cos(math.pi / 201)), rel=1e-12)
         assert abs(value - math.pi**2) < 3e-4
@@ -124,7 +120,7 @@ class TestScaledSequence:
             build_potential([]), list(range(10, 90, 7))
         )
         prev = -math.inf
-        for pt in series.points:
+        for pt in series:
             value = pt.n**2 * pt.gap
             assert abs(value - math.pi**2) <= 1.1 * math.pi**4 / (12 * pt.n**2)
             assert value > prev
@@ -175,14 +171,14 @@ class TestFitInverseAlpha:
         for a in (0.5, 1.0, 2.0, 4.0):
             series = gap_series(build_potential([(0, a)]), [k])
             closed_form = (8 * math.pi**2 / a) * (1 - 6 / (a * n))
-            assert abs(n**3 * series.points[0].gap / closed_form - 1) < 1e-3
+            assert abs(n**3 * series[0].gap / closed_form - 1) < 1e-3
 
     def test_scaled_gap_decreasing_in_alpha(self):
         k, n = 150, 301
         values = []
         for a in (1.0, 4.0, 16.0, 64.0):
             series = gap_series(build_potential([(0, a)]), [k])
-            values.append(n**3 * series.points[0].gap)
+            values.append(n**3 * series[0].gap)
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -192,7 +188,7 @@ class TestCubicBandCheck:
     def test_weak_single_site_applicable_with_large_band(self):
         series = gap_series(build_potential([(0, 0.01)]), geometric_grid(100, 400, 5))
         # the band grows as the total strength shrinks
-        assert min(pt.n**3 * pt.gap for pt in series.points) > 100.0
+        assert min(pt.n**3 * pt.gap for pt in series) > 100.0
 
     def test_off_centre_floor(self):
         # one site of strength alpha at 3: the limit is 8 pi^2 hypot(3, 1/alpha),
@@ -201,15 +197,15 @@ class TestCubicBandCheck:
         for a in (1.0, 4.0, 16.0, 64.0):
             series = gap_series(build_potential([(3, a)]), [k])
             closed_form = 8 * math.pi**2 * math.hypot(3, 1 / a) * (1 - 6 / (a * n))
-            assert abs(n**3 * series.points[0].gap / closed_form - 1) < 1e-3
+            assert abs(n**3 * series[0].gap / closed_form - 1) < 1e-3
 
 
 class TestCsvRoundTrip:
     def test_lossless(self):
         series = gap_series(build_potential([(0, 1.0)]), [50, 100, 200])
-        text = series_to_csv(series)
+        text = series_to_csv(series, 1.0)
         back = series_from_csv(text)
-        for a, b in zip(series.points, back.points):
+        for a, b in zip(series, back):
             assert (a.k, a.n) == (b.k, b.n)
             assert a.lambda0 == b.lambda0  # exact: 17 significant digits
             assert a.lambda1 == b.lambda1
@@ -218,11 +214,11 @@ class TestCsvRoundTrip:
 
     def test_header_and_timestamp(self):
         series = gap_series(build_potential([(0, 1.0)]), [10])
-        text = series_to_csv(series, timestamp="2024-01-01T00:00:00Z")
+        text = series_to_csv(series, 1.0, timestamp="2024-01-01T00:00:00Z")
         lines = text.splitlines()
         assert lines[0] == "# generated 2024-01-01T00:00:00Z"
         assert lines[1].startswith("k,n,alpha_sum,lambda0")
-        assert series_from_csv(text).points[0].k == 10
+        assert series_from_csv(text)[0].k == 10
 
     def test_rejects_foreign_csv(self):
         with pytest.raises(ValueError, match="unrecognized"):
