@@ -34,13 +34,10 @@ __all__ = [
     "BoundsReport",
     "side_energies",
     "compute_side_corrections",
-    "ground_energy_lower_bound",
     "side_correction_product",
     "cosine_pieces",
     "build_trial_state",
-    "ground_energy_upper_bound",
     "mixing_weight_product",
-    "excited_energy_bounds",
     "single_site_diagnostics",
     "evaluate_bounds",
 ]
@@ -173,12 +170,6 @@ def compute_side_corrections(op: TridiagonalOperator, phi: np.ndarray) -> SideCo
     )
 
 
-def ground_energy_lower_bound(op: TridiagonalOperator, side: SideCorrections) -> float:
-    """(1/2 - left) * side energy left + (1/2 - right) * side energy right."""
-    theta_left, theta_right = side_energies(op.k, op.potential)
-    return (0.5 - side.left) * theta_left + (0.5 - side.right) * theta_right
-
-
 def side_correction_product(op: TridiagonalOperator, side: SideCorrections) -> float:
     """(left + right) * smallest strength * k; bounded above over sweeps."""
     return side.total * op.potential.strength_min * op.k
@@ -243,30 +234,9 @@ def build_trial_state(op: TridiagonalOperator) -> TrialState:
     return TrialState(mixing=mixing, vector=vector)
 
 
-def ground_energy_upper_bound(op: TridiagonalOperator, trial: TrialState) -> float:
-    """(1-b)/2 * (sum of the two side energies) + b * floor energy, the
-    floor energy being the Dirichlet ground energy of the full path over
-    2 + ``EPSILON``."""
-    theta_left, theta_right = side_energies(op.k, op.potential)
-    b = trial.mixing
-    floor_energy = dirichlet_ground_energy(op.k) / (2.0 + EPSILON)
-    return 0.5 * (1.0 - b) * (theta_left + theta_right) + b * floor_energy
-
-
 def mixing_weight_product(op: TridiagonalOperator, trial: TrialState) -> float:
     """mixing * total strength * k; bounded below over sweeps."""
     return trial.mixing * op.potential.strength_sum * op.k
-
-
-def excited_energy_bounds(op: TridiagonalOperator) -> tuple[float, float]:
-    """Sandwich for the first excited energy: Dirichlet energy of the full
-    path below, the larger of the two side energies above.
-
-    The upper bound holds at every k by min-max: the two side ground
-    states, extended by zero, have disjoint, non-adjacent supports and no
-    potential energy, so H is diagonal on their span, with the side energies.
-    """
-    return dirichlet_ground_energy(op.k), max(side_energies(op.k, op.potential))
 
 
 def single_site_diagnostics(
@@ -318,21 +288,22 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
     """
     k, potential = op.k, op.potential
     theta_left, theta_right = side_energies(k, potential)
+    theta_path = dirichlet_ground_energy(k)
     if result.ground_state is None:
         raise ValueError("bounds need the ground state; use spectrum_low()")
     phi = np.asarray(result.ground_state, dtype=float)
     lam0, lam1 = result.lambda0, result.lambda1
 
     side = compute_side_corrections(op, phi)
-    lower = ground_energy_lower_bound(op, side)
-    exc_lower, exc_upper = excited_energy_bounds(op)
+    lower = (0.5 - side.left) * theta_left + (0.5 - side.right) * theta_right
 
     trial: TrialState | None = None
     upper: float | None = None
     trial_error: str | None = None
     try:
         trial = build_trial_state(op)
-        upper = ground_energy_upper_bound(op, trial)
+        b = trial.mixing
+        upper = 0.5 * (1.0 - b) * (theta_left + theta_right) + b * (theta_path / (2.0 + EPSILON))
     except ValueError as err:
         trial_error = str(err)
 
@@ -352,8 +323,11 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
         checks.append(_leq("ground_energy_upper_bound", lam0, upper))
     else:
         checks.append(BoundCheck("ground_energy_upper_bound", lam0, math.nan, False, trial_error))
-    checks.append(_leq("excited_energy_lower_bound", exc_lower, lam1))
-    checks.append(_leq("excited_energy_upper_bound", lam1, exc_upper))
+    # the excited sandwich; its upper bound holds at every k by min-max: the
+    # two side ground states, extended by zero, have disjoint, non-adjacent
+    # supports and no potential energy, so H is diagonal on their span
+    checks.append(_leq("excited_energy_lower_bound", theta_path, lam1))
+    checks.append(_leq("excited_energy_upper_bound", lam1, max(theta_left, theta_right)))
     checks.append(_leq("ground_energy_pair_mean", 2.0 * lam0, theta_left + theta_right))
 
     pot_term = sum(a * float(phi[s + k]) ** 2 for s, a in potential.entries)

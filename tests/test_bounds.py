@@ -12,9 +12,6 @@ from pathgap import (
     cosine_pieces,
     dirichlet_ground_energy,
     evaluate_bounds,
-    excited_energy_bounds,
-    ground_energy_lower_bound,
-    ground_energy_upper_bound,
     mixing_weight_product,
     rayleigh_quotient,
     side_correction_product,
@@ -36,6 +33,11 @@ def _op(k, pairs):
 def _op_low(k, pairs):
     op = _op(k, pairs)
     return op, spectrum_low(op)
+
+
+def _report(k, pairs):
+    op, res = _op_low(k, pairs)
+    return op, res, evaluate_bounds(op, res)
 
 
 # exact 3x3 ground state for k=1, strength 5 at the origin
@@ -76,24 +78,10 @@ class TestSideCorrections:
 
 class TestGroundLowerBound:
     def test_exact_3x3_value(self):
-        op, res = _op_low(1, [(0, 5.0)])
-        side = compute_side_corrections(op, res.ground_state)
-        bound = ground_energy_lower_bound(op, side)
+        _, res, rep = _report(1, [(0, 5.0)])
         # both side energies equal 1 here
-        assert bound == pytest.approx(2.0 * (0.5 - _A1_EXACT), abs=1e-9)
-        assert bound <= res.lambda0
-
-    def test_formula_with_zero_corrections(self):
-        from pathgap.bounds import SideCorrections
-
-        bound = ground_energy_lower_bound(_op(7, [(0, 2.0)]), SideCorrections(0.0, 0.0))
-        assert bound == pytest.approx(dirichlet_ground_energy(7), abs=1e-15)
-
-    def test_degenerate_corrections_give_zero(self):
-        from pathgap.bounds import SideCorrections
-
-        op = _op(7, [(0, 2.0)])
-        assert ground_energy_lower_bound(op, SideCorrections(0.5, 0.5)) == 0.0
+        assert rep.ground_lower == pytest.approx(2.0 * (0.5 - _A1_EXACT), abs=1e-9)
+        assert rep.ground_lower <= res.lambda0
 
     def test_side_subpath_precondition(self):
         # assemble_hamiltonian rejects these supports (test_operators); given
@@ -148,8 +136,8 @@ class TestCosinePieces:
 
 class TestTrialState:
     def test_basic_properties(self):
-        op = _op(10, [(0, 1.0)])
-        trial = build_trial_state(op)
+        op, _, rep = _report(10, [(0, 1.0)])
+        trial = rep.trial
         b = trial.mixing
         assert 0.0 < b < 1.0
         assert float(np.dot(trial.vector, trial.vector)) == pytest.approx(1.0, abs=1e-12)
@@ -157,7 +145,7 @@ class TestTrialState:
         theta_left, theta_right = side_energies(10, op.potential)
         floor_energy = dirichlet_ground_energy(10) / 3.0
         expected = 0.5 * (1.0 - b) * (theta_left + theta_right) + b * floor_energy
-        assert ground_energy_upper_bound(op, trial) == expected
+        assert rep.ground_upper == expected
 
     def test_mixing_solves_normalization_relation(self):
         # b = 2 sqrt((1-b) b) a S + (2k+1) b a^2, with floor amplitude
@@ -183,15 +171,13 @@ class TestTrialState:
 
 class TestGroundUpperBound:
     def test_above_ground_energy_3x3(self):
-        op, res = _op_low(1, [(0, 5.0)])
-        trial = build_trial_state(op)
-        assert ground_energy_upper_bound(op, trial) >= res.lambda0
+        _, res, rep = _report(1, [(0, 5.0)])
+        assert rep.ground_upper >= res.lambda0
 
     def test_zero_mixing_limit_is_side_mean(self):
-        op = _op(9, [(0, 1e12)])
-        bound = ground_energy_upper_bound(op, build_trial_state(op))
+        _, _, rep = _report(9, [(0, 1e12)])
         mean = dirichlet_ground_energy(9)  # both sides equal for J={0}
-        assert bound == pytest.approx(mean, rel=1e-5)
+        assert rep.ground_upper == pytest.approx(mean, rel=1e-5)
 
     def test_product_positive(self):
         op = _op(20, [(0, 1.0)])
@@ -200,21 +186,19 @@ class TestGroundUpperBound:
 
 class TestExcitedBounds:
     def test_exact_3x3(self):
-        op, res = _op_low(1, [(0, 5.0)])
-        lower, upper = excited_energy_bounds(op)
-        assert lower == upper == pytest.approx(1.0, abs=1e-14)
+        _, res, rep = _report(1, [(0, 5.0)])
+        assert rep.excited_lower == rep.excited_upper == pytest.approx(1.0, abs=1e-14)
         assert res.lambda1 == pytest.approx(1.0, abs=1e-12)
 
     def test_single_site_collapses(self):
-        lower, upper = excited_energy_bounds(_op(17, [(0, 3.3)]))
-        assert lower == upper == dirichlet_ground_energy(17)
+        _, _, rep = _report(17, [(0, 3.3)])
+        assert rep.excited_lower == rep.excited_upper == dirichlet_ground_energy(17)
 
     def test_two_site_formula(self):
-        op, res = _op_low(10, [(-1, 1.0), (1, 1.0)])
-        lower, upper = excited_energy_bounds(op)
-        assert lower == pytest.approx(dirichlet_ground_energy(10))
-        assert upper == pytest.approx(dirichlet_ground_energy(9))
-        assert lower <= res.lambda1 <= upper + 1e-12
+        _, res, rep = _report(10, [(-1, 1.0), (1, 1.0)])
+        assert rep.excited_lower == pytest.approx(dirichlet_ground_energy(10))
+        assert rep.excited_upper == pytest.approx(dirichlet_ground_energy(9))
+        assert rep.excited_lower <= res.lambda1 <= rep.excited_upper + 1e-12
 
 
 class TestSingleSiteDiagnostics:
@@ -308,9 +292,14 @@ class TestEvaluateBounds:
         op, res = _op_low(40, [(-2, 5.0), (3, 7.0)])
         rep = evaluate_bounds(op, res)
         assert rep.k == 40 and rep.result is res
-        assert rep.ground_lower == ground_energy_lower_bound(op, rep.side)
-        assert rep.ground_upper == ground_energy_upper_bound(op, rep.trial)
-        assert (rep.excited_lower, rep.excited_upper) == excited_energy_bounds(op)
+        # each bound, read off its check, is its formula to the bit
+        theta_left, theta_right = dirichlet_ground_energy(38), dirichlet_ground_energy(37)
+        theta_path, b, side = dirichlet_ground_energy(40), rep.trial.mixing, rep.side
+        lower = (0.5 - side.left) * theta_left + (0.5 - side.right) * theta_right
+        upper = 0.5 * (1.0 - b) * (theta_left + theta_right) + b * (theta_path / (2.0 + EPSILON))
+        assert (rep.ground_lower, rep.ground_upper, rep.excited_lower, rep.excited_upper) == (
+            lower, upper, theta_path, theta_right
+        )
         d = report_fields(rep)
         assert (d["lambda0"], d["lambda1"], d["gap"]) == (res.lambda0, res.lambda1, res.gap)
         assert (d["side_energy_min"], d["side_energy_max"]) == (

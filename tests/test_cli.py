@@ -174,8 +174,20 @@ class TestCommands:
                      "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["potential"] == "0:1.23456789"
 
-    def test_spectrum_requires_k(self, capsys):
-        assert main(["spectrum", "--potential", "0:5"]) == 2
+    @pytest.mark.parametrize("argv,message", [
+        (["spectrum", "--potential", "0:5"], "spectrum requires --k"),
+        (["gap-scan", "--potential=0:1"], "gap-scan requires --k-grid"),
+        (["verify-bounds", "--potential=0:1"], "verify-bounds requires --k-grid"),
+        (["alpha-scan", "--potential=0:1", "--alphas", "1,2"], "alpha-scan requires --k"),
+        (["alpha-scan", "--potential=0:1", "--k", "10"], "alpha-scan requires --alphas"),
+        (["alpha-scan", "--potential", "none", "--k", "10", "--alphas", "1,2"],
+         "alpha-scan needs a non-empty base potential to scale"),
+        (["verify-bounds", "--potential", "none", "--k-grid", "5:6:linear:2"],
+         "verify-bounds needs a non-empty potential"),
+    ])
+    def test_missing_input_exits_two_naming_it(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"pathgap: {message}\n"
 
     def test_gap_scan_csv(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
@@ -230,10 +242,6 @@ class TestCommands:
         assert series_from_csv(out.read_text()) == gap_series(parse_potential_spec(spec),
                                                               parse_k_grid(grid))
 
-    def test_alpha_scan_needs_base_potential(self, capsys):
-        assert main(["alpha-scan", "--potential", "none", "--k", "10",
-                     "--alphas", "1,2"]) == 2
-
     def test_alpha_scan_names_a_bad_alpha(self, capsys):
         for alphas, token in (("1,,2", "2 ('')"), ("x", "1 ('x')"), ("1,2,3e", "3 ('3e')")):
             assert main(["alpha-scan", "--potential", "0:1", "--k", "10",
@@ -253,6 +261,24 @@ class TestCommands:
         for point in payload["points"]:
             for check in point["checks"]:
                 assert check["holds"] or "skipped_reason" in check
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-bounds", "--potential=0:1", "--k-grid", "5:5:linear:1"],
+        ["fit", str(GOLDEN / "gap-scan.csv")],
+    ])
+    def test_json_report_starts_with_its_generated_time(self, argv, capsys):
+        assert main(argv) == 0
+        first = next(iter(json.loads(capsys.readouterr().out).items()))
+        assert first[0] == "generated"
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", first[1])
+
+    def test_verify_bounds_writes_null_for_a_degenerate_trial_state(self, capsys):
+        assert main(["verify-bounds", "--potential", "0:0.0001", "--k-grid", "2:2:linear:1",
+                     "--no-timestamp"]) == 0
+        (point,) = json.loads(capsys.readouterr().out)["points"]
+        assert point["ground_upper"] is None and point["mixing_weight"] is None
+        upper = next(c for c in point["checks"] if c["name"] == "ground_energy_upper_bound")
+        assert upper["rhs"] is None and "degenerate mixing branch" in upper["skipped_reason"]
 
     def test_verify_bounds_single_k(self, capsys):
         assert main(["verify-bounds", "--potential", "0:2", "--k-grid", "50:50:linear:1",
@@ -493,6 +519,7 @@ class TestFitCommand:
             "100,201,1,0.25,0.75,0.5,20200.5,abc,false",
             "100,201,1,0.25,0.75,0.5,20200,4060300.5,false",
             "100,201,1,0.25,0.75,0.5,20200.5,4060300,false",
+            "100,201,1,0.25,0.75,0.5,20200.5,4060300.5",
         ):
             scan = tmp_path / "scan.csv"
             scan.write_text(golden + row + "\n")

@@ -247,6 +247,16 @@ class TestGroundState:
             ground_state(op, r.lambda0, start, 0.0, r.gap)
         assert ground_state(op, r.lambda0, ground, 0.0, r.gap) is ground
 
+    def test_start_with_a_large_residual_is_rejected(self):
+        # the flat vector beside a strong site: its residual, about
+        # 1e6 / sqrt(41) at the origin, fails the residual test before any solve
+        op = _op(20, [(0, 1e6)])
+        r = spectrum_low(op)
+        flat = np.full(op.n, 1.0 / math.sqrt(op.n))
+        with pytest.raises(ConvergenceError,
+                           match=r"residual 1\.562e\+05 is above 1e-11 times the norm bound"):
+            ground_state(op, r.lambda0, flat, 0.0, r.gap)
+
     def test_start_is_taken_where_the_gap_is_flagged(self):
         # a gap below 10^3 ulp of the norm bound makes the residual/gap term
         # vacuous, and the start rests on its own bound err; it is 2.8e-17
