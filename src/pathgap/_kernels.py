@@ -3,9 +3,10 @@
 Every kernel reads its float64 arrays through ``memoryview`` and so
 computes on Python floats: the same IEEE double operations, in the same
 order, as indexing the arrays element by element, at a fraction of the cost
-of numpy scalar arithmetic.  Arrays the kernels return are built with
-``array.array("d")`` and handed out through ``np.frombuffer`` without a
-copy.
+of numpy scalar arithmetic.  An elementwise step with no recurrence in it
+(a shift, the multipliers) is one numpy operation on the whole array, with
+the same bits; the recurrences of the solve are list comprehensions, and
+the arrays the kernels return are new numpy arrays of those lists.
 
 A caller of ``bisect_bracket`` that knows the count outside an interval
 (``known_lo``, ``known_hi``) spares the sweeps there; ``spectrum_low``
@@ -20,7 +21,6 @@ benchmark's positional calls of ``bisect_bracket``.
 from __future__ import annotations
 
 import math
-from array import array
 
 import numpy as np
 
@@ -91,40 +91,31 @@ def factor_shifted(diag, sigma, pivot_floor):
     (notably exact zeros) are replaced by +-pivot_floor with their sign
     kept, so the solve blows up along the wanted near-null direction
     instead of producing inf/NaN.  With ``pivot_floor`` 0 an exact-zero
-    pivot raises ZeroDivisionError.
+    pivot raises ZeroDivisionError.  ``diag - sigma`` is taken once by
+    numpy, and the multipliers -(1/d) by one numpy division after the
+    loop: the same IEEE quotients as the loop's.
     """
-    diag = memoryview(diag)
-    piv = array("d")
-    mult = array("d")
-    d = diag[0] - sigma
+    shifted = memoryview(diag - sigma)
+    d = shifted[0]
     if abs(d) < pivot_floor:
         d = pivot_floor if d >= 0.0 else -pivot_floor
-    piv.append(d)
-    for a in diag[1:]:
-        r = 1.0 / d
-        mult.append(-r)
-        d = (a - sigma) - r
+    piv = [d]
+    for s in shifted[1:]:
+        d = s - 1.0 / d
         if abs(d) < pivot_floor:
             d = pivot_floor if d >= 0.0 else -pivot_floor
         piv.append(d)
-    return np.frombuffer(piv), np.frombuffer(mult)
+    piv = np.array(piv)
+    return piv, -(1.0 / piv[:-1])
 
 
 def solve_factored(piv, mult, rhs):
     """Solve (H - sigma*I) x = rhs given the factor_shifted output."""
     rhs = memoryview(rhs)
-    y = array("d")
     yi = rhs[0]
-    y.append(yi)
-    for r, m in zip(rhs[1:], memoryview(mult)):
-        yi = r - m * yi
-        y.append(yi)
+    y = [yi] + [yi := r - m * yi for r, m in zip(rhs[1:], memoryview(mult))]
     piv = memoryview(piv)
-    x = array("d")
     xi = yi / piv[-1]
-    x.append(xi)
-    for yi, p in zip(memoryview(y)[-2::-1], piv[-2::-1]):
-        xi = (yi + xi) / p
-        x.append(xi)
+    x = [xi] + [xi := (yi + xi) / p for yi, p in zip(y[-2::-1], piv[-2::-1])]
     x.reverse()
-    return np.frombuffer(x)
+    return np.array(x)

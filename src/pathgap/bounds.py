@@ -106,6 +106,7 @@ class BoundsReport:
     potential: Potential
     result: SpectralResult
     side: SideCorrections
+    side_energies: tuple[float, float]  # side_energies(k, potential)
     trial: TrialState | None
     checks: list[BoundCheck]
 
@@ -356,4 +357,4 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
     else:
         checks.append(BoundCheck("trial_rayleigh_above_ground", lam0, math.nan, False, trial_error))
 
-    return BoundsReport(potential, result, side, trial, checks)
+    return BoundsReport(potential, result, side, (theta_left, theta_right), trial, checks)

@@ -43,7 +43,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import EPSILON, BoundsReport, evaluate_bounds, side_energies, single_site_diagnostics
+from .bounds import EPSILON, BoundsReport, evaluate_bounds, single_site_diagnostics
 from .eigensolver import ConvergenceError, SpectralResult, eigenvalues_low, spectrum_low
 from .operators import Potential, assemble_hamiltonian, build_potential
 from .scaling import ScalingFit, fit_power_law, gap_series, geometric_grid, linear_grid
@@ -277,8 +277,8 @@ def report_fields(rep: BoundsReport) -> dict:
         "ground_upper": rep.ground_upper,
         "excited_lower": rep.excited_lower,
         "excited_upper": rep.excited_upper,
-        "side_energy_min": min(side_energies(rep.k, potential)),
-        "side_energy_max": rep.excited_upper,
+        "side_energy_min": min(rep.side_energies),
+        "side_energy_max": max(rep.side_energies),
         "side_correction_left": rep.side.left,
         "side_correction_right": rep.side.right,
         "mixing_weight": None if rep.trial is None else rep.trial.mixing,
@@ -463,8 +463,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command; a process may call it any number of times."""
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except ConvergenceError as err:

@@ -247,21 +247,21 @@ def _sweep(n: int, potential: Potential, u: float) -> tuple[int, float, int]:
     sin_half = math.sin(half)
     lam = 4.0 * sin_half**2
     edge = 2.0 * n * sin_half
-    k, rmin, rmax = n // 2, potential.site_min, potential.site_max
+    k, (rmin, rmax, strengths) = n // 2, potential.support
     def_l = 0.5 * math.pi * (u - rmin) / s
     v = n * math.sin(def_l)
     w = -edge * _cos(def_l + half, 2.0 * half * (k + rmin))
     negative, e = v < 0.0, 0
     count = _nearest(0.5 * (k + rmin) / s, negative)
-    strengths = dict(potential.entries)
-    for site in range(rmin, rmax):
-        v, w, e = _rescaled(v, w, e)
-        w += (strengths.get(site, 0.0) - lam) * v
+    for a in strengths[:-1]:
+        d = 1 + math.frexp(max(abs(v), abs(w)))[1]  # _rescaled, inlined per site
+        v, w, e = math.ldexp(v, -d), math.ldexp(w, -d), e + d
+        w += (a - lam) * v
         v += w
         count += (v < 0.0) != negative
         negative = v < 0.0
     v, w, e = _rescaled(v, w, e)
-    w += (strengths[rmax] - lam) * v
+    w += (strengths[-1] - lam) * v
     v, w, e = _rescaled(v, w, e)
     def_r, m = 0.5 * math.pi * (u + rmax) / s, k - rmax
     f = v * edge * _cos(def_r + half, 2.0 * half * m) - n * math.sin(def_r) * w
@@ -433,7 +433,7 @@ def eigenvalues_low(op: TridiagonalOperator) -> SpectralResult:
 
 
 def _edge_sweep(start: tuple[float, float, float, float, float, float], lam: float, dlam: float,
-                strengths: list[float]) -> list[tuple[float, float, int, float, float]]:
+                strengths: tuple[float, ...]) -> list[tuple[float, float, int, float, float]]:
     """psi across the support from one edge, in the order of ``strengths``,
     by the recurrence of ``_sweep``, with a first-order running error bound
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
@@ -525,7 +525,7 @@ def _glued_ground_state(n: int, potential: Potential, lo: float,
     power of two that takes their largest entry into the double range, so
     no entry overflows.
     """
-    k, rmin, rmax = n // 2, potential.site_min, potential.site_max
+    k, (rmin, rmax, support) = n // 2, potential.support
     u = 0.5 * (lo + hi)
     s = 0.5 * n + u
     half = 0.25 * math.pi / s
@@ -538,8 +538,6 @@ def _glued_ground_state(n: int, potential: Potential, lo: float,
     j = np.arange(-k, k + 1, dtype=float)
     free_l = np.sin(def_l + t * (rmin - j[: rmin + k]))
     free_r = np.sin(def_r + t * (j[rmax + k + 1:] - rmax))
-    strengths = dict(potential.entries)
-    support = [strengths.get(site, 0.0) for site in range(rmin, rmax + 1)]
 
     def sweep(deficit, r, phase, order, free):
         ddef = 0.5 * math.pi * (du / s) * ((0.5 * n + r) / s) + 4.0 * EPS * abs(deficit)

@@ -61,6 +61,16 @@ class Potential:
         self._require_nonempty()
         return self.entries[-1][0]
 
+    @cached_property
+    def support(self) -> tuple[int, int, tuple[float, ...]]:
+        """(r_min, r_max, the strength at each site r_min..r_max, 0.0 in
+        the gaps), built on first access."""
+        rmin, rmax = self.site_min, self.site_max
+        strengths = [0.0] * (rmax - rmin + 1)
+        for site, strength in self.entries:
+            strengths[site - rmin] = strength
+        return rmin, rmax, tuple(strengths)
+
     @property
     def strength_min(self) -> float:
         """Smallest strength over the support."""

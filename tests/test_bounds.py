@@ -300,11 +300,10 @@ class TestEvaluateBounds:
         assert (rep.ground_lower, rep.ground_upper, rep.excited_lower, rep.excited_upper) == (
             lower, upper, theta_path, theta_right
         )
+        assert rep.side_energies == (theta_left, theta_right)
         d = report_fields(rep)
         assert (d["lambda0"], d["lambda1"], d["gap"]) == (res.lambda0, res.lambda1, res.gap)
-        assert (d["side_energy_min"], d["side_energy_max"]) == (
-            dirichlet_ground_energy(38), dirichlet_ground_energy(37)
-        )
+        assert (d["side_energy_min"], d["side_energy_max"]) == (theta_left, rep.excited_upper)
 
     def test_empty_potential_rejected(self):
         pot = build_potential([])

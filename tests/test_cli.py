@@ -545,6 +545,37 @@ class TestDeterminism:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    # one parser, built at import, serves every call of a process
+    def test_the_same_argv_twice_writes_the_same_bytes(self, capsys):
+        args = ["verify-bounds", "--potential=-2:5,3:7", "--k-grid", "50:100:linear:2",
+                "--no-timestamp"]
+        for _ in range(2):
+            assert main(args) == 0
+            assert capsys.readouterr().out == (GOLDEN / "verify-bounds.json").read_text()
+
+    def test_a_call_without_no_timestamp_after_one_with_it_is_stamped(self, capsys):
+        args = ["fit", str(GOLDEN / "gap-scan.csv")]
+        assert main(args + ["--no-timestamp"]) == 0
+        assert "generated" not in capsys.readouterr().out
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert re.sub(r'\n  "generated": "[^"]*",', "", out, count=1) == (
+            GOLDEN / "fit.json").read_text()
+
+    @pytest.mark.parametrize("bad", [
+        ["spectrum", "--k", "1", "--potential", "0:5", "--tol", "1e-8"],
+        ["spectrum", "--potential", "0:5"],
+    ])
+    def test_a_call_after_one_that_exits_two_runs_as_alone(self, bad, capsys):
+        try:
+            code = main(bad)
+        except SystemExit as exc:  # argparse rejects an unknown option this way
+            code = exc.code
+        assert code == 2
+        capsys.readouterr()
+        assert main(["spectrum", "--k", "1", "--potential", "0:5"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "spectrum-k1.txt").read_text()
+
     def test_golden_bytes(self, tmp_path):
         """Output matches the committed files of ``GOLDEN_COMMANDS`` byte for
         byte.  Regenerate them only for an intended change of the output,

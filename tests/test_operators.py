@@ -24,6 +24,7 @@ class TestBuildPotential:
     def test_single_site(self):
         p = build_potential([(0, 1.5)])
         assert p.site_min == p.site_max == 0
+        assert p.support == (0, 0, (1.5,))
         assert p.strength_min == p.strength_sum == 1.5
 
     def test_multi_site(self):
@@ -31,6 +32,12 @@ class TestBuildPotential:
         assert (p.site_min, p.site_max) == (-1, 1)
         assert p.strength_min == 2.0
         assert p.strength_sum == 7.0
+
+    def test_support_reads_zero_in_the_gaps(self):
+        p = build_potential([(4, 1.5), (-2, 5.0), (1, 7.0)])
+        assert p.support == (-2, 4, (5.0, 0.0, 0.0, 7.0, 0.0, 0.0, 1.5))
+        assert p.support[:2] == (p.site_min, p.site_max)
+        assert p.support is p.support  # laid out once
 
     def test_nonpositive_strength(self):
         # errors name the offending pair by its 1-based position
@@ -64,8 +71,9 @@ class TestBuildPotential:
         p = build_potential([])
         assert p == Potential(()) and p.is_empty
         assert p.strength_sum == 0.0
-        with pytest.raises(ValueError):
-            p.site_min
+        for name in ("site_min", "site_max", "support"):
+            with pytest.raises(ValueError, match="the empty baseline has no support"):
+                getattr(p, name)
 
 
 class TestAssemble:
