@@ -247,15 +247,15 @@ def _sweep(n: int, potential: Potential, u: float) -> tuple[int, float, int]:
     sin_half = math.sin(half)
     lam = 4.0 * sin_half**2
     edge = 2.0 * n * sin_half
-    k, (rmin, rmax, strengths) = n // 2, potential.support
+    k, rmin, rmax = n // 2, potential.site_min, potential.site_max
     def_l = 0.5 * math.pi * (u - rmin) / s
     v = n * math.sin(def_l)
     w = -edge * _cos(def_l + half, 2.0 * half * (k + rmin))
     negative, e = v < 0.0, 0
     count = _nearest(0.5 * (k + rmin) / s, negative)
+    strengths = potential.support_strengths
     for a in strengths[:-1]:
-        d = 1 + math.frexp(max(abs(v), abs(w)))[1]  # _rescaled, inlined per site
-        v, w, e = math.ldexp(v, -d), math.ldexp(w, -d), e + d
+        v, w, e = _rescaled(v, w, e)
         w += (a - lam) * v
         v += w
         count += (v < 0.0) != negative
@@ -525,7 +525,7 @@ def _glued_ground_state(n: int, potential: Potential, lo: float,
     power of two that takes their largest entry into the double range, so
     no entry overflows.
     """
-    k, (rmin, rmax, support) = n // 2, potential.support
+    k, rmin, rmax = n // 2, potential.site_min, potential.site_max
     u = 0.5 * (lo + hi)
     s = 0.5 * n + u
     half = 0.25 * math.pi / s
@@ -538,6 +538,7 @@ def _glued_ground_state(n: int, potential: Potential, lo: float,
     j = np.arange(-k, k + 1, dtype=float)
     free_l = np.sin(def_l + t * (rmin - j[: rmin + k]))
     free_r = np.sin(def_r + t * (j[rmax + k + 1:] - rmax))
+    support = potential.support_strengths
 
     def sweep(deficit, r, phase, order, free):
         ddef = 0.5 * math.pi * (du / s) * ((0.5 * n + r) / s) + 4.0 * EPS * abs(deficit)

@@ -62,14 +62,14 @@ class Potential:
         return self.entries[-1][0]
 
     @cached_property
-    def support(self) -> tuple[int, int, tuple[float, ...]]:
-        """(r_min, r_max, the strength at each site r_min..r_max, 0.0 in
-        the gaps), built on first access."""
-        rmin, rmax = self.site_min, self.site_max
-        strengths = [0.0] * (rmax - rmin + 1)
+    def support_strengths(self) -> tuple[float, ...]:
+        """The strength at each site r_min..r_max, 0.0 in the gaps, built on
+        first access."""
+        rmin = self.site_min
+        strengths = [0.0] * (self.site_max - rmin + 1)
         for site, strength in self.entries:
             strengths[site - rmin] = strength
-        return rmin, rmax, tuple(strengths)
+        return tuple(strengths)
 
     @property
     def strength_min(self) -> float:

@@ -537,16 +537,22 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     def test_verify_bounds_deterministic(self, tmp_path):
-        # specs starting with a negative site need the --potential=... form;
-        # one parser, built at import, serves every call of a process
-        out = tmp_path / "a.json"
+        # specs starting with a negative site need the --potential=... form
         args = ["verify-bounds", "--potential=-2:5,3:7", "--k-grid",
-                "50:100:linear:2", "--no-timestamp", "--out", str(out)]
-        written = []
+                "50:100:linear:2", "--no-timestamp"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_the_same_argv_twice_writes_the_same_bytes(self, tmp_path):
+        # one parser, built at import, serves every call of a process
+        out = tmp_path / "verify-bounds.json"
+        args = GOLDEN_COMMANDS[out.name] + ["--no-timestamp", "--out", str(out)]
         for _ in range(2):
+            out.unlink(missing_ok=True)  # each read must be this call's file
             assert main(args) == 0
-            written.append(out.read_bytes())
-        assert written[0] == written[1]
+            assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
 
     def test_a_call_without_no_timestamp_after_one_with_it_is_stamped(self, capsys):
         args = ["fit", str(GOLDEN / "gap-scan.csv")]

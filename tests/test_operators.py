@@ -24,7 +24,7 @@ class TestBuildPotential:
     def test_single_site(self):
         p = build_potential([(0, 1.5)])
         assert p.site_min == p.site_max == 0
-        assert p.support == (0, 0, (1.5,))
+        assert p.support_strengths == (1.5,)
         assert p.strength_min == p.strength_sum == 1.5
 
     def test_multi_site(self):
@@ -32,12 +32,11 @@ class TestBuildPotential:
         assert (p.site_min, p.site_max) == (-1, 1)
         assert p.strength_min == 2.0
         assert p.strength_sum == 7.0
-
-    def test_support_reads_zero_in_the_gaps(self):
+        assert p.support_strengths == (2.0, 3.0, 2.0)
         p = build_potential([(4, 1.5), (-2, 5.0), (1, 7.0)])
-        assert p.support == (-2, 4, (5.0, 0.0, 0.0, 7.0, 0.0, 0.0, 1.5))
-        assert p.support[:2] == (p.site_min, p.site_max)
-        assert p.support is p.support  # laid out once
+        assert (p.site_min, p.site_max) == (-2, 4)
+        assert p.support_strengths == (5.0, 0.0, 0.0, 7.0, 0.0, 0.0, 1.5)
+        assert p.support_strengths is p.support_strengths  # laid out once
 
     def test_nonpositive_strength(self):
         # errors name the offending pair by its 1-based position
@@ -71,7 +70,7 @@ class TestBuildPotential:
         p = build_potential([])
         assert p == Potential(()) and p.is_empty
         assert p.strength_sum == 0.0
-        for name in ("site_min", "site_max", "support"):
+        for name in ("site_min", "site_max", "support_strengths"):
             with pytest.raises(ValueError, match="the empty baseline has no support"):
                 getattr(p, name)
 
