@@ -5,7 +5,9 @@ eigenvalue oracles.
 ``eigenvalues_low`` (gap-scan, alpha-scan) writes a level as
 lambda = 4 sin^2(pi/(4s)), s = n/2 + u, and finds u by secant (Illinois)
 steps on the Wronskian inside brackets certified by a Sturm count that
-costs O(support) and reads no length-n array, so it reaches any k.
+costs O(support) and reads no length-n array, so it reaches any k;
+where the two-level model's window brackets a root, the search starts at
+the model's root sigma +- Delta (``_roots``).
 ``spectrum_low`` (spectrum, verify-bounds) bisects both levels on the O(n)
 Sturm count of ``_kernels`` (plain Python over float64 buffers) to the
 relative width ``REL_TOL`` = 1e-14, inside the lambda-image of those
@@ -282,7 +284,7 @@ def _gap(n: int, u0: float, u1: float) -> float:
 
 def _shrink(n: int, potential: Potential, index: int, lo: float, hi: float,
             at_lo: tuple[int, float, int], at_hi: tuple[int, float, int],
-            tol: float) -> tuple[float, float]:
+            tol: float, guess: float | None) -> tuple[float, float]:
     """Shrink the u-bracket (lo, hi] of the index-th root, with count above
     index at lo and at most index at hi, until its width is at most tol or
     no double is left between its ends, or between their subnormal levels
@@ -291,8 +293,9 @@ def _shrink(n: int, potential: Potential, index: int, lo: float, hi: float,
     underflowed).  ``at_lo`` and ``at_hi`` are the ``_sweep`` results at
     the ends (f NaN where an end was not swept).
 
-    Each new point is the Illinois (modified regula falsi) point of |f 2^e|
-    at the two ends, whose |f| is halved at an end kept twice in a row.
+    The first point is ``guess`` where one is given; every other point is
+    the Illinois (modified regula falsi) point of |f 2^e| at the two ends,
+    whose |f| is halved at an end kept twice in a row.
     The count at the point decides which end it replaces, so the bracket
     stays certified by counts.  A point closer than tol/2 to an end moves
     to max(tol/2, one ulp) from it: where that end has converged onto the
@@ -312,19 +315,19 @@ def _shrink(n: int, potential: Potential, index: int, lo: float, hi: float,
         if not (width > tol and lo < mid < hi) or (
                 f_lo < _NORMAL and _level(n, lo) <= math.nextafter(_level(n, hi), 1.0) < _NORMAL):
             return lo, hi
-        u = mid
-        if width <= 0.5 * older:
+        u = guess
+        if u is None and width <= 0.5 * older:
             top = max(e_lo, e_hi)
             a, b = math.ldexp(f_lo, e_lo - top), math.ldexp(f_hi, e_hi - top)
             if a + b > 0.0:
                 u = lo + width * (a / (a + b))
-                if (u - lo < half_tol or hi - u < half_tol) and not (
-                        0.0 < f_lo < _NORMAL or 0.0 < f_hi < _NORMAL):
-                    near = max(half_tol, math.ulp(max(-lo, hi)))
-                    u = min(max(u, lo + near), hi - near)
-                if not lo < u < hi:
-                    u = mid
-        older, old = old, width
+        if u is not None and (u - lo < half_tol or hi - u < half_tol) and not (
+                0.0 < f_lo < _NORMAL or 0.0 < f_hi < _NORMAL):
+            near = max(half_tol, math.ulp(max(-lo, hi)))
+            u = min(max(u, lo + near), hi - near)
+        if u is None or not lo < u < hi:
+            u = mid
+        older, old, guess = old, width, None
         count, f, e = _sweep(n, potential, u)
         if count > index:
             lo, f_lo, e_lo = u, abs(f), e
@@ -367,8 +370,12 @@ def _roots(n: int, potential: Potential) -> tuple[tuple[float, float], tuple[flo
     where lambda(u) is lambda0 and lambda1 (a non-empty potential).
 
     The first bracket of u0 is [sigma, sigma + 3 Delta/2], that of u1
-    [sigma - 3 Delta/2, sigma]; it holds if s > 1/2 at its low end, with
-    counts index + 1 there and index at its high end.  Otherwise the search
+    [sigma - 3 Delta/2, sigma], with sigma, the end they share, swept once;
+    it holds if s > 1/2 at its low end, with counts index + 1 there and
+    index at its high end.  Its search then starts at the two-level guess
+    sigma + Delta for u0 and sigma - Delta for u1, whose relative error is
+    O(1/n^2) (14.8/n^2 for u0 of one site 0:1, where sigma - Delta is u1
+    = 0), so a point takes about 12 sweeps.  Otherwise the search
     starts at ``_seed``'s guess and steps away from it, doubling the step,
     until the counts bracket the root; its low end stops at 1/2 - n/2, where
     lambda = 4 at s = 1/2 is above both levels, as a potential on at most
@@ -383,15 +390,20 @@ def _roots(n: int, potential: Potential) -> tuple[tuple[float, float], tuple[flo
     scale = min(delta, 0.5 * n + ends[2])
     tol = max(EPS * scale, math.ulp(0.0)) if 0.0 < scale < math.inf else 0.5 * EPS
     floor = 0.5 - 0.5 * n
+    # sigma ends u0's window and starts u1's, so it is swept once
+    swept = [_UNSWEPT] * 3
+    if 0.5 * n + sigma > 0.5 and sigma < math.inf:
+        swept[1] = _sweep(n, potential, sigma)
+        if swept[1][0] == 1:
+            for j in (0, 2):
+                if 0.5 * n + ends[j] > 0.5 and ends[j] < math.inf:
+                    swept[j] = _sweep(n, potential, ends[j])
     brackets = []
-    for index in (0, 1):
+    for index, guess in ((0, sigma + delta), (1, sigma - delta)):
         hi, lo = ends[index], ends[index + 1]
-        at_lo = at_hi = _UNSWEPT
-        if 0.5 * n + lo > 0.5 and hi < math.inf:
-            at_lo = _sweep(n, potential, lo)
-            if at_lo[0] == index + 1:
-                at_hi = _sweep(n, potential, hi)
-        if at_hi[0] != index:
+        at_hi, at_lo = swept[index], swept[index + 1]
+        if (at_lo[0], at_hi[0]) != (index + 1, index):
+            guess = None
             u, step = _seed(n, potential, index)
             at = _sweep(n, potential, u)
             if at[0] > index:
@@ -408,7 +420,7 @@ def _roots(n: int, potential: Potential) -> tuple[tuple[float, float], tuple[flo
                     step *= 2.0
                     hi, at_hi, lo, at_lo = lo, at_lo, u - step, _UNSWEPT
                 lo = max(lo, floor)
-        brackets.append(_shrink(n, potential, index, lo, hi, at_lo, at_hi, tol))
+        brackets.append(_shrink(n, potential, index, lo, hi, at_lo, at_hi, tol, guess))
     return brackets[0], brackets[1]
 
 

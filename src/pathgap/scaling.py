@@ -92,37 +92,51 @@ def gap_series(potential: Potential, k_values: list[int]) -> tuple[SpectralResul
     return tuple(eigenvalues_low(assemble_hamiltonian(k, potential)) for k in ks)
 
 
-def fit_power_law(points: tuple[SpectralResult, ...]) -> ScalingFit:
-    """Ordinary least squares of log gap against log n.
+def _integers(values: list[float]) -> tuple[list[int], int]:
+    """Integers X and a power of two d with X[i] / d == values[i] exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max(den for _, den in ratios)
+    return [num * (d // den) for num, den in ratios], d
 
-    Flagged (precision-limited) points are excluded; at least 3 usable
-    points are required.  Band statistics are taken over the scaled
-    sequence at the fitted exponent rounded to the nearest integer, using
-    points with k >= ``BAND_K_MIN`` (all usable points if none qualify).
+
+def fit_power_law(points: tuple[SpectralResult, ...]) -> ScalingFit:
+    """Ordinary least squares of log gap against log n, in closed form.
+
+    Each double log is an integer over a power of two, so the sums of the
+    two-parameter normal equations are exact integers: the exponent, the
+    log of the prefactor and r_squared are the exact least-squares values
+    of the double logs, each rounded once.  Flagged (precision-limited)
+    points are excluded; at least 3 usable points, with finite gaps and
+    two distinct values of log n, are required.  Band statistics are taken
+    over the scaled sequence at the fitted exponent rounded to the nearest
+    integer, using points with k >= ``BAND_K_MIN`` (all usable points if
+    none qualify).
     """
     pts = [pt for pt in points if not pt.precision_limited and pt.gap > 0]
     if len(pts) < 3:
         raise ValueError(
             f"power-law fit needs at least 3 usable points, have {len(pts)}"
         )
-    x = np.log([pt.n for pt in pts])
-    y = np.log([pt.gap for pt in pts])
-    exponent, intercept = np.polyfit(x, y, 1)
-    resid = y - (exponent * x + intercept)
-    ss_res = float(np.dot(resid, resid))
-    centered = y - y.mean()
-    ss_tot = float(np.dot(centered, centered))
-    if ss_tot == 0.0:
-        r_squared = 1.0 if ss_res <= 1e-28 else 0.0
-    else:
-        r_squared = 1.0 - ss_res / ss_tot
-    power = int(round(-float(exponent)))
+    if any(pt.gap == math.inf for pt in pts):
+        raise ValueError("power-law fit needs finite gaps")
+    xs, dx = _integers([math.log(pt.n) for pt in pts])
+    ys, dy = _integers([math.log(pt.gap) for pt in pts])
+    m, sx, sy = len(pts), sum(xs), sum(ys)
+    sxx = m * sum(a * a for a in xs) - sx * sx
+    sxy = m * sum(a * b for a, b in zip(xs, ys)) - sx * sy
+    syy = m * sum(b * b for b in ys) - sy * sy
+    if sxx == 0:  # from n near 10^15 up, distinct n may share one double log n
+        raise ValueError("power-law fit needs two distinct values of log n")
+    exponent = sxy * dx / (sxx * dy)
+    intercept = (sy * sxx - sx * sxy) / (m * sxx * dy)
+    r_squared = sxy * sxy / (sxx * syy) if syy else 1.0
+    power = round(-exponent)
     band = [pt.n**power * pt.gap for pt in pts if pt.k >= BAND_K_MIN]
     if not band:
         band = [pt.n**power * pt.gap for pt in pts]
     return ScalingFit(
-        exponent=float(exponent),
-        prefactor=float(math.exp(intercept)),
+        exponent=exponent,
+        prefactor=math.exp(intercept),
         r_squared=r_squared,
         band_min=min(band),
         band_max=max(band),

@@ -424,15 +424,29 @@ class TestEigenvaluesLowAgainstTheOracle:
 
     @pytest.mark.parametrize("grid", [(100, 1600, 16), (3200, 25600, 4)])
     def test_sweeps_per_point(self, monkeypatch, grid):
-        # Illinois steps inside the certified brackets: about 27 evaluations
-        # of f per point, where bisection alone took about 110
+        # Illinois steps inside the certified brackets, each search starting
+        # at the two-level guess sigma +- Delta: 11 to 13 evaluations of f
+        # per point, where starting from the window's ends took about 27
+        # and bisection alone about 110
         calls = []
         sweep = eigensolver._sweep
         monkeypatch.setattr(eigensolver, "_sweep", lambda *args: calls.append(1) or sweep(*args))
         for k in geometric_grid(*grid):
             calls.clear()
             eigenvalues_low(_op(k, [(0, 1.0)]))
-            assert len(calls) <= 40, k
+            assert len(calls) <= 16, k
+
+    def test_one_search_never_sweeps_the_same_u_twice(self, monkeypatch):
+        # sigma ends u0's window and starts u1's: one sweep serves both
+        us = []
+        sweep = eigensolver._sweep
+        monkeypatch.setattr(eigensolver, "_sweep", lambda n, p, u: us.append(u) or sweep(n, p, u))
+        for spec in BOUND_POTENTIALS:
+            potential = parse_potential_spec(spec)
+            for k in (*ACCEPTANCE_GRID, *range(4, 41)):
+                us.clear()
+                _roots(2 * k + 1, potential)
+                assert len(set(us)) == len(us), (spec, k)
 
 
 class TestSpectrumLowHint:

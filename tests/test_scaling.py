@@ -1,5 +1,7 @@
 import math
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from pathgap import (
@@ -14,6 +16,7 @@ from pathgap import (
 from pathgap.cli import CSV_HEADER, series_from_csv, series_to_csv
 
 SQRT11 = math.sqrt(11.0)
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def _synthetic(prefactor, exponent, ks, flagged=()):
@@ -147,6 +150,48 @@ class TestFitPowerLaw:
     def test_needs_three_points(self):
         series = _synthetic(7.0, -3.0, [10, 20], flagged=())
         with pytest.raises(ValueError, match="at least 3"):
+            fit_power_law(series)
+
+    @pytest.mark.parametrize("series", ["golden", "deep", "exact"])
+    def test_is_the_least_squares_fit_rounded_once(self, series):
+        # against mpmath's least squares of the same double logs: exponent
+        # and r_squared within half an ulp, the prefactor within half an ulp
+        # of its log plus the rounding of exp.  np.polyfit was 4.8e-15 off
+        # in the exponent and 2.8e-14 in the log prefactor on the golden grid
+        points = {
+            "golden": lambda: series_from_csv((GOLDEN / "gap-scan.csv").read_text()),
+            "deep": lambda: gap_series(build_potential([(0, 1.0)]),
+                                       geometric_grid(3200, 25600, 4)),
+            "exact": lambda: _synthetic(7.0, -3.0, [10, 20, 40, 80]),
+        }[series]()
+        pts = [pt for pt in points if not pt.precision_limited]
+        fit = fit_power_law(points)
+        with mpmath.workdps(60):
+            x = [mpmath.mpf(math.log(pt.n)) for pt in pts]
+            y = [mpmath.mpf(math.log(pt.gap)) for pt in pts]
+            x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+            sxx = sum((a - x_mean) ** 2 for a in x)
+            sxy = sum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+            syy = sum((b - y_mean) ** 2 for b in y)
+            slope, intercept = sxy / sxx, y_mean - sxy / sxx * x_mean
+            r_squared = sxy**2 / (sxx * syy)
+            assert abs(fit.exponent - slope) <= 0.5 * math.ulp(fit.exponent)
+            assert abs(fit.r_squared - r_squared) <= 0.5 * math.ulp(fit.r_squared)
+            prefactor = mpmath.exp(intercept)
+            rel = abs(fit.prefactor - prefactor) / prefactor
+            assert rel <= 0.5 * math.ulp(float(intercept)) + 2 * math.ulp(1.0)
+
+    def test_rejects_one_value_of_log_n(self):
+        # n beyond about 10^15: three neighbouring k share one double log n
+        k = 10**17
+        series = tuple(SpectralResult(k + i, 0.0, g, False) for i, g in enumerate((1.0, 2.0, 4.0)))
+        assert len({math.log(pt.n) for pt in series}) == 1
+        with pytest.raises(ValueError, match="two distinct values of log n"):
+            fit_power_law(series)
+
+    def test_rejects_an_infinite_gap(self):
+        series = (*_synthetic(7.0, -3.0, [10, 20, 40]), SpectralResult(50, 0.0, math.inf, False))
+        with pytest.raises(ValueError, match="finite gaps"):
             fit_power_law(series)
 
     def test_free_baseline_exponent(self):
