@@ -9,7 +9,8 @@ support edge.  This module computes
   support) entering the lower bound on the ground energy,
 * the variational trial state (two half-path Dirichlet cosines plus a
   constant floor with mixing weight solving the normalization relation)
-  giving the upper bound,
+  giving the upper bound; its mixing weight, norm and Rayleigh quotient
+  are closed forms, so no trial vector is built,
 * the sandwich for the first excited energy,
 * single-site diagnostics (ground-state value at the origin, potential
   energy),
@@ -20,22 +21,20 @@ and aggregates every inequality into a report with per-check status;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .eigensolver import SpectralResult, dirichlet_ground_energy
-from .operators import Potential, TridiagonalOperator, rayleigh_quotient
+from .operators import Potential, TridiagonalOperator
 
 __all__ = [
     "SideCorrections",
-    "TrialState",
     "BoundCheck",
     "BoundsReport",
     "side_energies",
     "compute_side_corrections",
     "side_correction_product",
-    "cosine_pieces",
     "build_trial_state",
     "mixing_weight_product",
     "single_site_diagnostics",
@@ -51,10 +50,6 @@ EPSILON = 1.0
 # potentials); forgives eigensolver noise only.
 _SLACK = 1e-12
 
-# mismatch beyond this between the closed-form mixing weight and the
-# recomputed trial-state norm indicates an implementation bug.
-_NORM_GUARD = 1e-10
-
 
 @dataclass(frozen=True)
 class SideCorrections:
@@ -66,18 +61,6 @@ class SideCorrections:
     @property
     def total(self) -> float:
         return self.left + self.right
-
-
-@dataclass(frozen=True)
-class TrialState:
-    """Variational state: two Dirichlet cosines plus a constant floor.
-
-    ``mixing`` is the weight of the floor, solving the normalization
-    relation in closed form; ``vector`` is the assembled unit-norm state.
-    """
-
-    mixing: float
-    vector: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -107,7 +90,7 @@ class BoundsReport:
     result: SpectralResult
     side: SideCorrections
     side_energies: tuple[float, float]  # side_energies(k, potential)
-    trial: TrialState | None
+    mixing: float | None  # build_trial_state(op), None when degenerate
     checks: list[BoundCheck]
 
     @property
@@ -124,7 +107,7 @@ class BoundsReport:
     @property
     def ground_upper(self) -> float | None:
         """None when the trial state is degenerate."""
-        return None if self.trial is None else self._check("ground_energy_upper_bound").rhs
+        return None if self.mixing is None else self._check("ground_energy_upper_bound").rhs
 
     @property
     def excited_lower(self) -> float:
@@ -176,42 +159,23 @@ def side_correction_product(op: TridiagonalOperator, side: SideCorrections) -> f
     return side.total * op.potential.strength_min * op.k
 
 
-def cosine_pieces(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The two half-path cosine profiles as full-length vectors.
-
-    Each piece is the ground profile of its free sub-path with a Dirichlet
-    site at the support edge (where it vanishes), scaled by direct summation
-    to squared norm 1/2, and zero outside its side.
-    """
-    k, rmin, rmax = op.k, op.potential.site_min, op.potential.site_max
-    left = np.zeros(op.n)
-    right = np.zeros(op.n)
-
-    m_left = k + rmin
-    j = np.arange(-k, rmin + 1)
-    raw = np.cos((j + k + 0.5) * math.pi / (2 * m_left + 1))
-    norm_left = 2.0 * float(np.dot(raw, raw))
-    left[: m_left + 1] = raw / math.sqrt(norm_left)
-
-    m_right = k - rmax
-    j = np.arange(rmax, k + 1)
-    raw = np.cos((k - j + 0.5) * math.pi / (2 * m_right + 1))
-    norm_right = 2.0 * float(np.dot(raw, raw))
-    right[rmax + k :] = raw / math.sqrt(norm_right)
-    return left, right
+def _piece_sum(m: int) -> float:
+    """Sum of the half-cosine cos((i + 1/2) x), i = 0..m, x = pi/(2m+1),
+    scaled to squared norm 1/2: its raw sum is cot(x/2)/2 and its raw
+    squared norm (2m+1)/4, so the sum is cot(x/2) / sqrt(2(2m+1))."""
+    return 1.0 / (math.tan(0.5 * math.pi / (2 * m + 1)) * math.sqrt(2.0 * (2 * m + 1)))
 
 
-def build_trial_state(op: TridiagonalOperator) -> TrialState:
-    """Assemble the trial state and solve the normalization relation.
+def _floor_and_sum(op: TridiagonalOperator) -> tuple[float, float]:
+    """The trial state's floor amplitude a and the sum S of its two cosine
+    pieces.
 
-    The mixing weight solves  b = 2 sqrt((1-b) b) * a * S + (2k+1) b a^2
-    (a = floor amplitude, S = sum of the cosine pieces) in closed form:
-    b = 4 a^2 S^2 / ((1 - (2k+1) a^2)^2 + 4 a^2 S^2), valid on the branch
-    (2k+1) a^2 < 1.  The assembled vector is verified to have unit norm.
+    Each piece is the ground profile of its free sub-path, with m + 1 sites
+    from the path end up to the support edge, where it vanishes, at squared
+    norm 1/2; it is zero outside its side.  ValueError off the branch
+    (2k+1) a^2 < 1.
     """
     k, n, strength_sum = op.k, op.n, op.potential.strength_sum
-    left, right = cosine_pieces(op)
-
     amp = math.sqrt(dirichlet_ground_energy(k) / (2.0 + EPSILON) / strength_sum)
     if n * amp * amp >= 1.0:
         raise ValueError(
@@ -219,25 +183,42 @@ def build_trial_state(op: TridiagonalOperator) -> TrialState:
             f"{n * amp * amp:.6g} >= 1 (k = {k}, total strength = "
             f"{strength_sum:g}, epsilon = {EPSILON:g})"
         )
+    cos_sum = _piece_sum(k + op.potential.site_min) + _piece_sum(k - op.potential.site_max)
+    return amp, cos_sum
 
-    cos_sum = float(np.sum(left) + np.sum(right))
+
+def build_trial_state(op: TridiagonalOperator) -> float:
+    """The mixing weight b of the trial state sqrt(1-b) (left + right
+    pieces) + sqrt(b) a, in O(1).
+
+    b solves the normalization relation  b = 2 sqrt((1-b) b) a S + (2k+1) b a^2
+    (a = floor amplitude, S = sum of the cosine pieces) in closed form:
+    b = 4 a^2 S^2 / ((1 - (2k+1) a^2)^2 + 4 a^2 S^2), valid on the branch
+    (2k+1) a^2 < 1; ValueError off it.
+    """
+    amp, cos_sum = _floor_and_sum(op)
     a2s2 = 4.0 * amp * amp * cos_sum * cos_sum
-    mixing = a2s2 / ((1.0 - n * amp * amp) ** 2 + a2s2)
-
-    vector = math.sqrt(1.0 - mixing) * (left + right) + math.sqrt(mixing) * amp
-    norm_sq = float(np.dot(vector, vector))
-    if abs(norm_sq - 1.0) > _NORM_GUARD:
-        raise RuntimeError(
-            f"internal error: trial-state norm^2 = {norm_sq!r} after closed-form "
-            f"mixing weight (k = {k})"
-        )
-    vector.flags.writeable = False
-    return TrialState(mixing=mixing, vector=vector)
+    return a2s2 / ((1.0 - op.n * amp * amp) ** 2 + a2s2)
 
 
-def mixing_weight_product(op: TridiagonalOperator, trial: TrialState) -> float:
+def _trial_rayleigh(op: TridiagonalOperator, b: float, theta_sum: float) -> float:
+    """Rayleigh quotient of the trial state at mixing weight ``b``, with
+    ``theta_sum`` the sum of the two side energies.
+
+    Each piece is a Dirichlet ground state of its side, of energy theta/2,
+    and both vanish on the support, so the floor adds only its potential
+    energy b a^2 alpha_sum:
+    ((1-b) theta_sum / 2 + b a^2 alpha_sum) / ((1-b) + 2 sqrt((1-b) b) a S + (2k+1) b a^2).
+    """
+    amp, cos_sum = _floor_and_sum(op)
+    energy = 0.5 * (1.0 - b) * theta_sum + b * amp * amp * op.potential.strength_sum
+    norm_sq = (1.0 - b) + 2.0 * math.sqrt((1.0 - b) * b) * amp * cos_sum + op.n * b * amp * amp
+    return energy / norm_sq
+
+
+def mixing_weight_product(op: TridiagonalOperator, mixing: float) -> float:
     """mixing * total strength * k; bounded below over sweeps."""
-    return trial.mixing * op.potential.strength_sum * op.k
+    return mixing * op.potential.strength_sum * op.k
 
 
 def single_site_diagnostics(
@@ -298,12 +279,11 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
     side = compute_side_corrections(op, phi)
     lower = (0.5 - side.left) * theta_left + (0.5 - side.right) * theta_right
 
-    trial: TrialState | None = None
+    mixing: float | None = None
     upper: float | None = None
     trial_error: str | None = None
     try:
-        trial = build_trial_state(op)
-        b = trial.mixing
+        mixing = b = build_trial_state(op)
         upper = 0.5 * (1.0 - b) * (theta_left + theta_right) + b * (theta_path / (2.0 + EPSILON))
     except ValueError as err:
         trial_error = str(err)
@@ -350,11 +330,10 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
         )
     )
 
-    if trial is not None:
-        checks.append(
-            _leq("trial_rayleigh_above_ground", lam0, rayleigh_quotient(op, trial.vector))
-        )
+    if mixing is not None:
+        rayleigh = _trial_rayleigh(op, mixing, theta_left + theta_right)
+        checks.append(_leq("trial_rayleigh_above_ground", lam0, rayleigh))
     else:
         checks.append(BoundCheck("trial_rayleigh_above_ground", lam0, math.nan, False, trial_error))
 
-    return BoundsReport(potential, result, side, (theta_left, theta_right), trial, checks)
+    return BoundsReport(potential, result, side, (theta_left, theta_right), mixing, checks)

@@ -28,11 +28,12 @@ one field rule (``_scalar``: 17 significant digits, ``nan`` and ``inf``
 as such), which JSON shares with null for None and non-finite floats.
 
 Exit codes: 0 success / all applicable checks hold, 1 a bound check failed,
-2 input or parse error (an unreadable input, an unwritable ``--out`` or a
-path too long for memory too), 3 numerical failure: no ground state that
-both the glued closed form's error bound and one inverse-iteration solve
-vouch for, as on mirror-symmetric double barriers such as
-``-1:1e8,1:1e8`` at k = 20 (spectrum and verify-bounds only).
+2 input or parse error (an unreadable input, an unwritable ``--out``, a k
+that ``check_half_width`` rejects or a path too long for memory too), 3
+numerical failure: no ground state that both the glued closed form's error
+bound and one inverse-iteration solve vouch for, as on mirror-symmetric
+double barriers such as ``-1:1e8,1:1e8`` at k = 20 (spectrum and
+verify-bounds only).
 """
 from __future__ import annotations
 
@@ -41,11 +42,9 @@ import math
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from .bounds import EPSILON, BoundsReport, evaluate_bounds, single_site_diagnostics
 from .eigensolver import ConvergenceError, SpectralResult, eigenvalues_low, spectrum_low
-from .operators import Potential, assemble_hamiltonian, build_potential
+from .operators import Potential, assemble_hamiltonian, build_potential, check_half_width
 from .scaling import ScalingFit, fit_power_law, gap_series, geometric_grid, linear_grid
 
 __all__ = ["CSV_HEADER", "parse_potential_spec", "spec_string", "parse_k_grid", "to_json",
@@ -115,10 +114,10 @@ def _scalar(value) -> str:
     """A CSV field: true/false, an int, or a float that ``float`` reads back."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -129,7 +128,7 @@ def _json_scalar(value) -> str:
     if isinstance(value, str):
         out = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{out}"'
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         return "null"
     return _scalar(value)
 
@@ -200,10 +199,10 @@ def series_from_csv(text: str) -> tuple[SpectralResult, ...]:
     alpha_sum column is parsed, not kept).
 
     Raises ValueError naming the row when a row has the wrong field count,
-    a field that does not parse, a k below 1 or not above the previous
-    row's, an n other than 2k+1, a gap other than lambda1 - lambda0, a
-    precision_limited other than true/false, or a gap_n2 / gap_n3 other
-    than n**2 * gap / n**3 * gap.
+    a field that does not parse, a k that ``check_half_width`` rejects or
+    that is not above the previous row's, an n other than 2k+1, a gap other
+    than lambda1 - lambda0, a precision_limited other than true/false, or a
+    gap_n2 / gap_n3 other than n**2 * gap / n**3 * gap.
     """
     rows = [
         line.strip()
@@ -220,16 +219,12 @@ def series_from_csv(text: str) -> tuple[SpectralResult, ...]:
         if len(fields) != 9:
             raise ValueError(f"malformed CSV row: {row!r}")
         try:
-            k, n = int(fields[0]), int(fields[1])
+            k, n = check_half_width(int(fields[0])), int(fields[1])
             float(fields[2])  # alpha_sum: parsed, not kept
             lam0, lam1, gap, gap_n2, gap_n3 = (float(f) for f in fields[3:8])
         except ValueError as err:
             raise ValueError(f"CSV row {row!r}: {err}") from None
         flag = fields[8]
-        if k < 1:
-            raise ValueError(
-                f"CSV row {row!r}: half-width k must be a positive integer, got {k}"
-            )
         if points and k <= points[-1].k:
             raise ValueError(
                 f"CSV row {row!r}: k = {k} does not exceed the previous row's "
@@ -281,7 +276,7 @@ def report_fields(rep: BoundsReport) -> dict:
         "side_energy_max": max(rep.side_energies),
         "side_correction_left": rep.side.left,
         "side_correction_right": rep.side.right,
-        "mixing_weight": None if rep.trial is None else rep.trial.mixing,
+        "mixing_weight": rep.mixing,
         "all_hold": rep.all_hold,
         "checks": [
             {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "holds": c.holds,
@@ -335,8 +330,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "gap_n2": n**2 * res.gap,
         "gap_n3": n**3 * res.gap,
         "precision_limited": res.precision_limited,
-        "ground_state_min": float(np.min(phi)),
-        "ground_state_max": float(np.max(phi)),
+        "ground_state_min": float(phi.min()),
+        "ground_state_max": float(phi.max()),
         "ground_state_at_origin": float(phi[args.k]),
     }
     if args.fmt == "json":

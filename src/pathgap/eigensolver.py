@@ -45,7 +45,7 @@ __all__ = [
     "free_spectrum",
 ]
 
-EPS = float(np.finfo(float).eps)
+EPS = sys.float_info.epsilon
 # relative width at which every eigenvalue bracket stops; the bracketed
 # ground energy is also the shift of the solve that checks the ground state
 REL_TOL = 1e-14

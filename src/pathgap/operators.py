@@ -24,10 +24,9 @@ __all__ = [
     "Potential",
     "TridiagonalOperator",
     "build_potential",
+    "check_half_width",
     "assemble_hamiltonian",
     "apply_operator",
-    "quadratic_form",
-    "rayleigh_quotient",
 ]
 
 
@@ -159,18 +158,32 @@ def build_potential(
     return Potential(entries)
 
 
+def check_half_width(k: int) -> int:
+    """``k`` as an int, if it is a positive integer and the cube of the path
+    length n = 2k+1 is a finite double (k up to about 2.8e102), so that the
+    scaled gaps n^2 gap and n^3 gap are doubles; ValueError otherwise."""
+    if int(k) != k or k < 1:
+        raise ValueError(f"half-width k must be a positive integer, got {k}")
+    k = int(k)
+    try:
+        float((2 * k + 1) ** 3)
+    except OverflowError:
+        raise ValueError(
+            f"half-width k = {k} is too large: (2k+1)^3 overflows a double"
+        ) from None
+    return k
+
+
 def assemble_hamiltonian(k: int, potential: Potential) -> TridiagonalOperator:
     """Tridiagonal operator on the path -k..k: diag(v) = degree(v) +
     strength(v) (built on first access), coupling -1 on every edge.
 
-    Rejects a half-width k that is not a positive integer, and a non-empty
-    potential whose support does not leave a non-empty sub-path on each
-    side: k + site_min >= 1 and k - site_max >= 1 (required by the bound
-    evaluations).
+    Rejects a half-width k that ``check_half_width`` rejects, and a
+    non-empty potential whose support does not leave a non-empty sub-path
+    on each side: k + site_min >= 1 and k - site_max >= 1 (required by the
+    bound evaluations).
     """
-    if int(k) != k or k < 1:
-        raise ValueError(f"half-width k must be a positive integer, got {k}")
-    k = int(k)
+    k = check_half_width(k)
     if not potential.is_empty:
         rmin, rmax = potential.site_min, potential.site_max
         if rmin < -k or rmax > k:
@@ -194,29 +207,3 @@ def apply_operator(op: TridiagonalOperator, f: np.ndarray) -> np.ndarray:
     out[:-1] -= f[1:]
     out[1:] -= f[:-1]
     return out
-
-
-def quadratic_form(op: TridiagonalOperator, f: np.ndarray) -> float:
-    """Energy of f: sum of squared gradients along edges plus potential term.
-
-    Agrees with <f, H f> up to rounding; evaluated in the gradient form so the
-    result is a sum of non-negative terms (exactly 0 for constants when the
-    potential is empty).
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (op.n,):
-        raise ValueError(f"vector length {f.shape} does not match n = {op.n}")
-    grad = np.diff(f)
-    value = float(np.dot(grad, grad))
-    for site, strength in op.potential.entries:
-        value += strength * float(f[site + op.k]) ** 2
-    return value
-
-
-def rayleigh_quotient(op: TridiagonalOperator, f: np.ndarray) -> float:
-    """quadratic_form(op, f) / ||f||^2; rejects the zero vector."""
-    f = np.asarray(f, dtype=float)
-    norm_sq = float(np.dot(f, f))
-    if norm_sq == 0.0:
-        raise ValueError("Rayleigh quotient of the zero vector is undefined")
-    return quadratic_form(op, f) / norm_sq

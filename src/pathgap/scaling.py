@@ -11,12 +11,11 @@ sweep is its tuple of grid points, each the ``SpectralResult`` that
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .eigensolver import SpectralResult, eigenvalues_low
-from .operators import Potential, assemble_hamiltonian
+from .operators import Potential, assemble_hamiltonian, check_half_width
 
 __all__ = [
     "ScalingFit",
@@ -59,28 +58,54 @@ def geometric_grid(lo: int, hi: int, count: int) -> list[int]:
     if count == 1:
         return [lo]
     rate = math.log1p((hi - lo) / lo) / (count - 1)
-    return _with_ends(lo, hi, (lo + round(lo * math.expm1(i * rate)) for i in range(1, count - 1)))
+    return _with_ends(lo, hi, count, lambda i: lo + round(lo * math.expm1(i * rate)))
 
 
 def linear_grid(lo: int, hi: int, count: int) -> list[int]:
-    """count evenly spaced integers from lo to hi (deduplicated)."""
+    """count evenly spaced integers from lo to hi (deduplicated): the
+    interior points are float(lo) + i * step, with step = (float(hi) -
+    float(lo)) / (count - 1), rounded (the values of ``numpy.linspace``)."""
     _check_grid(lo, hi, count)
     if count == 1:
         return [lo]
-    return _with_ends(lo, hi, np.linspace(float(lo), float(hi), count)[1:-1])
+    start = float(lo)
+    step = (float(hi) - start) / (count - 1)
+    return _with_ends(lo, hi, count, lambda i: round(start + i * step))
 
 
-def _with_ends(lo: int, hi: int, interior) -> list[int]:
-    """lo, hi (exact at any size) and the interior points, rounded into
-    [lo, hi]; sorted and deduplicated."""
-    return sorted({lo, hi, *(min(max(round(v), lo), hi) for v in interior)})
+def _with_ends(lo: int, hi: int, count: int, point) -> list[int]:
+    """lo, hi (exact at any size) and the distinct values of the interior
+    points ``point(i)``, i = 1..count-2, clamped into [lo, hi]; sorted.
+
+    ``point`` is non-decreasing in i, so the last i of each value is found
+    by bisection: the work is O(distinct values * log count), however large
+    count is."""
+    def at(i: int) -> int:
+        return min(max(point(i), lo), hi)
+
+    values = {lo, hi}
+    i = 1
+    while i < count - 1:
+        value = at(i)
+        values.add(value)
+        same, differs = i, count - 1  # the last i of value is in [same, differs)
+        while differs - same > 1:
+            mid = (same + differs) // 2
+            if at(mid) == value:
+                same = mid
+            else:
+                differs = mid
+        i = differs
+    return sorted(values)
 
 
 def _check_grid(lo: int, hi: int, count: int) -> None:
-    if lo < 1 or hi < lo:
-        raise ValueError(f"grid needs 1 <= min <= max, got {lo}..{hi}")
-    if count < 1:
-        raise ValueError(f"grid needs count >= 1, got {count}")
+    check_half_width(lo)
+    check_half_width(hi)
+    if hi < lo:
+        raise ValueError(f"grid needs min <= max, got {lo}..{hi}")
+    if not 1 <= count <= sys.float_info.max:
+        raise ValueError(f"grid needs 1 <= count <= {sys.float_info.max:g}, got {count}")
 
 
 def gap_series(potential: Potential, k_values: list[int]) -> tuple[SpectralResult, ...]:

@@ -8,10 +8,12 @@ import pytest
 
 from pathgap import (
     assemble_hamiltonian,
+    dirichlet_ground_energy,
     evaluate_bounds,
     geometric_grid,
     spectrum_low,
 )
+from pathgap.bounds import EPSILON
 from pathgap.cli import parse_potential_spec
 
 # the benchmark's mpmath oracle, point checks and command lists, which share
@@ -77,6 +79,89 @@ def mp_ground_state(k, pairs, dps=None):
             norm = mpmath.sqrt(mpmath.fsum(v * v for v in x))
             x = [v / norm for v in x]
         return np.array([float(v) for v in x])
+
+
+# O(n) references of what the library computes in closed form
+
+
+def quadratic_form(op, f):
+    """Energy of f: sum of squared gradients along edges plus potential term.
+
+    Agrees with <f, H f> up to rounding; evaluated in the gradient form so the
+    result is a sum of non-negative terms (exactly 0 for constants when the
+    potential is empty).
+    """
+    f = np.asarray(f, dtype=float)
+    if f.shape != (op.n,):
+        raise ValueError(f"vector length {f.shape} does not match n = {op.n}")
+    grad = np.diff(f)
+    value = float(np.dot(grad, grad))
+    for site, strength in op.potential.entries:
+        value += strength * float(f[site + op.k]) ** 2
+    return value
+
+
+def rayleigh_quotient(op, f):
+    """quadratic_form(op, f) / ||f||^2; rejects the zero vector."""
+    f = np.asarray(f, dtype=float)
+    norm_sq = float(np.dot(f, f))
+    if norm_sq == 0.0:
+        raise ValueError("Rayleigh quotient of the zero vector is undefined")
+    return quadratic_form(op, f) / norm_sq
+
+
+def cosine_pieces(op):
+    """The two half-path cosine profiles of the trial state as full-length
+    vectors.
+
+    Each piece is the ground profile of its free sub-path with a Dirichlet
+    site at the support edge (where it vanishes), scaled by direct summation
+    to squared norm 1/2, and zero outside its side.
+    """
+    k, rmin, rmax = op.k, op.potential.site_min, op.potential.site_max
+    left = np.zeros(op.n)
+    right = np.zeros(op.n)
+
+    m_left = k + rmin
+    j = np.arange(-k, rmin + 1)
+    raw = np.cos((j + k + 0.5) * math.pi / (2 * m_left + 1))
+    left[: m_left + 1] = raw / math.sqrt(2.0 * float(np.dot(raw, raw)))
+
+    m_right = k - rmax
+    j = np.arange(rmax, k + 1)
+    raw = np.cos((k - j + 0.5) * math.pi / (2 * m_right + 1))
+    right[rmax + k :] = raw / math.sqrt(2.0 * float(np.dot(raw, raw)))
+    return left, right
+
+
+def trial_vector(op, mixing):
+    """The trial state sqrt(1 - b) (left + right) + sqrt(b) a at b =
+    ``mixing``, with a the floor amplitude sqrt(E_D(k) / (2 + EPSILON) /
+    total strength)."""
+    left, right = cosine_pieces(op)
+    amp = math.sqrt(dirichlet_ground_energy(op.k) / (2.0 + EPSILON) / op.potential.strength_sum)
+    return math.sqrt(1.0 - mixing) * (left + right) + math.sqrt(mixing) * amp
+
+
+def mp_trial_state(k, pairs, dps=50):
+    """(mixing weight, upper bound) of the trial state in mpmath, from the
+    exact strengths: the Rayleigh quotient of the exactly normalized state,
+    ((1-b)(theta_L + theta_R)/2 + b E_D(k) / (2 + EPSILON)), which is the
+    upper bound.  The piece sums are cot(x/2) / sqrt(2(2m+1)), x = pi/(2m+1)
+    (``test_bounds.py`` checks them against direct mpmath sums)."""
+    rmin, rmax = min(s for s, _ in pairs), max(s for s, _ in pairs)
+    with mpmath.workdps(dps):
+        def energy(m):
+            return 4 * mpmath.sin(mpmath.pi / (2 * (2 * m + 1))) ** 2
+
+        def piece_sum(m):
+            return mpmath.cot(mpmath.pi / (2 * (2 * m + 1))) / mpmath.sqrt(2 * (2 * m + 1))
+
+        floor = energy(k) / (2 + mpmath.mpf(EPSILON))
+        a2 = floor / mpmath.fsum(mpmath.mpf(a) for _, a in pairs)
+        a2s2 = 4 * a2 * (piece_sum(k + rmin) + piece_sum(k - rmax)) ** 2
+        b = a2s2 / ((1 - (2 * k + 1) * a2) ** 2 + a2s2)
+        return b, (1 - b) * (energy(k + rmin) + energy(k - rmax)) / 2 + b * floor
 
 
 @pytest.fixture(scope="session")

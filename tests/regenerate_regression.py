@@ -43,7 +43,7 @@ def main() -> None:
             res = spectrum_low(op)
             rep = evaluate_bounds(op, res)
             ak.append(side_correction_product(op, rep.side))
-            bk.append(mixing_weight_product(op, rep.trial))
+            bk.append(mixing_weight_product(op, rep.mixing))
             _, e_pot, s = single_site_diagnostics(res, pot)
             scaled.append(s)
             epk3.append(e_pot * k**3)
@@ -53,8 +53,9 @@ def main() -> None:
             "origin_scaled_max": max(scaled),
             "potential_energy_k3_max": max(epk3),
         }
-    trial = build_trial_state(assemble_hamiltonian(10, parse_potential_spec("0:1")))
-    payload["trial_mixing_k10_alpha1"] = trial.mixing
+    payload["trial_mixing_k10_alpha1"] = build_trial_state(
+        assemble_hamiltonian(10, parse_potential_spec("0:1"))
+    )
 
     out = Path(__file__).parent / "data" / "regression_values.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")

@@ -16,20 +16,25 @@ from pathgap import (
     assemble_hamiltonian,
     build_potential,
     build_trial_state,
-    cosine_pieces,
     dirichlet_ground_energy,
     eigenvalue,
     fit_power_law,
     free_spectrum,
     mixing_weight_product,
-    rayleigh_quotient,
     side_correction_product,
     single_site_diagnostics,
     spectrum_low,
 )
 from pathgap.cli import main, parse_k_grid, parse_potential_spec
 
-from conftest import ACCEPTANCE_GRID, ALPHA_SET, BOUND_POTENTIALS
+from conftest import (
+    ACCEPTANCE_GRID,
+    ALPHA_SET,
+    BOUND_POTENTIALS,
+    cosine_pieces,
+    rayleigh_quotient,
+    trial_vector,
+)
 
 REGRESSION = json.loads(
     (Path(__file__).parent / "data" / "regression_values.json").read_text()
@@ -113,15 +118,15 @@ def test_criterion_06_correction_products(bound_reports):
         reports = bound_reports[spec]
         ops = [assemble_hamiltonian(rep.k, pot) for rep in reports]
         ak = [side_correction_product(op, rep.side) for op, rep in zip(ops, reports)]
-        bk = [mixing_weight_product(op, rep.trial) for op, rep in zip(ops, reports)]
+        bk = [mixing_weight_product(op, rep.mixing) for op, rep in zip(ops, reports)]
         ak_max, bk_min = max(ak), min(bk)
         ok &= math.isfinite(ak_max) and bk_min > 0.0
         pins = REGRESSION["potentials"][spec]
         ok &= _within_regression(ak_max, pins["ak_product_max"])
         ok &= _within_regression(bk_min, pins["bk_product_min"])
         details.append(f"{spec}: ak_max={ak_max:.4f} bk_min={bk_min:.4f}")
-    trial = build_trial_state(assemble_hamiltonian(10, parse_potential_spec("0:1")))
-    ok &= _within_regression(trial.mixing, REGRESSION["trial_mixing_k10_alpha1"])
+    mixing = build_trial_state(assemble_hamiltonian(10, parse_potential_spec("0:1")))
+    ok &= _within_regression(mixing, REGRESSION["trial_mixing_k10_alpha1"])
     _report(6, "side-correction and mixing-weight products", ok,
             "; ".join(details) + " vs pinned +-20%")
 
@@ -169,24 +174,24 @@ def test_criterion_08_origin_diagnostics(spectral, bound_reports):
 
 
 def test_criterion_09_trial_state_integrity(bound_reports):
+    # the library's trial state is closed forms; the O(n) reference vector
+    # at its mixing weight is the state they describe
     worst_norm = 0.0
     worst_piece = 0.0
     rayleigh_ok = True
     for spec in BOUND_POTENTIALS:
         pot = parse_potential_spec(spec)
         for rep in bound_reports[spec]:
-            trial = rep.trial
-            worst_norm = max(
-                worst_norm, abs(float(np.dot(trial.vector, trial.vector)) - 1.0)
-            )
             op = assemble_hamiltonian(rep.k, pot)
+            vector = trial_vector(op, rep.mixing)
+            worst_norm = max(worst_norm, abs(float(np.dot(vector, vector)) - 1.0))
             left, right = cosine_pieces(op)
             worst_piece = max(
                 worst_piece,
                 abs(float(np.dot(left, left)) - 0.5),
                 abs(float(np.dot(right, right)) - 0.5),
             )
-            rayleigh_ok &= rayleigh_quotient(op, trial.vector) >= rep.result.lambda0
+            rayleigh_ok &= rayleigh_quotient(op, vector) >= rep.result.lambda0
     ok = worst_norm <= 1e-12 and worst_piece <= 1e-12 and rayleigh_ok
     _report(9, "trial-state integrity", ok,
             f"worst |norm^2-1| {worst_norm:.1e}, worst piece dev {worst_piece:.1e}, "

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from pathgap import fit_power_law, gap_series, geometric_grid
 from pathgap.cli import (
+    CSV_HEADER,
     _COMMANDS,
     _OPTIONS,
     main,
@@ -338,7 +340,46 @@ class TestCommands:
 
     def test_verify_bounds_k_zero_exits_two(self, capsys):
         assert main(["verify-bounds", "--potential", "0:1", "--k-grid", "0:0:linear:1"]) == 2
-        assert "grid needs 1 <= min <= max" in capsys.readouterr().err
+        assert "half-width k must be a positive integer, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [10**103, 10**400])
+    @pytest.mark.parametrize("command", ["spectrum", "gap-scan", "alpha-scan",
+                                         "verify-bounds", "fit"])
+    def test_a_k_whose_cube_overflows_exits_two(self, command, k, tmp_path, capsys):
+        # n**3 * gap is no double from k = 10^103 up, and k is none from 10^309
+        if command == "fit":
+            scan = tmp_path / "scan.csv"
+            scan.write_text(f"{CSV_HEADER}\n{k},{2 * k + 1},1,0.25,0.75,0.5,1,1,false\n")
+            argv = ["fit", str(scan)]
+        else:
+            grid = f"{k}:{k}:linear:1"
+            argv = {"spectrum": ["spectrum", "--k", str(k)],
+                    "gap-scan": ["gap-scan", "--k-grid", grid],
+                    "alpha-scan": ["alpha-scan", "--k", str(k), "--alphas", "1"],
+                    "verify-bounds": ["verify-bounds", "--k-grid", grid]}[command]
+            argv += ["--potential=0:1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pathgap: ") and err.count("\n") == 1
+        assert err.endswith(f"half-width k = {k} is too large: (2k+1)^3 overflows a double\n")
+
+    def test_gap_scan_at_k_1e102_exits_zero(self, capsys):
+        k = 10**102
+        assert main(["gap-scan", "--potential=0:1", "--k-grid", f"{k}:{k}:linear:1",
+                     "--no-timestamp"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == str(k) and math.isfinite(float(row[7]))
+
+    @pytest.mark.parametrize("kind", ["geometric", "linear"])
+    def test_a_count_far_above_the_distinct_values_is_quick(self, kind, capsys):
+        # 10^12 interior points, 10 distinct values: the work goes with the
+        # values, not the count
+        start = time.perf_counter()
+        assert main(["gap-scan", "--potential", "0:1", "--k-grid",
+                     f"1:10:{kind}:1000000000000", "--no-timestamp"]) == 0
+        assert time.perf_counter() - start < 1.0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(1, 11))
 
     @pytest.mark.parametrize("argv", [["spectrum", "--k", "1000000000000000"],
                                       ["verify-bounds", "--k-grid",

@@ -26,7 +26,6 @@ from pathgap import (
     free_spectrum,
     geometric_grid,
     ground_state,
-    rayleigh_quotient,
     spectrum_low,
     sturm_count,
 )
@@ -48,6 +47,7 @@ from conftest import (
     checks,
     mp_ground_state,
     oracle,
+    rayleigh_quotient,
     workloads,
 )
 

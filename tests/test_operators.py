@@ -11,9 +11,9 @@ from pathgap import (
     assemble_hamiltonian,
     build_potential,
     eigenvalue,
-    quadratic_form,
-    rayleigh_quotient,
 )
+
+from conftest import quadratic_form, rayleigh_quotient
 
 
 def _op(k, pairs):
@@ -89,6 +89,12 @@ class TestAssemble:
     def test_rejects_bad_k(self, k):
         with pytest.raises(ValueError, match="half-width k must be a positive integer"):
             assemble_hamiltonian(k, build_potential([]))
+
+    def test_rejects_a_k_whose_cube_overflows_a_double(self):
+        # n**3 * gap must be a double: (2k+1)^3 is finite up to k ~ 2.8e102
+        assert assemble_hamiltonian(10**102, build_potential([])).k == 10**102
+        with pytest.raises(ValueError, match=r"too large: \(2k\+1\)\^3 overflows a double"):
+            assemble_hamiltonian(10**103, build_potential([]))
 
     def test_free_laplacian(self):
         op = _op(1, [])

@@ -2,7 +2,10 @@ import math
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathgap import (
     SpectralResult,
@@ -70,6 +73,35 @@ class TestGrids:
             linear_grid(10, 5, 3)
         with pytest.raises(ValueError):
             geometric_grid(5, 10, 0)
+        with pytest.raises(ValueError, match="too large"):
+            linear_grid(1, 10**103, 3)
+        with pytest.raises(ValueError, match="count"):
+            geometric_grid(1, 10, 10**309)
+
+    @given(lo=st.one_of(st.integers(1, 10**6), st.sampled_from([10**16 + 1, 10**20])),
+           span=st.one_of(st.integers(0, 50), st.integers(0, 10**9), st.just(10**30)),
+           count=st.one_of(st.integers(1, 40), st.integers(1, 3000)))
+    @settings(max_examples=300, deadline=None)
+    def test_the_grids_of_the_naive_generators(self, lo, span, count):
+        # every interior point evaluated, deduplicated by a set
+        hi = lo + span
+        assert geometric_grid(lo, hi, count) == _naive_geometric(lo, hi, count)
+        assert linear_grid(lo, hi, count) == _naive_linear(lo, hi, count)
+
+
+def _naive_geometric(lo, hi, count):
+    if count == 1:
+        return [lo]
+    rate = math.log1p((hi - lo) / lo) / (count - 1)
+    interior = (lo + round(lo * math.expm1(i * rate)) for i in range(1, count - 1))
+    return sorted({lo, hi, *(min(max(v, lo), hi) for v in interior)})
+
+
+def _naive_linear(lo, hi, count):
+    if count == 1:
+        return [lo]
+    interior = np.linspace(float(lo), float(hi), count)[1:-1]
+    return sorted({lo, hi, *(min(max(round(v), lo), hi) for v in interior)})
 
 
 class TestGapSeries:
@@ -275,6 +307,8 @@ class TestCsvRoundTrip:
         ("100,201,1,1e-4,2e-4,1e-4,4,800,yes", "precision_limited must be true or false"),
         ("100,201,1,1e-4,2e-4,1e-4,4,800,nope", "precision_limited must be true or false"),
         ("0,1,1,1e-4,2e-4,1e-4,4,800,false", "half-width k must be a positive integer, got 0"),
+        (f"{10**103},{2 * 10**103 + 1},1,1e-4,2e-4,1e-4,4,800,false",
+         r"half-width k = 1000*0 is too large: \(2k\+1\)\^3 overflows a double"),
         ("2x0,41,1,1e-4,2e-4,1e-4,4,800,false", "invalid literal for int.*'2x0'"),
         ("20,4.1e1,1,1e-4,2e-4,1e-4,4,800,false", "invalid literal for int.*'4.1e1'"),
         ("20,41,1,1e-4,2e-4,1x-4,4,800,false", "could not convert string to float: '1x-4'"),
@@ -294,7 +328,7 @@ class TestCsvRoundTrip:
          r"gap_n2 = 20200.0 is not n\*\*2 \* gap = 20200.5"),
         ("100,201,1,0.25,0.75,0.5,20200.5,4060300,false",
          r"gap_n3 = 4060300.0 is not n\*\*3 \* gap = 4060300.5"),
-    ], ids=["bad-n", "TRUE", "yes", "nope", "k-zero", "k-not-int", "n-not-int",
+    ], ids=["bad-n", "TRUE", "yes", "nope", "k-zero", "k-too-large", "k-not-int", "n-not-int",
             "gap-not-float", "k-repeated", "k-decreasing", "gap-mismatch",
             "alpha-sum-not-float", "gap-n2-not-float", "gap-n3-not-float",
             "gap-n2-mismatch", "gap-n3-mismatch"])
