@@ -9,8 +9,8 @@ support edge.  This module computes
   support) entering the lower bound on the ground energy,
 * the variational trial state (two half-path Dirichlet cosines plus a
   constant floor with mixing weight solving the normalization relation)
-  giving the upper bound; its mixing weight, norm and Rayleigh quotient
-  are closed forms, so no trial vector is built,
+  giving the upper bound; its mixing weight is a closed form, so no trial
+  vector is built,
 * the sandwich for the first excited energy,
 * single-site diagnostics (ground-state value at the origin, potential
   energy),
@@ -201,21 +201,6 @@ def build_trial_state(op: TridiagonalOperator) -> float:
     return a2s2 / ((1.0 - op.n * amp * amp) ** 2 + a2s2)
 
 
-def _trial_rayleigh(op: TridiagonalOperator, b: float, theta_sum: float) -> float:
-    """Rayleigh quotient of the trial state at mixing weight ``b``, with
-    ``theta_sum`` the sum of the two side energies.
-
-    Each piece is a Dirichlet ground state of its side, of energy theta/2,
-    and both vanish on the support, so the floor adds only its potential
-    energy b a^2 alpha_sum:
-    ((1-b) theta_sum / 2 + b a^2 alpha_sum) / ((1-b) + 2 sqrt((1-b) b) a S + (2k+1) b a^2).
-    """
-    amp, cos_sum = _floor_and_sum(op)
-    energy = 0.5 * (1.0 - b) * theta_sum + b * amp * amp * op.potential.strength_sum
-    norm_sq = (1.0 - b) + 2.0 * math.sqrt((1.0 - b) * b) * amp * cos_sum + op.n * b * amp * amp
-    return energy / norm_sq
-
-
 def mixing_weight_product(op: TridiagonalOperator, mixing: float) -> float:
     """mixing * total strength * k; bounded below over sweeps."""
     return mixing * op.potential.strength_sum * op.k
@@ -238,23 +223,6 @@ def single_site_diagnostics(
     return phi0, strength * phi0 * phi0, strength * k**1.5 * phi0
 
 
-def _expanded_side_total(op: TridiagonalOperator, phi: np.ndarray) -> float:
-    """Side-correction total rewritten through ground-state sums (used as a
-    consistency check on the direct definition)."""
-    k, rmin, rmax = op.k, op.potential.site_min, op.potential.site_max
-    i_min, i_max = rmin + k, rmax + k
-    support_sq = float(np.dot(phi[i_min : i_max + 1], phi[i_min : i_max + 1]))
-    left_sum = float(np.sum(phi[:i_min]))
-    right_sum = float(np.sum(phi[i_max + 1 :]))
-    return (
-        support_sq
-        + 2.0 * float(phi[i_min]) * left_sum
-        + 2.0 * float(phi[i_max]) * right_sum
-        - float(phi[i_min]) ** 2 * (k + rmin)
-        - float(phi[i_max]) ** 2 * (k - rmax)
-    )
-
-
 def _leq(name: str, lhs: float, rhs: float) -> BoundCheck:
     slack = _SLACK * max(1.0, abs(lhs), abs(rhs))
     return BoundCheck(name, lhs, rhs, bool(lhs <= rhs + slack))
@@ -265,8 +233,8 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
     ``spectrum_low(op)`` result, with the trial state at ``EPSILON``.
 
     A degenerate trial-state branch (the ValueError of
-    ``build_trial_state``) is recorded as two skipped checks; any other
-    error is raised.
+    ``build_trial_state``) is recorded as a skipped upper-bound check; any
+    other error is raised.
     """
     k, potential = op.k, op.potential
     theta_left, theta_right = side_energies(k, potential)
@@ -319,21 +287,5 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
             side.left * theta_left + side.right * theta_right,
         )
     )
-
-    expanded = _expanded_side_total(op, phi)
-    checks.append(
-        BoundCheck(
-            "side_correction_identity",
-            total,
-            expanded,
-            bool(abs(total - expanded) <= 1e-10),
-        )
-    )
-
-    if mixing is not None:
-        rayleigh = _trial_rayleigh(op, mixing, theta_left + theta_right)
-        checks.append(_leq("trial_rayleigh_above_ground", lam0, rayleigh))
-    else:
-        checks.append(BoundCheck("trial_rayleigh_above_ground", lam0, math.nan, False, trial_error))
 
     return BoundsReport(potential, result, side, (theta_left, theta_right), mixing, checks)

@@ -13,14 +13,11 @@ Commands::
 Each command takes only the options its handler reads (``_COMMANDS``), plus
 ``--out`` and ``--no-timestamp``; any other option, or an abbreviated one,
 exits 2.  The solver and the bound and fit settings are not options:
-gap-scan and alpha-scan take each level by secant steps inside brackets
-certified by a Sturm count that costs O(support)
-(``eigensolver.eigenvalues_low``), at any k; spectrum and verify-bounds
-bisect both levels on the O(n) Sturm count to the relative width
-``eigensolver.REL_TOL`` inside those brackets, which decide the count at
-almost every midpoint, and take the free path's closed forms.  The trial
-state uses ``bounds.EPSILON`` and band statistics start at
-``scaling.BAND_K_MIN``.
+every command takes each level by secant steps inside brackets certified
+by a Sturm count that costs O(support) (``eigensolver.eigenvalues_low``),
+at any k, and spectrum and verify-bounds add the ground state, a length-n
+array (``eigensolver.spectrum_low``).  The trial state uses ``bounds.EPSILON``
+and band statistics start at ``scaling.BAND_K_MIN``.
 
 Every format is here: the spec syntax and its inverse ``spec_string``,
 the report fields, and the gap-scan CSV and its reader.  Both CSVs take
@@ -200,9 +197,10 @@ def series_from_csv(text: str) -> tuple[SpectralResult, ...]:
 
     Raises ValueError naming the row when a row has the wrong field count,
     a field that does not parse, a k that ``check_half_width`` rejects or
-    that is not above the previous row's, an n other than 2k+1, a gap other
-    than lambda1 - lambda0, a precision_limited other than true/false, or a
-    gap_n2 / gap_n3 other than n**2 * gap / n**3 * gap.
+    that is not above the previous row's, an n other than 2k+1, a gap more
+    than an ulp of lambda1 from lambda1 - lambda0, a precision_limited
+    other than true/false, or a gap_n2 / gap_n3 other than n**2 * gap /
+    n**3 * gap.
     """
     rows = [
         line.strip()
@@ -232,11 +230,12 @@ def series_from_csv(text: str) -> tuple[SpectralResult, ...]:
             )
         if n != 2 * k + 1:
             raise ValueError(f"CSV row {row!r}: n = {n} is not 2k+1 for k = {k}")
-        # exact: gap-scan writes every float with 17 significant digits
-        if gap != lam1 - lam0:
+        # gap-scan writes the gap and lambda1 = lambda0 + gap, each rounded
+        # once, with 17 significant digits
+        if not abs(gap - (lam1 - lam0)) <= math.ulp(lam1):
             raise ValueError(
                 f"CSV row {row!r}: gap = {gap!r} is not lambda1 - lambda0 = "
-                f"{lam1 - lam0!r}"
+                f"{lam1 - lam0!r} to an ulp of lambda1"
             )
         if flag not in ("true", "false"):
             raise ValueError(
@@ -248,11 +247,7 @@ def series_from_csv(text: str) -> tuple[SpectralResult, ...]:
                     f"CSV row {row!r}: {name} = {scaled!r} is not n**{p} * gap = "
                     f"{n**p * gap!r}"
                 )
-        points.append(
-            SpectralResult(
-                k=k, lambda0=lam0, lambda1=lam1, precision_limited=flag == "true"
-            )
-        )
+        points.append(SpectralResult(k=k, lambda0=lam0, gap=gap, precision_limited=flag == "true"))
     return tuple(points)
 
 
@@ -305,7 +300,10 @@ def fit_fields(fit: ScalingFit, points: tuple[SpectralResult, ...]) -> dict:
 
 
 def _spectrum_low(op):
-    """``spectrum_low(op)``, with a MemoryError that names k."""
+    """``spectrum_low(op)``, with a MemoryError that names k, also where n
+    doubles are past the largest array numpy allocates."""
+    if op.n > sys.maxsize // 8:
+        raise MemoryError(f"out of memory at k = {op.k}")
     try:
         return spectrum_low(op)
     except MemoryError:
@@ -370,7 +368,7 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
     rows = []
     for a in alphas:
         res = eigenvalues_low(assemble_hamiltonian(args.k, base.scaled(a)))
-        rows.append((a, args.k, n, res.gap, a * n**3 * res.gap, res.precision_limited))
+        rows.append((a, args.k, n, res.gap, a * (n**3 * res.gap), res.precision_limited))
     _emit(_csv("alpha,k,n,gap,alpha_n3_gap,precision_limited", rows, _timestamp(args)),
           args.out)
     return 0

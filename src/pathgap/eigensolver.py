@@ -2,25 +2,22 @@
 on Sturm counts, the ground state from its closed form, and closed-form
 eigenvalue oracles.
 
-``eigenvalues_low`` (gap-scan, alpha-scan) writes a level as
-lambda = 4 sin^2(pi/(4s)), s = n/2 + u, and finds u by secant (Illinois)
-steps on the Wronskian inside brackets certified by a Sturm count that
-costs O(support) and reads no length-n array, so it reaches any k;
-where the two-level model's window brackets a root, the search starts at
-the model's root sigma +- Delta (``_roots``).
-``spectrum_low`` (spectrum, verify-bounds) bisects both levels on the O(n)
-Sturm count of ``_kernels`` (plain Python over float64 buffers) to the
-relative width ``REL_TOL`` = 1e-14, inside the lambda-image of those
-brackets, which decides every midpoint outside it without a sweep; the
-free path takes its closed forms.  Its ground state is the closed form
-glued across the support (``_glued_ground_state``) under a first-order
-running error bound, checked by one inverse-iteration solve
-(``ground_state``); where either declines it, ``ConvergenceError``.  Both
-return a ``SpectralResult``: k, the two eigenvalues and the flag, with
-``n`` and ``gap`` derived from them.  A gap below 10^3 ulp of its rounding
-scale (lambda1 for ``eigenvalues_low``, the matrix norm bound for
-``spectrum_low``) carries ``precision_limited=True``, and downstream fits
-drop such points.
+Both solvers write a level as lambda = 4 sin^2(pi/(4s)), s = n/2 + u, and
+find u by secant (Illinois) steps on the Wronskian inside brackets
+certified by a Sturm count that costs O(support) and reads no length-n
+array, so they reach any k; where the two-level model's window brackets a
+root, the search starts at the model's root sigma +- Delta (``_roots``).
+One builder (``_result``) turns the two brackets into the record: lambda0
+at u0's midpoint and the gap from a formula in u that has no
+cancellation, flagged ``precision_limited`` by one rule, the bracket
+widths against the distance between the roots.  ``eigenvalues_low``
+(gap-scan, alpha-scan) is that record; ``spectrum_low`` (spectrum,
+verify-bounds) adds the ground state: the closed form glued across the
+support (``_glued_ground_state``) under a first-order running error bound,
+checked by one inverse-iteration solve (``ground_state``) shifted to
+lambda0 bisected on the O(n) Sturm count of ``_kernels`` to the relative
+width ``REL_TOL``; where either declines it, ``ConvergenceError``.  The
+free path takes its closed forms, unflagged.  Fits drop flagged points.
 """
 from __future__ import annotations
 
@@ -57,7 +54,6 @@ _NORMAL = sys.float_info.min
 # the largest normwise error bound at which the glued ground state is
 # taken, and the scale (times the norm bound) of the residual test of it
 RESIDUAL_SCALE = 1e-11
-GAP_ULP_FACTOR = 1e3
 # slack for the rounding of the one solve in the Davis-Kahan test
 CHANGE_TOL = 1e-12
 
@@ -77,15 +73,17 @@ class SpectralResult:
     """Low-lying spectrum of the operator on the path -k..k: the record of
     one grid point.
 
+    ``gap`` is stored as the solver computed it, not as the difference of
+    two rounded levels; ``lambda1`` is lambda0 + gap, to half an ulp.
     ``ground_state`` is None when only the eigenvalues were requested
     (``eigenvalues_low``).
-    ``precision_limited`` marks gaps at or below the double-precision noise
-    floor; such gaps are reported but not trustworthy.
+    ``precision_limited`` marks a gap that the solver's brackets do not
+    resolve (``_result``); such gaps are reported but not trustworthy.
     """
 
     k: int
     lambda0: float
-    lambda1: float
+    gap: float
     precision_limited: bool
     ground_state: np.ndarray | None = None
 
@@ -94,8 +92,8 @@ class SpectralResult:
         return 2 * self.k + 1
 
     @property
-    def gap(self) -> float:
-        return self.lambda1 - self.lambda0
+    def lambda1(self) -> float:
+        return self.lambda0 + self.gap
 
 
 def _offsq(op: TridiagonalOperator) -> np.ndarray:
@@ -167,8 +165,9 @@ def ground_state(op: TridiagonalOperator, lambda0: float, start: np.ndarray | No
     ||H w - lambda0 w|| / gap of the ground state (Davis & Kahan, SIAM J.
     Numer. Anal. 7, 1970), so ``start`` is returned where its residual is
     within 1e-11 * (4 + max strength) and gap (||w - start|| - ``CHANGE_TOL``
-    - 2 err) <= 2 ||H w - lambda0 w||: no division, and a gap
-    ``spectrum_low`` flags passes any such start, which rests on ``err``.
+    - 2 err) <= 2 ||H w - lambda0 w||: no division, and a gap at the
+    rounding of the bisected levels passes any such start, which rests on
+    ``err``.
     """
     if start is None:
         raise ConvergenceError("the closed form's error bound vouches for no ground state")
@@ -424,24 +423,33 @@ def _roots(n: int, potential: Potential) -> tuple[tuple[float, float], tuple[flo
     return brackets[0], brackets[1]
 
 
-def eigenvalues_low(op: TridiagonalOperator) -> SpectralResult:
-    """Two lowest eigenvalues and their gap in O(support), no ground state.
+def _result(k: int, brackets: tuple[tuple[float, float], tuple[float, float]] | None,
+            psi: np.ndarray | None = None) -> SpectralResult:
+    """The record of the u-brackets (lo0, hi0] and (lo1, hi1] of ``_roots``,
+    or of the free path where ``brackets`` is None, with the ground state
+    ``psi``.
 
-    The free path has the closed form lambda0 = 0, lambda1 = 4 sin^2(pi/(2n));
-    otherwise the levels come from ``_roots``, with lambda1 = lambda0 +
-    ``_gap``, which has no cancellation.  The gap is flagged below 10^3 ulp
-    of lambda1, its rounding scale.
+    lambda0 = ``_level`` and gap = ``_gap``, at the midpoints; the free path
+    has the closed forms lambda0 = 0 and gap = 4 sin^2(pi/(2n)).  The gap is
+    flagged where the brackets' widths sum to more than 1e-10 of the
+    distance between them, (hi0 - lo0) + (hi1 - lo1) > 1e-10 (lo0 - hi1),
+    or where it is below the smallest normal double: the only flag rule.
     """
-    n = op.n
-    if op.potential.is_empty:
-        lam0, lam1 = 0.0, _level(n, 0.0)
-    else:
-        (lo0, hi0), (lo1, hi1) = _roots(n, op.potential)
-        u0, u1 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1)
-        lam0 = _level(n, u0)
-        lam1 = lam0 + _gap(n, u0, u1)
-    limited = lam1 - lam0 < GAP_ULP_FACTOR * math.ulp(lam1)
-    return SpectralResult(k=op.k, lambda0=lam0, lambda1=lam1, precision_limited=limited)
+    n = 2 * k + 1
+    if brackets is None:
+        return SpectralResult(k, 0.0, _level(n, 0.0), False, psi)
+    (lo0, hi0), (lo1, hi1) = brackets
+    u0 = 0.5 * (lo0 + hi0)
+    gap = _gap(n, u0, 0.5 * (lo1 + hi1))
+    limited = (hi0 - lo0) + (hi1 - lo1) > 1e-10 * (lo0 - hi1) or gap < _NORMAL
+    return SpectralResult(k, _level(n, u0), gap, limited, psi)
+
+
+def eigenvalues_low(op: TridiagonalOperator) -> SpectralResult:
+    """Two lowest eigenvalues and their gap in O(support), no ground state:
+    ``_result`` of ``_roots``' brackets."""
+    potential = op.potential
+    return _result(op.k, None if potential.is_empty else _roots(op.n, potential))
 
 
 def _edge_sweep(start: tuple[float, float, float, float, float, float], lam: float, dlam: float,
@@ -597,31 +605,26 @@ def _glued_ground_state(n: int, potential: Potential, lo: float,
 
 
 def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
-    """Two lowest eigenvalues and the ground state.
+    """``eigenvalues_low`` plus the ground state.
 
-    On the free path the levels are the closed forms 0 and 4 sin^2(pi/(2n)),
-    and the ground state is the flat vector 1/sqrt(n).  Otherwise each level
-    is bisected on the O(n) Sturm count from [0, norm_bound] inside the
-    lambda-image of its certified u-bracket from ``_roots``, which decides
-    every midpoint outside it without a sweep, and the ground state is
-    ``_glued_ground_state`` at the midpoint of u0's bracket, vouched for by
-    ``ground_state``'s one solve at lambda0; where either declines it,
-    ConvergenceError.  The gap is flagged below 10^3 ulp of the norm
-    bound."""
+    On the free path the ground state is the flat vector 1/sqrt(n).
+    Otherwise it is ``_glued_ground_state`` at the midpoint of u0's bracket
+    from ``_roots``, vouched for by ``ground_state``'s one solve, whose
+    shift and gap are the levels bisected on the O(n) Sturm count from
+    [0, norm_bound] inside the lambda-image of their brackets, which
+    decides every midpoint outside it without a sweep; where either
+    declines it, ConvergenceError."""
     n = op.n
     if op.potential.is_empty:
-        lam0, lam1 = 0.0, _level(n, 0.0)
         psi = np.full(n, 1.0 / math.sqrt(n))
         psi.flags.writeable = False
-    else:
-        brackets = _roots(n, op.potential)
-        (lo0, hi0), (lo1, hi1) = (_eigenvalue_bracket(op, i, (_level(n, hi), _level(n, lo)))
-                                  for i, (lo, hi) in enumerate(brackets))
-        lam0, lam1 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1)
-        start, err = _glued_ground_state(n, op.potential, *brackets[0]) or (None, 0.0)
-        psi = ground_state(op, lam0, start, err, lam1 - lam0)
-    limited = lam1 - lam0 < GAP_ULP_FACTOR * math.ulp(op.norm_bound)
-    return SpectralResult(op.k, lam0, lam1, limited, psi)
+        return _result(op.k, None, psi)
+    brackets = _roots(n, op.potential)
+    (lo0, hi0), (lo1, hi1) = (_eigenvalue_bracket(op, i, (_level(n, hi), _level(n, lo)))
+                              for i, (lo, hi) in enumerate(brackets))
+    lam0, lam1 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1)
+    start, err = _glued_ground_state(n, op.potential, *brackets[0]) or (None, 0.0)
+    return _result(op.k, brackets, ground_state(op, lam0, start, err, lam1 - lam0))
 
 
 def dirichlet_ground_energy(m: int) -> float:

@@ -13,7 +13,7 @@ from pathgap import (
     geometric_grid,
     spectrum_low,
 )
-from pathgap.bounds import EPSILON
+from pathgap.bounds import EPSILON, _floor_and_sum
 from pathgap.cli import parse_potential_spec
 
 # the benchmark's mpmath oracle, point checks and command lists, which share
@@ -81,6 +81,29 @@ def mp_ground_state(k, pairs, dps=None):
         return np.array([float(v) for v in x])
 
 
+def mp_origin_gap(k, alpha, dps=40):
+    """The gap of one site of strength alpha at the origin, in mpmath.
+
+    lambda1 = 4 sin^2(x/2), x = pi/n, is the odd level, which the site does
+    not see; lambda0 = 4 sin^2(t/2) with t the root in (0, x) of
+    2 sin t tan(t n/2) = alpha.  Written in d = x - t, where t n/2 =
+    pi/2 - d n/2, that is 2 sin(x - d) cos(d n/2) = alpha sin(d n/2),
+    bisected in d to 10^(5 - dps) relative, and the gap is
+    4 sin(x - d/2) sin(d/2): nothing cancels, so ``dps`` need not grow with
+    k or alpha."""
+    with mpmath.workdps(dps):
+        a, half, x = mpmath.mpf(alpha), mpmath.mpf(2 * k + 1) / 2, mpmath.pi / (2 * k + 1)
+        lo, hi = mpmath.mpf(0), x
+        while hi - lo > hi * mpmath.mpf(10) ** (5 - dps):
+            d = (lo + hi) / 2
+            if 2 * mpmath.sin(x - d) * mpmath.cos(half * d) > a * mpmath.sin(half * d):
+                lo = d
+            else:
+                hi = d
+        d = (lo + hi) / 2
+        return 4 * mpmath.sin(x - d / 2) * mpmath.sin(d / 2)
+
+
 # O(n) references of what the library computes in closed form
 
 
@@ -141,6 +164,39 @@ def trial_vector(op, mixing):
     left, right = cosine_pieces(op)
     amp = math.sqrt(dirichlet_ground_energy(op.k) / (2.0 + EPSILON) / op.potential.strength_sum)
     return math.sqrt(1.0 - mixing) * (left + right) + math.sqrt(mixing) * amp
+
+
+def trial_rayleigh(op, b, theta_sum):
+    """Rayleigh quotient of the trial state at mixing weight ``b``, with
+    ``theta_sum`` the sum of the two side energies, in O(1).
+
+    Each piece is a Dirichlet ground state of its side, of energy theta/2,
+    and both vanish on the support, so the floor adds only its potential
+    energy b a^2 alpha_sum:
+    ((1-b) theta_sum / 2 + b a^2 alpha_sum) / ((1-b) + 2 sqrt((1-b) b) a S + (2k+1) b a^2).
+    The report's ground_upper is this quotient at a norm^2 of 1.
+    """
+    amp, cos_sum = _floor_and_sum(op)
+    energy = 0.5 * (1.0 - b) * theta_sum + b * amp * amp * op.potential.strength_sum
+    norm_sq = (1.0 - b) + 2.0 * math.sqrt((1.0 - b) * b) * amp * cos_sum + op.n * b * amp * amp
+    return energy / norm_sq
+
+
+def expanded_side_total(op, phi):
+    """The side-correction total rewritten through ground-state sums: the
+    reference that the report's direct definition is checked against."""
+    k, rmin, rmax = op.k, op.potential.site_min, op.potential.site_max
+    i_min, i_max = rmin + k, rmax + k
+    support_sq = float(np.dot(phi[i_min : i_max + 1], phi[i_min : i_max + 1]))
+    left_sum = float(np.sum(phi[:i_min]))
+    right_sum = float(np.sum(phi[i_max + 1 :]))
+    return (
+        support_sq
+        + 2.0 * float(phi[i_min]) * left_sum
+        + 2.0 * float(phi[i_max]) * right_sum
+        - float(phi[i_min]) ** 2 * (k + rmin)
+        - float(phi[i_max]) ** 2 * (k - rmax)
+    )
 
 
 def mp_trial_state(k, pairs, dps=50):

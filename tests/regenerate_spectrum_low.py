@@ -42,7 +42,7 @@ def cases() -> list[tuple[int, list[list]]]:
 
 
 def record(k: int, entries: list[list], recorded: dict | None, ratios: list[float]) -> dict:
-    """Levels as float.hex, the flag and the SHA-256 of the ground state's
+    """lambda0 and the gap as float.hex, the flag and the SHA-256 of the ground state's
     float64 bytes, or the name of the error raised.  Appends the ratio of
     the ground state's error against mpmath to its bound to ``ratios``, and
     prints both where the ground state differs from ``recorded``."""
@@ -65,7 +65,7 @@ def record(k: int, entries: list[list], recorded: dict | None, ratios: list[floa
         "k": k,
         "entries": entries,
         "lambda0": res.lambda0.hex(),
-        "lambda1": res.lambda1.hex(),
+        "gap": res.gap.hex(),
         "precision_limited": res.precision_limited,
         "ground_state_sha256": sha,
     }
@@ -75,7 +75,7 @@ def main() -> None:
     comment = (
         f"spectrum_low on the empty potential at {len(FREE_KS)} values of k and on "
         f"{RANDOM_CASES} random operators (k = 1..400, 1-3 sites, strengths "
-        f"10^U(-12, 12), seed {SEED}): levels as float.hex, the ground state as the "
+        f"10^U(-12, 12), seed {SEED}): lambda0 and the gap as float.hex, the ground state as the "
         "SHA-256 of its float64 bytes, or the error raised. "
         "tests/test_eigensolver.py asserts that these stay bit for bit; "
         "regenerate with PYTHONPATH=src python tests/regenerate_spectrum_low.py."

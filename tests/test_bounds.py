@@ -26,10 +26,17 @@ from pathgap.cli import parse_potential_spec, report_fields
 from conftest import (
     BOUND_POTENTIALS,
     cosine_pieces,
+    expanded_side_total,
     mp_trial_state,
     rayleigh_quotient,
+    trial_rayleigh,
     trial_vector,
 )
+
+CHECKS = ["side_correction_total_in_unit_interval", "ground_energy_lower_bound",
+          "ground_energy_upper_bound", "excited_energy_lower_bound",
+          "excited_energy_upper_bound", "ground_energy_pair_mean",
+          "potential_term_vs_side_corrections"]
 
 SQRT11 = math.sqrt(11.0)
 
@@ -198,10 +205,11 @@ class TestTrialState:
                      for k in linear_grid(4, 40, 37)]
             for rep in bound_reports[spec] + small:
                 b, upper = mp_trial_state(rep.k, pot.entries)
-                rayleigh = next(c for c in rep.checks if c.name == "trial_rayleigh_above_ground")
+                rayleigh = trial_rayleigh(assemble_hamiltonian(rep.k, pot), rep.mixing,
+                                          sum(rep.side_energies))
                 for key, value, exact in (("mixing", rep.mixing, b),
                                           ("ground_upper", rep.ground_upper, upper),
-                                          ("rayleigh", rayleigh.rhs, upper)):
+                                          ("rayleigh", rayleigh, upper)):
                     worst[key] = max(worst[key], _ulps(value, exact))
         assert max(worst.values()) <= 8.0, worst
 
@@ -217,8 +225,8 @@ class TestTrialState:
                                            rel=1e-13)
         vector = trial_vector(op, rep.mixing)
         assert float(np.dot(vector, vector)) == pytest.approx(1.0, abs=1e-14)
-        rayleigh = next(c for c in rep.checks if c.name == "trial_rayleigh_above_ground")
-        assert rayleigh.rhs == pytest.approx(rayleigh_quotient(op, vector), rel=1e-13)
+        rayleigh = trial_rayleigh(op, rep.mixing, sum(rep.side_energies))
+        assert rayleigh == pytest.approx(rayleigh_quotient(op, vector), rel=1e-13)
 
     def test_builds_no_array(self):
         # diag is never read, and no length-n vector is built: 16 TB at this k
@@ -284,9 +292,8 @@ class TestEvaluateBounds:
         op, res = _op_low(1, [(0, 5.0)])
         rep = evaluate_bounds(op, res)
         assert rep.all_hold
-        names = {c.name for c in rep.checks}
-        assert "side_correction_identity" in names
-        assert "ground_energy_pair_mean" in names
+        # each inequality once: no check restates another
+        assert [c.name for c in rep.checks] == CHECKS
         # the excited upper bound holds at every k; here with equality, since
         # lambda1 = 1 is the energy of both one-site Dirichlet sides
         upper = next(c for c in rep.checks if c.name == "excited_energy_upper_bound")
@@ -305,21 +312,22 @@ class TestEvaluateBounds:
         # eigensolver noise at the library's own slack level
         assert rep.excited_lower - 1e-12 <= res.lambda1 <= rep.excited_upper + 1e-12
 
-    def test_identity_reconstruction(self):
+    def test_side_total_agrees_with_its_expansion(self):
         op, res = _op_low(150, [(-1, 2.0), (0, 3.0), (1, 2.0)])
         rep = evaluate_bounds(op, res)
-        check = next(c for c in rep.checks if c.name == "side_correction_identity")
-        assert check.holds
-        assert abs(check.lhs - check.rhs) <= 1e-10
+        assert abs(rep.side.total - expanded_side_total(op, res.ground_state)) <= 1e-10
 
-    def test_trial_rayleigh_check(self):
+    def test_ground_upper_is_the_trial_rayleigh_quotient(self):
+        # the trial state's norm^2 is 1 to a few ulp, so the upper bound is
+        # its Rayleigh quotient and the check of lambda0 against it is the
+        # check against ground_upper
         op, res = _op_low(80, [(0, 8.0)])
         rep = evaluate_bounds(op, res)
-        rq_check = next(c for c in rep.checks if c.name == "trial_rayleigh_above_ground")
-        assert rq_check.holds
-        assert rq_check.rhs == pytest.approx(
-            rayleigh_quotient(op, trial_vector(op, rep.mixing)), rel=1e-12
-        )
+        rayleigh = trial_rayleigh(op, rep.mixing, sum(rep.side_energies))
+        assert rep.ground_upper == pytest.approx(rayleigh, rel=1e-15)
+        assert rayleigh == pytest.approx(rayleigh_quotient(op, trial_vector(op, rep.mixing)),
+                                         rel=1e-12)
+        assert res.lambda0 <= rep.ground_upper
 
     def test_degenerate_trial_reported_as_skipped(self):
         op, res = _op_low(2, [(0, 0.0001)])

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -22,7 +23,9 @@ from pathgap.cli import (
 )
 from pathgap.operators import build_potential
 
-from conftest import FALLBACK_CASES, checks, oracle, workloads
+from conftest import FALLBACK_CASES, checks, mp_origin_gap, oracle, workloads
+
+EPS = sys.float_info.epsilon
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 # Each file in tests/data/golden is the output of ``pathgap <args>
@@ -223,15 +226,40 @@ class TestCommands:
         v = [float(r[4]) for r in rows]
         assert max(v) / min(v) < 2.0
 
-    def test_alpha_scan_writes_an_undefined_product_as_nan(self, capsys):
-        # the gap is 0 and 1e300 * n^3 overflows: inf * 0 is nan, which the
-        # CSV field rule writes as nan (JSON's would write null) and float()
-        # reads back
+    def test_alpha_scan_writes_a_subnormal_gap_flagged_and_its_product_finite(self, capsys):
+        # the gap, about 1e-314, is subnormal, so it is flagged; the product
+        # is formed as alpha (n^3 gap), which does not overflow as
+        # (alpha n^3) gap did (inf * a gap of 0 was nan), and it is
+        # within 1.4e-10 of the closed form's 8 pi^2 limit
         assert main(["alpha-scan", "--potential=0:1", "--k", "100000", "--alphas", "1e300",
                      "--no-timestamp"]) == 0
-        row = capsys.readouterr().out.splitlines()[1]
-        assert row == "1.0000000000000001e+300,100000,200001,0,nan,true"
-        assert math.isnan(float(row.split(",")[4]))
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[:3] == ["1.0000000000000001e+300", "100000", "200001"]
+        assert 0.0 < float(row[3]) < sys.float_info.min and row[5] == "true"
+        want = mp_origin_gap(100000, 1e300) * 200001**3 * 1e300
+        assert abs(float(row[4]) / want - 1) <= 2e-10
+        assert abs(float(row[4]) / (8 * math.pi**2) - 1) <= 2e-10
+
+    def test_alpha_scan_products_hold_their_digits_to_alpha_1e300(self, capsys):
+        # alpha n^3 gap -> 8 pi^2 (1 - 6 sigma/n) with sigma = 1/alpha: each
+        # unflagged product within 4 eps of mpmath, 78.95683520 to 10 digits
+        # from alpha = 1e8 to 1e200 (the rounded difference of two levels wrote
+        # 78.9556 at 1e8 and 0 from 1e12)
+        alphas = [10.0**e for e in range(-12, 301, 4)]
+        assert main(["alpha-scan", "--potential=0:1", "--k", "100000", "--alphas",
+                     ",".join(map(repr, alphas)), "--no-timestamp"]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == alphas
+        for a, row in zip(alphas, rows):
+            if row[5] == "false":
+                want = mp_origin_gap(100000, a) * 200001**3 * a
+                assert abs(float(row[4]) / want - 1) <= 4 * EPS, a
+            if 1e8 <= a <= 1e200:
+                assert f"{float(row[4]):.10g}" == "78.9568352", a
+        # flagged exactly where the gap is subnormal: from alpha = 1e296 on
+        assert [row[0] for row in rows if row[5] == "true"] == [
+            row[0] for row in rows if float(row[3]) < sys.float_info.min] == [
+            "9.9999999999999998e+295", "1.0000000000000001e+300"]
 
     def test_gap_scan_with_an_infinite_alpha_sum_reads_back(self, tmp_path):
         # each strength is finite, their sum is not
@@ -370,6 +398,17 @@ class TestCommands:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[0] == str(k) and math.isfinite(float(row[7]))
 
+    @pytest.mark.parametrize("k", [10**50, 10**100])
+    def test_gap_scan_at_the_far_end_writes_the_strong_law(self, k, capsys):
+        # n^3 gap -> 8 pi^2 (1 - 6 sigma/n), sigma = 1: 8 pi^2 to the last
+        # digits, unflagged (the rounded difference of two levels was 0)
+        assert main(["gap-scan", "--potential", "0:1", "--k-grid", f"{k}:{k}:linear:1",
+                     "--no-timestamp"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[8] == "false"
+        assert abs(float(row[7]) - 8 * math.pi**2) <= 1e-13
+        assert abs(float(row[5]) / mp_origin_gap(k, 1.0) - 1) <= 4 * EPS
+
     @pytest.mark.parametrize("kind", ["geometric", "linear"])
     def test_a_count_far_above_the_distinct_values_is_quick(self, kind, capsys):
         # 10^12 interior points, 10 distinct values: the work goes with the
@@ -389,6 +428,16 @@ class TestCommands:
         # (a k near 1e9 could really allocate memory, so none is tried)
         assert main([*argv, "--potential", "0:1"]) == 2
         assert capsys.readouterr().err == "pathgap: out of memory at k = 1000000000000000\n"
+
+    @pytest.mark.parametrize("k", [10**19, 10**20])
+    @pytest.mark.parametrize("command", ["spectrum", "verify-bounds"])
+    def test_a_path_past_the_largest_array_exits_two_naming_k(self, capsys, command, k):
+        # n doubles past numpy's largest array: numpy's own words named
+        # neither k nor the cause
+        argv = ([command, "--k", str(k)] if command == "spectrum"
+                else [command, "--k-grid", f"{k}:{k}:linear:1"])
+        assert main([*argv, "--potential", "0:1"]) == 2
+        assert capsys.readouterr().err == f"pathgap: out of memory at k = {k}\n"
 
     def test_spectrum_k_zero_reaches_assemble_hamiltonian(self, capsys):
         assert main(["spectrum", "--potential", "0:1", "--k", "0"]) == 2
@@ -419,9 +468,9 @@ class TestCommands:
         rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
         assert [row[0] for row in rows] == ["200", "201"]
         for row in rows:
-            want0, want1 = oracle.levels(int(row[0]), ((0, 1e6),))
+            want = mp_origin_gap(int(row[0]), 1e6)
             assert row[-1] == "false"
-            assert abs(float(row[5]) - float(want1 - want0)) <= 2 * math.ulp(float(row[4]))
+            assert abs(float(row[5]) / want - 1) <= 4 * EPS
 
     def test_gap_scan_and_alpha_scan_at_k_1e9(self, capsys):
         # no length-n array is built: 2 x 16 GB at this k
@@ -429,9 +478,9 @@ class TestCommands:
         assert main(["gap-scan", "--potential=0:1", "--k-grid", f"{k}:{k}:linear:1",
                      "--no-timestamp"]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
-        want0, want1 = oracle.levels(k, ((0, 1.0),))
-        # lambda1 - lambda0 holds the gap to about an ulp of lambda1
-        assert abs(float(row[5]) - float(want1 - want0)) <= 2 * math.ulp(float(row[4]))
+        # the gap the solver computed, not lambda1 - lambda0, which held it
+        # to about an ulp of lambda1 (5.9e-9 relative here)
+        assert abs(float(row[5]) / mp_origin_gap(k, 1.0) - 1) <= 4 * EPS
         assert main(["alpha-scan", "--potential=0:1", "--k", str(k), "--alphas", "1,2",
                      "--no-timestamp"]) == 0
 

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -44,8 +46,8 @@ from conftest import (
     ACCEPTANCE_GRID,
     BOUND_POTENTIALS,
     FALLBACK_CASES,
-    checks,
     mp_ground_state,
+    mp_origin_gap,
     oracle,
     rayleigh_quotient,
     workloads,
@@ -257,15 +259,20 @@ class TestGroundState:
                            match=r"residual 1\.562e\+05 is above 1e-11 times the norm bound"):
             ground_state(op, r.lambda0, flat, 0.0, r.gap)
 
-    def test_start_is_taken_where_the_gap_is_flagged(self):
-        # a gap below 10^3 ulp of the norm bound makes the residual/gap term
-        # vacuous, and the start rests on its own bound err; it is 2.8e-17
-        # off mpmath, where inverse iteration from the flat vector was 2.4e-14
+    def test_start_is_taken_where_the_bisected_gap_is_at_the_noise_floor(self):
+        # the check's gap, the difference of the two bisected levels, is 8.8
+        # ulp of the norm bound, which makes the residual/gap term vacuous,
+        # and the start rests on its own bound err; it is 2.8e-17 off
+        # mpmath, where inverse iteration from the flat vector was 2.4e-14.
+        # The gap of the record, from the u-brackets, is not flagged
         op = _op(73, [(-62, 623528892358.2329), (-42, 1.950268731830399e-06)])
         r = spectrum_low(op)
-        assert r.precision_limited
-        start, err = _glued_ground_state(op.n, op.potential, *_roots(op.n, op.potential)[0])
-        assert ground_state(op, r.lambda0, start, err, r.gap) is start
+        brackets = _roots(op.n, op.potential)
+        lam0, lam1 = (0.5 * sum(_eigenvalue_bracket(op, i, (_level(op.n, hi), _level(op.n, lo))))
+                      for i, (lo, hi) in enumerate(brackets))
+        assert lam1 - lam0 < 10 * math.ulp(op.norm_bound) and not r.precision_limited
+        start, err = _glued_ground_state(op.n, op.potential, *brackets[0])
+        assert ground_state(op, lam0, start, err, lam1 - lam0) is start
         assert np.array_equal(r.ground_state, start)
         assert np.max(np.abs(start - mp_ground_state(73, op.potential.entries))) <= 1e-16
 
@@ -326,23 +333,31 @@ class TestSpectrumLow:
         assert r.gap > 0.0
 
     def test_precision_flag(self):
-        # k=1, strength 1e7: gap ~ 2e-7 sits below 1e3 ulp(1e7)
+        # one rule for both solvers (_result).  k = 1, strength 1e7: the gap
+        # 4 / (sqrt((1 + a)^2 + 8) + 1 + a), about 2e-7, is below 1e3 ulp of
+        # the norm bound, where the difference of two bisected levels was
+        # flagged; the gap from the brackets holds it to 1e-14, unflagged
         r = spectrum_low(_op(1, [(0, 1e7)]))
-        assert r.precision_limited
+        exact = 4 / (mpmath.sqrt(mpmath.mpf(1e7 + 1) ** 2 + 8) + 1e7 + 1)
+        assert not r.precision_limited and abs(r.gap / exact - 1) <= 1e-14
         assert float(np.min(r.ground_state)) > 0.0
-        # moderate strengths stay unflagged
-        assert not spectrum_low(_op(1, [(0, 1e4)])).precision_limited
+        # a subnormal gap is flagged: about 2 / a at k = 1, a = 1.7e308
+        r = spectrum_low(_op(1, [(0, 1.7e308)]))
+        assert r.precision_limited and 0.0 < r.gap < sys.float_info.min
+        # so is a gap whose brackets are wider than 1e-10 of the distance
+        # between the roots: two mirror-image barriers, whose roots lie
+        # 6.8e-9 apart in u, each bracket an ulp of u wide
+        op = _op(6, [(-2, 1e4), (2, 1e4)])
+        (lo0, hi0), (lo1, hi1) = _roots(op.n, op.potential)
+        assert (hi0 - lo0) + (hi1 - lo1) > 1e-10 * (lo0 - hi1) > 0.0
+        assert eigenvalues_low(op).precision_limited
 
     def test_eigenvalues_low_is_spectrum_low_without_the_vector(self):
-        # two solvers: the Wronskian roots and O(n) bisection agree to the
-        # benchmark's per-eigenvalue tolerance, not digit for digit
+        # one record from the same brackets, digit for digit
         op = _op(40, [(0, 2.0)])
         values, full = eigenvalues_low(op), spectrum_low(op)
         assert values.ground_state is None
-        tol = checks.LAMBDA_ULPS * math.ulp(op.norm_bound)
-        assert abs(values.lambda0 - full.lambda0) <= tol
-        assert abs(values.lambda1 - full.lambda1) <= tol
-        assert values.precision_limited == full.precision_limited
+        assert values == dataclasses.replace(full, ground_state=None)
         with pytest.raises(ValueError, match="ground state"):
             evaluate_bounds(op, values)
 
@@ -366,6 +381,35 @@ class TestEigenvaluesLowAgainstTheOracle:
                 assert _ulps(r.lambda1, want1, r.lambda1) <= 4, case
                 assert _ulps(r.gap, want1 - want0, r.lambda1) <= 2, case
                 assert not r.precision_limited, case
+
+    def test_public_gap_of_one_site_to_k_1e102(self):
+        # the gap as written, not _gap alone, against the closed form at
+        # every decade of k that check_half_width admits; lambda1 - lambda0
+        # was 2e-11 off at k = 1e6, flagged from 1e15 and 0 from 1e17
+        for e in range(1, 103):
+            r = eigenvalues_low(_op(10**e, [(0, 1.0)]))
+            assert not r.precision_limited, e
+            assert abs(r.gap / mp_origin_gap(10**e, 1.0) - 1) <= 4 * EPS, e
+        # the closed form is the oracle's where 50 digits resolve the gap
+        for k in (10, 1000, 100000):
+            want0, want1 = oracle.levels(k, ((0, 1.0),))
+            assert abs(mp_origin_gap(k, 1.0) / (want1 - want0) - 1) <= 1e-30
+
+    @pytest.mark.parametrize("pairs, exponents", [
+        (((-2, 5.0), (3, 7.0)), range(2, 16)),
+        (((-1, 2.0), (0, 3.0), (1, 2.0)), (3, 7, 11, 15)),
+    ])
+    def test_public_gap_of_multi_site_potentials_to_k_1e15(self, pairs, exponents):
+        # against the oracle's Sturm levels at 80 digits.  The gap is resolved
+        # to about ulp(u) / Delta: worst seen 1.9 eps for -2:5,3:7 (Delta
+        # 1.6) and 10.4 eps for -1:2,0:3,1:2 (Delta 0.026, sigma -0.64), where
+        # lambda1 - lambda0 was 1.4e-5 off at k = 1e12
+        for e in exponents:
+            r = eigenvalues_low(_op(10**e, list(pairs)))
+            with oracle.ctx.workdps(80):
+                want0, want1 = oracle.levels(10**e, pairs)
+                rel = abs(r.gap / (want1 - want0) - 1)
+            assert not r.precision_limited and rel <= 1e-14, e
 
     def test_free_path_closed_form(self):
         for k in (1, 100, 25600):
@@ -492,20 +536,24 @@ class TestSpectrumLowHint:
         assert (r.lambda0, r.lambda1) == (0.0, _level(3201, 0.0))
 
     def test_spectrum_low_is_bit_identical_to_the_recorded_values(self):
-        # levels, flag and ground state, or the error raised, as written by
-        # tests/regenerate_spectrum_low.py
+        # lambda0, the gap, the flag and the ground state, or the error
+        # raised, as written by tests/regenerate_spectrum_low.py; and
+        # spectrum_low is eigenvalues_low plus the ground state, bit for bit
         cases = json.loads((DATA / "spectrum_low_values.json").read_text())["cases"]
         assert len(cases) == 408
         for case in cases:
             op = _op(case["k"], [tuple(pair) for pair in case["entries"]])
+            values = eigenvalues_low(op)
             try:
                 res = spectrum_low(op)
             except ConvergenceError as err:
                 assert type(err).__name__ == case.get("error"), case
                 continue
+            assert (values.lambda0, values.gap, values.precision_limited) == (
+                res.lambda0, res.gap, res.precision_limited), case
             got = {
                 "lambda0": res.lambda0.hex(),
-                "lambda1": res.lambda1.hex(),
+                "gap": res.gap.hex(),
                 "precision_limited": res.precision_limited,
                 "ground_state_sha256": hashlib.sha256(res.ground_state.tobytes()).hexdigest(),
             }
@@ -587,17 +635,20 @@ class TestGluedGroundState:
             assert np.max(np.abs(got - want)) <= 1e-15, e
 
     def test_zero_gap_exits_zero_with_the_closed_form(self, tmp_path):
-        # the two levels coincide in double precision (gap exactly 0);
-        # inverse iteration's residual test, 1e-11 of a norm bound of 3.4e71,
-        # accepted the flat vector, 0.11 off.  The glued vector is 5.6e-17 off
-        # the even closed form cos(t (k - |j| + 1/2)), t = pi/(2k + 1)
+        # the two levels coincide in double precision (their difference is
+        # exactly 0), and the gap the solver computed is the closed form's
+        # 3.0682772109345732e-73, unflagged; inverse iteration's residual
+        # test, 1e-11 of a norm bound of 3.4e71, accepted the flat vector,
+        # 0.11 off.  The glued vector is 5.6e-17 off the even closed form
+        # cos(t (k - |j| + 1/2)), t = pi/(2k + 1)
         from pathgap.cli import main
 
         k, spec = 4, "0:3.3888804809460114e+71"
         assert main(["spectrum", "--k", str(k), f"--potential={spec}", "--format", "json",
                      "--out", str(tmp_path / "spectrum.json")]) == 0
         r = spectrum_low(assemble_hamiltonian(k, parse_potential_spec(spec)))
-        assert r.gap == 0.0 and r.precision_limited
+        assert r.lambda1 == r.lambda0 and not r.precision_limited
+        assert abs(r.gap / mp_origin_gap(k, 3.3888804809460114e+71) - 1) <= 4 * EPS
         want = np.cos(math.pi / (2 * k + 1) * (k - np.abs(np.arange(-k, k + 1)) + 0.5))
         assert np.max(np.abs(r.ground_state - want / np.linalg.norm(want))) <= 1e-15
 

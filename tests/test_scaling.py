@@ -27,7 +27,7 @@ def _synthetic(prefactor, exponent, ks, flagged=()):
         SpectralResult(
             k=k,
             lambda0=0.0,
-            lambda1=prefactor * (2 * k + 1) ** exponent,
+            gap=prefactor * (2 * k + 1) ** exponent,
             precision_limited=k in flagged,
         )
         for k in ks
@@ -288,6 +288,34 @@ class TestCsvRoundTrip:
             assert a.lambda1 == b.lambda1
             assert a.gap == b.gap
             assert a.precision_limited == b.precision_limited
+
+    def test_reads_back_a_csv_that_wrote_lambda1_minus_lambda0(self):
+        # a row of the golden gap-scan as it was written before the gap was
+        # stored, with gap == lambda1 - lambda0 exactly, and the same row now
+        old = ("20,41,1,0.0048781643835618367,0.0058683976325190745,"
+               "0.00099023324895723772,1.6645820914971166,68.247865751381781,false")
+        new = ("20,41,1,0.0048781643835618367,0.0058683976325190745,"
+               "0.00099023324895723751,1.6645820914971163,68.247865751381767,false")
+        for row in (old, new):
+            (pt,) = series_from_csv(CSV_HEADER + "\n" + row + "\n")
+            lam0, lam1, gap = (float(f) for f in row.split(",")[3:6])
+            assert (pt.k, pt.lambda0, pt.gap, pt.precision_limited) == (20, lam0, gap, False)
+            assert abs(pt.lambda1 - lam1) <= math.ulp(lam1)
+        assert float(old.split(",")[5]) == 0.0058683976325190745 - 0.0048781643835618367
+        assert series_from_csv(CSV_HEADER + "\n" + new + "\n")[0].lambda1 == 0.0058683976325190745
+
+    @pytest.mark.parametrize("ulps, accepted", [(-1, True), (1, True), (2, False), (-2, False)])
+    def test_gap_is_checked_to_an_ulp_of_lambda1(self, ulps, accepted):
+        # lambda1 = 0.75 and lambda1 - lambda0 = 0.5: a gap that many ulps of
+        # lambda1 away; gap_n2 and gap_n3 written exactly for it
+        gap = 0.5 + ulps * math.ulp(0.75)
+        row = f"100,201,1,0.25,0.75,{gap!r},{201**2 * gap!r},{201**3 * gap!r},false"
+        text = CSV_HEADER + "\n" + row + "\n"
+        if accepted:
+            assert series_from_csv(text)[0].gap == gap
+        else:
+            with pytest.raises(ValueError, match="is not lambda1 - lambda0 = 0.5 to an ulp"):
+                series_from_csv(text)
 
     def test_header_and_timestamp(self):
         series = gap_series(build_potential([(0, 1.0)]), [10])
