@@ -6,7 +6,8 @@ order, as indexing the arrays element by element, at a fraction of the cost
 of numpy scalar arithmetic.  An elementwise step with no recurrence in it
 (a shift, the multipliers) is one numpy operation on the whole array, with
 the same bits; the recurrences of the solve are list comprehensions, and
-the arrays the kernels return are new numpy arrays of those lists.
+the arrays the kernels return are new numpy arrays of those lists.  Only
+the two kernels that build arrays import numpy, when they run.
 
 A caller of ``bisect_bracket`` that knows the count outside an interval
 (``known_lo``, ``known_hi``) spares the sweeps there; ``spectrum_low``
@@ -21,8 +22,6 @@ benchmark's positional calls of ``bisect_bracket``.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 
 def sturm_count(diag, offsq, mu, subst):
@@ -95,6 +94,7 @@ def factor_shifted(diag, sigma, pivot_floor):
     numpy, and the multipliers -(1/d) by one numpy division after the
     loop: the same IEEE quotients as the loop's.
     """
+    import numpy as np
     shifted = memoryview(diag - sigma)
     d = shifted[0]
     if abs(d) < pivot_floor:
@@ -111,6 +111,7 @@ def factor_shifted(diag, sigma, pivot_floor):
 
 def solve_factored(piv, mult, rhs):
     """Solve (H - sigma*I) x = rhs given the factor_shifted output."""
+    import numpy as np
     rhs = memoryview(rhs)
     yi = rhs[0]
     y = [yi] + [yi := r - m * yi for r, m in zip(rhs[1:], memoryview(mult))]

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .eigensolver import SpectralResult, dirichlet_ground_energy
 from .operators import Potential, TridiagonalOperator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SideCorrections",
@@ -142,6 +144,7 @@ def compute_side_corrections(op: TridiagonalOperator, phi: np.ndarray) -> SideCo
     ``phi`` must be the positive normalized ground state of ``op``; the sums
     run from the boundary up to and including the support edge.
     """
+    import numpy as np
     i_min, i_max = op.potential.site_min + op.k, op.potential.site_max + op.k
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (op.n,):
@@ -236,6 +239,7 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
     ``build_trial_state``) is recorded as a skipped upper-bound check; any
     other error is raised.
     """
+    import numpy as np
     k, potential = op.k, op.potential
     theta_left, theta_right = side_energies(k, potential)
     theta_path = dirichlet_ground_energy(k)

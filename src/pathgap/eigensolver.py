@@ -18,23 +18,25 @@ checked by one inverse-iteration solve (``ground_state``) shifted to
 lambda0 bisected on the O(n) Sturm count of ``_kernels`` to the relative
 width ``REL_TOL``; where either declines it, ``ConvergenceError``.  The
 free path takes its closed forms, unflagged.  Fits drop flagged points.
+numpy is imported only inside the functions that build arrays, so
+``eigenvalues_low`` loads none.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _kernels
 from .operators import Potential, TridiagonalOperator, apply_operator
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "SpectralResult",
     "ConvergenceError",
-    "sturm_count",
-    "eigenvalue",
     "ground_state",
     "eigenvalues_low",
     "spectrum_low",
@@ -43,8 +45,8 @@ __all__ = [
 ]
 
 EPS = sys.float_info.epsilon
-# relative width at which every eigenvalue bracket stops; the bracketed
-# ground energy is also the shift of the solve that checks the ground state
+# relative width at which spectrum_low's two O(n) bisections stop; the
+# bracketed ground energy is the shift of the solve that checks the ground state
 REL_TOL = 1e-14
 # the level below which the stopping width is absolute: REL_TOL times it is
 # the smallest subnormal, so a subnormal level is bisected to its last bit
@@ -98,53 +100,24 @@ class SpectralResult:
 
 def _offsq(op: TridiagonalOperator) -> np.ndarray:
     # the squared unit coupling; perfbench pins bisect_bracket's positional offsq
+    import numpy as np
     return np.ones(op.n - 1)
 
 
-def sturm_count(op: TridiagonalOperator, mu: float) -> int:
-    """Number of eigenvalues of ``op`` strictly below ``mu``."""
-    subst = EPS * op.norm_bound
-    return int(_kernels.sturm_count(op.diag, _offsq(op), float(mu), subst))
-
-
-def _eigenvalue_bracket(op: TridiagonalOperator, index: int,
-                        band: tuple[float, float] = (-math.inf, math.inf)) -> tuple[float, float]:
-    """Bracket of the index-th eigenvalue by bisection from [0, norm_bound]
-    on the O(n) Sturm count.
-
-    ``band`` is an interval [lo, hi] of lambda that holds the eigenvalue
-    (by default the whole line).  Bisection takes the count at a midpoint
-    outside it as known and sweeps only at a midpoint inside it, so a band
-    narrower than the stopping width is bisected without a sweep.
-    """
-    n = op.n
-    if not 0 <= index <= n - 1:
-        raise ValueError(f"eigenvalue index {index} out of range 0..{n - 1}")
-    lo, hi = _kernels.bisect_bracket(
-        op.diag, _offsq(op), index, 0.0, op.norm_bound, REL_TOL, LAMBDA_FLOOR,
-        EPS * op.norm_bound, *band,
-    )
-    return float(lo), float(hi)
-
-
-def eigenvalue(op: TridiagonalOperator, index: int) -> float:
-    """The index-th smallest eigenvalue, midpoint of a certified bracket.
-
-    The initial bracket is [0, 4 + max strength]; bisection stops once the
-    bracket width is below REL_TOL * max(|midpoint|, LAMBDA_FLOOR).
-    """
-    lo, hi = _eigenvalue_bracket(op, index)
-    return 0.5 * (lo + hi)
-
-
 def _residual(op: TridiagonalOperator, lambda0: float, v: np.ndarray) -> float:
-    """||H v - lambda0 v||."""
-    return float(np.linalg.norm(apply_operator(op, v) - lambda0 * v))
+    """||H v - lambda0 v||, taken on the residual scaled by the power of two
+    2^-e that puts its largest entry in [1/2, 1), times 2^e, so that no
+    square overflows: one above 1.3e154 would make the plain norm inf."""
+    import numpy as np
+    r = apply_operator(op, v) - lambda0 * v
+    e = math.frexp(max(float(r.max()), -float(r.min())))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(r, -e, out=r)), e))
 
 
 def _unit(w: np.ndarray) -> np.ndarray | None:
     """w normalized and signed to a positive sum, or None where its norm is
     not finite and positive."""
+    import numpy as np
     norm = float(np.linalg.norm(w))
     if not math.isfinite(norm) or norm == 0.0:
         return None
@@ -169,6 +142,7 @@ def ground_state(op: TridiagonalOperator, lambda0: float, start: np.ndarray | No
     rounding of the bisected levels passes any such start, which rests on
     ``err``.
     """
+    import numpy as np
     if start is None:
         raise ConvergenceError("the closed form's error bound vouches for no ground state")
     residual = _residual(op, lambda0, start)
@@ -488,6 +462,7 @@ def _edge_sweep(start: tuple[float, float, float, float, float, float], lam: flo
 def _split(rows: list[tuple[float, float, int, float, float]]) -> tuple[np.ndarray, np.ndarray]:
     """The values psi = v 2^e of ``_edge_sweep`` rows as arrays of
     mantissas in [1/2, 1) (0 for a zero) and of exponents."""
+    import numpy as np
     mantissas, exponents = np.frexp([v for v, *_ in rows])
     return mantissas, exponents + np.array([e for _, _, e, *_ in rows])
 
@@ -497,6 +472,7 @@ def _glue(free_a: np.ndarray, rows_a: list, rows_b: list, free_b: np.ndarray) ->
     and side b (``rows_b`` from it, ``free_b``) times a(g)/b(g) = scale
     2^shift, |scale| in (1/2, 2) or 0; all times a power 2^-top that takes
     each entry below 1 (|sin| <= 1, mantissas below 1): none overflows."""
+    import numpy as np
     am, ae = _split(rows_a)
     bm, be = _split(rows_b)
     scale, shift = am[-1] / bm[0], int(ae[-1] - be[0])
@@ -545,6 +521,7 @@ def _glued_ground_state(n: int, potential: Potential, lo: float,
     power of two that takes their largest entry into the double range, so
     no entry overflows.
     """
+    import numpy as np
     k, rmin, rmax = n // 2, potential.site_min, potential.site_max
     u = 0.5 * (lo + hi)
     s = 0.5 * n + u
@@ -614,14 +591,17 @@ def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
     [0, norm_bound] inside the lambda-image of their brackets, which
     decides every midpoint outside it without a sweep; where either
     declines it, ConvergenceError."""
+    import numpy as np
     n = op.n
     if op.potential.is_empty:
         psi = np.full(n, 1.0 / math.sqrt(n))
         psi.flags.writeable = False
         return _result(op.k, None, psi)
     brackets = _roots(n, op.potential)
-    (lo0, hi0), (lo1, hi1) = (_eigenvalue_bracket(op, i, (_level(n, hi), _level(n, lo)))
-                              for i, (lo, hi) in enumerate(brackets))
+    (lo0, hi0), (lo1, hi1) = (
+        _kernels.bisect_bracket(op.diag, _offsq(op), i, 0.0, op.norm_bound, REL_TOL,
+                                LAMBDA_FLOOR, EPS * op.norm_bound, _level(n, hi), _level(n, lo))
+        for i, (lo, hi) in enumerate(brackets))
     lam0, lam1 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1)
     start, err = _glued_ground_state(n, op.potential, *brackets[0]) or (None, 0.0)
     return _result(op.k, brackets, ground_state(op, lam0, start, err, lam1 - lam0))
@@ -639,6 +619,7 @@ def dirichlet_ground_energy(m: int) -> float:
 def free_spectrum(k: int) -> np.ndarray:
     """All 2k+1 eigenvalues of the potential-free path Laplacian, ascending:
     2 - 2 cos(pi m / (2k+1)), m = 0..2k.  Used as a test oracle."""
+    import numpy as np
     if int(k) != k or k < 1:
         raise ValueError(f"half-width k must be a positive integer, got {k}")
     n = 2 * k + 1

@@ -10,15 +10,17 @@ off-diagonal = -1 on every edge.
 Sites are the public coordinate system; internally arrays are 0-indexed with
 index = site + k.  All types are immutable after construction and every
 operation is a pure function.  ``cli`` reads and writes the spec syntax of
-a potential.
+a potential.  numpy is imported only where an array is built.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Potential",
@@ -122,6 +124,7 @@ class TridiagonalOperator:
     @cached_property
     def diag(self) -> np.ndarray:
         """Vertex degree (1 at the two ends, 2 inside) plus strength."""
+        import numpy as np
         diag = np.full(self.n, 2.0)
         diag[0] = diag[-1] = 1.0
         for site, strength in self.potential.entries:
@@ -200,6 +203,7 @@ def assemble_hamiltonian(k: int, potential: Potential) -> TridiagonalOperator:
 
 def apply_operator(op: TridiagonalOperator, f: np.ndarray) -> np.ndarray:
     """Matrix-vector product H f."""
+    import numpy as np
     f = np.asarray(f, dtype=float)
     if f.shape != (op.n,):
         raise ValueError(f"vector length {f.shape} does not match n = {op.n}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pathgap import (
+    _kernels,
     assemble_hamiltonian,
     dirichlet_ground_energy,
     evaluate_bounds,
@@ -15,6 +16,7 @@ from pathgap import (
 )
 from pathgap.bounds import EPSILON, _floor_and_sum
 from pathgap.cli import parse_potential_spec
+from pathgap.eigensolver import EPS, LAMBDA_FLOOR, REL_TOL
 
 # the benchmark's mpmath oracle, point checks and command lists, which share
 # no code with pathgap, are imported from perfbench/ as they are
@@ -105,6 +107,21 @@ def mp_origin_gap(k, alpha, dps=40):
 
 
 # O(n) references of what the library computes in closed form
+
+
+def sturm_count(op, mu):
+    """Number of eigenvalues of ``op`` strictly below ``mu``: the signs of
+    the LDL pivots, an exact-zero pivot replaced by EPS * norm_bound."""
+    return int(_kernels.sturm_count(op.diag, np.ones(op.n - 1), float(mu), EPS * op.norm_bound))
+
+
+def eigenvalue(op, index):
+    """The index-th smallest eigenvalue, the midpoint of the bracket that
+    bisection on ``sturm_count`` shrinks from [0, norm_bound] until its
+    width is below REL_TOL * max(|midpoint|, LAMBDA_FLOOR)."""
+    lo, hi = _kernels.bisect_bracket(op.diag, np.ones(op.n - 1), index, 0.0, op.norm_bound,
+                                     REL_TOL, LAMBDA_FLOOR, EPS * op.norm_bound)
+    return 0.5 * (lo + hi)
 
 
 def quadratic_form(op, f):

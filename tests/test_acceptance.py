@@ -17,7 +17,6 @@ from pathgap import (
     build_potential,
     build_trial_state,
     dirichlet_ground_energy,
-    eigenvalue,
     fit_power_law,
     free_spectrum,
     mixing_weight_product,
@@ -32,6 +31,7 @@ from conftest import (
     ALPHA_SET,
     BOUND_POTENTIALS,
     cosine_pieces,
+    eigenvalue,
     rayleigh_quotient,
     trial_vector,
 )

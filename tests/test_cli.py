@@ -1,7 +1,9 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -9,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathgap import fit_power_law, gap_series, geometric_grid
+import pathgap
+from pathgap import dirichlet_ground_energy, fit_power_law, gap_series, geometric_grid
 from pathgap.cli import (
     CSV_HEADER,
     _COMMANDS,
@@ -458,6 +461,25 @@ class TestCommands:
         for key, value in (("min", want.min()), ("max", want.max()), ("at_origin", want[k])):
             assert abs(payload[f"ground_state_{key}"] - value) <= 1e-15, key
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [3, 20])
+    @pytest.mark.parametrize("spec", ["0:1e200,1:1e200", "0:1e300,2:1e300", "0:1e308,1:1e308"])
+    def test_a_barrier_past_1e154_takes_its_dirichlet_limits(self, k, spec, tmp_path, capsys):
+        # the residual's entries square past the double range, which once
+        # made its norm inf and spectrum exit 3; two such barriers cut the
+        # path into free sides with Dirichlet ends, the longer side holding
+        # lambda0 and the shorter lambda1, to O(1/strength)
+        out = tmp_path / "spectrum.json"
+        assert main(["spectrum", "--k", str(k), f"--potential={spec}", "--format", "json",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out.read_text())
+        sites = [int(pair.split(":")[0]) for pair in spec.split(",")]
+        sides = sorted((k + min(sites), k - max(sites)), reverse=True)
+        for key, m in zip(("lambda0", "lambda1"), sides):
+            want = dirichlet_ground_energy(m)
+            assert abs(payload[key] - want) <= 4 * math.ulp(want), key
+
     def test_gap_scan_needs_no_ground_state(self, capsys):
         # a gap far below eps * ||H||, where inverse iteration from the flat
         # vector once made spectrum exit 3: gap-scan reads only the
@@ -483,6 +505,28 @@ class TestCommands:
         assert abs(float(row[5]) / mp_origin_gap(k, 1.0) - 1) <= 4 * EPS
         assert main(["alpha-scan", "--potential=0:1", "--k", str(k), "--alphas", "1,2",
                      "--no-timestamp"]) == 0
+
+    def test_the_o_support_commands_load_no_numpy(self, tmp_path):
+        # gap-scan, alpha-scan and fit build no array, so a fresh
+        # interpreter that imports pathgap.cli and runs them loads no numpy
+        script = """if True:
+            import sys
+            import pathgap.cli as cli
+            csv, grid = sys.argv[1], "100:1600:geometric:16"
+            codes = [cli.main(argv + ["--no-timestamp"]) for argv in (
+                ["gap-scan", "--potential", "0:1", "--k-grid", grid, "--out", csv],
+                ["gap-scan", "--potential", "none", "--k-grid", grid, "--out", csv + ".free"],
+                ["alpha-scan", "--potential", "0:1", "--k", "800", "--alphas", "0.5,1,16",
+                 "--out", csv + ".alpha"],
+                ["fit", csv, "--out", csv + ".fit"],
+            )]
+            print(codes, sorted(name for name in sys.modules if name.startswith("numpy"))[:3])
+        """
+        src = Path(pathgap.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "scan.csv")],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[0, 0, 0, 0] []\n")
 
     def test_benchmark_grids_need_no_bisection(self, monkeypatch, capsys):
         # gap-scan and alpha-scan run on O(support) counts alone: an O(n)

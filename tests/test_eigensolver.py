@@ -22,19 +22,16 @@ from pathgap import (
     build_potential,
     dirichlet_ground_energy,
     eigensolver,
-    eigenvalue,
     eigenvalues_low,
     evaluate_bounds,
     free_spectrum,
     geometric_grid,
     ground_state,
     spectrum_low,
-    sturm_count,
 )
 from pathgap.cli import parse_potential_spec
 from pathgap.eigensolver import (
     EPS,
-    _eigenvalue_bracket,
     _gap,
     _glued_ground_state,
     _level,
@@ -46,10 +43,12 @@ from conftest import (
     ACCEPTANCE_GRID,
     BOUND_POTENTIALS,
     FALLBACK_CASES,
+    eigenvalue,
     mp_ground_state,
     mp_origin_gap,
     oracle,
     rayleigh_quotient,
+    sturm_count,
     workloads,
 )
 
@@ -63,6 +62,14 @@ def _op(k, pairs):
 
 def _dense(op):
     return np.diag(op.diag) - np.eye(op.n, k=1) - np.eye(op.n, k=-1)
+
+
+def _banded_bracket(op, index, lo_u, hi_u):
+    """spectrum_low's O(n) bisection of the index-th level, inside the
+    lambda-image of its u-bracket (lo_u, hi_u] from ``_roots``."""
+    return _kernels.bisect_bracket(
+        op.diag, np.ones(op.n - 1), index, 0.0, op.norm_bound, eigensolver.REL_TOL,
+        eigensolver.LAMBDA_FLOOR, EPS * op.norm_bound, _level(op.n, hi_u), _level(op.n, lo_u))
 
 
 class TestSturmCount:
@@ -114,13 +121,6 @@ class TestEigenvalue:
         assert eigenvalue(op, 1) == pytest.approx(
             2.0 - 2.0 * math.cos(math.pi / 5.0), abs=1e-13
         )
-
-    def test_index_out_of_range(self):
-        op = _op(1, [])
-        with pytest.raises(ValueError, match="out of range"):
-            eigenvalue(op, 3)
-        with pytest.raises(ValueError, match="out of range"):
-            eigenvalue(op, -1)
 
     def test_against_dense_solver(self):
         # independent route: dense symmetric eigensolver
@@ -268,8 +268,8 @@ class TestGroundState:
         op = _op(73, [(-62, 623528892358.2329), (-42, 1.950268731830399e-06)])
         r = spectrum_low(op)
         brackets = _roots(op.n, op.potential)
-        lam0, lam1 = (0.5 * sum(_eigenvalue_bracket(op, i, (_level(op.n, hi), _level(op.n, lo))))
-                      for i, (lo, hi) in enumerate(brackets))
+        lam0, lam1 = (0.5 * sum(_banded_bracket(op, i, *bracket))
+                      for i, bracket in enumerate(brackets))
         assert lam1 - lam0 < 10 * math.ulp(op.norm_bound) and not r.precision_limited
         start, err = _glued_ground_state(op.n, op.potential, *brackets[0])
         assert ground_state(op, lam0, start, err, lam1 - lam0) is start
@@ -521,7 +521,7 @@ class TestSpectrumLowHint:
         op = _op(k, sorted(zip(sites, (10.0**e for e in exponents))))
         for index, (lo_u, hi_u) in enumerate(_roots(op.n, op.potential)):
             band = (_level(op.n, hi_u), _level(op.n, lo_u))
-            lo, hi = _eigenvalue_bracket(op, index, band)
+            lo, hi = _banded_bracket(op, index, lo_u, hi_u)
             slack = eigensolver.REL_TOL * max(band[1], eigensolver.LAMBDA_FLOOR)
             assert band[0] - slack <= lo < hi <= band[1] + slack, index
 
@@ -803,5 +803,4 @@ def test_sweep_count_is_the_sturm_count(sites, exponents, k, fraction):
     assume(lam > 0.0)
     u = math.pi / (4.0 * math.asin(math.sqrt(lam) / 2.0)) - 0.5 * op.n
     assume(0.5 * op.n + u > 0.5)
-    want = _kernels.sturm_count(op.diag, np.ones(op.n - 1), _level(op.n, u), EPS * op.norm_bound)
-    assert _sweep(op.n, op.potential, u)[0] == want
+    assert _sweep(op.n, op.potential, u)[0] == sturm_count(op, _level(op.n, u))

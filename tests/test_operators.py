@@ -10,10 +10,9 @@ from pathgap import (
     apply_operator,
     assemble_hamiltonian,
     build_potential,
-    eigenvalue,
 )
 
-from conftest import quadratic_form, rayleigh_quotient
+from conftest import eigenvalue, quadratic_form, rayleigh_quotient
 
 
 def _op(k, pairs):
