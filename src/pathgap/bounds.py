@@ -91,7 +91,7 @@ class BoundsReport:
     potential: Potential
     result: SpectralResult
     side: SideCorrections
-    side_energies: tuple[float, float]  # side_energies(k, potential)
+    side_energies: tuple[float, float]  # side_energies(op)
     mixing: float | None  # build_trial_state(op), None when degenerate
     checks: list[BoundCheck]
 
@@ -125,16 +125,15 @@ class BoundsReport:
         return all(c.holds for c in self.checks if c.applicable)
 
 
-def side_energies(k: int, potential: Potential) -> tuple[float, float]:
+def side_energies(op: TridiagonalOperator) -> tuple[float, float]:
     """Dirichlet ground energies of the free sub-paths left of r_min and
     right of r_max, each with a Dirichlet site at the support edge.
 
-    ``dirichlet_ground_energy`` rejects an empty sub-path, so a support
-    that ``assemble_hamiltonian`` would reject raises ValueError here too.
+    ``assemble_hamiltonian`` has checked that both sub-paths are non-empty.
     """
     return (
-        dirichlet_ground_energy(k + potential.site_min),
-        dirichlet_ground_energy(k - potential.site_max),
+        dirichlet_ground_energy(op.k + op.potential.site_min),
+        dirichlet_ground_energy(op.k - op.potential.site_max),
     )
 
 
@@ -218,7 +217,7 @@ def single_site_diagnostics(
     Only defined for a potential supported on the origin alone; the last
     value stays bounded over k sweeps, the second falls off like k^-3.
     """
-    if potential.is_empty or potential.sites != (0,):
+    if potential.sites != (0,):
         raise ValueError("diagnostics require a single-site potential at the origin")
     k = result.k
     strength = potential.strength_sum
@@ -239,13 +238,12 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
     ``build_trial_state``) is recorded as a skipped upper-bound check; any
     other error is raised.
     """
-    import numpy as np
     k, potential = op.k, op.potential
-    theta_left, theta_right = side_energies(k, potential)
+    theta_left, theta_right = side_energies(op)
     theta_path = dirichlet_ground_energy(k)
-    if result.ground_state is None:
+    phi = result.ground_state
+    if phi is None:
         raise ValueError("bounds need the ground state; use spectrum_low()")
-    phi = np.asarray(result.ground_state, dtype=float)
     lam0, lam1 = result.lambda0, result.lambda1
 
     side = compute_side_corrections(op, phi)

@@ -11,12 +11,13 @@ Commands::
     fit            power-law fit of a gap-scan CSV, JSON
 
 Each command takes only the options its handler reads (``_COMMANDS``), plus
-``--out`` and ``--no-timestamp``; any other option, or an abbreviated one,
-exits 2.  The solver and the bound and fit settings are not options:
-every command takes each level by secant steps inside brackets certified
-by a Sturm count that costs O(support) (``eigensolver.eigenvalues_low``),
-at any k, and spectrum and verify-bounds add the ground state, a length-n
-array (``eigensolver.spectrum_low``).  The trial state uses ``bounds.EPSILON``
+``--out`` and ``--no-timestamp``; the parser exits 2 on any other option, an
+abbreviated one, or a missing ``--k``, ``--k-grid`` or ``--alphas``.  The
+solver and the bound and fit settings are not options: every command takes
+each level by secant steps inside brackets certified by a Sturm count that
+costs O(support) (``eigensolver.eigenvalues_low``), at any k, and spectrum
+and verify-bounds add the ground state, a length-n array
+(``eigensolver.spectrum_low``).  The trial state uses ``bounds.EPSILON``
 and band statistics start at ``scaling.BAND_K_MIN``.
 
 Every format is here: the spec syntax and its inverse ``spec_string``,
@@ -311,8 +312,6 @@ def _spectrum_low(op):
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    if args.k is None:
-        raise ValueError("spectrum requires --k")
     potential = parse_potential_spec(args.potential)
     op = assemble_hamiltonian(args.k, potential)
     res = _spectrum_low(op)
@@ -341,8 +340,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_gap_scan(args: argparse.Namespace) -> int:
-    if args.k_grid is None:
-        raise ValueError("gap-scan requires --k-grid")
     k_values = parse_k_grid(args.k_grid)
     potential = parse_potential_spec(args.potential)
     points = gap_series(potential, k_values)
@@ -351,10 +348,6 @@ def _cmd_gap_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_alpha_scan(args: argparse.Namespace) -> int:
-    if args.k is None:
-        raise ValueError("alpha-scan requires --k")
-    if not args.alphas:
-        raise ValueError("alpha-scan requires --alphas")
     alphas = []
     for i, token in enumerate(args.alphas.split(","), start=1):
         try:
@@ -362,21 +355,17 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
         except ValueError:
             raise ValueError(f"bad alpha at token {i} ({token!r})") from None
     base = parse_potential_spec(args.potential)
-    if base.is_empty:
-        raise ValueError("alpha-scan needs a non-empty base potential to scale")
-    n = 2 * args.k + 1
     rows = []
     for a in alphas:
         res = eigenvalues_low(assemble_hamiltonian(args.k, base.scaled(a)))
-        rows.append((a, args.k, n, res.gap, a * (n**3 * res.gap), res.precision_limited))
+        rows.append((a, res.k, res.n, res.gap, a * (res.n**3 * res.gap),
+                     res.precision_limited))
     _emit(_csv("alpha,k,n,gap,alpha_n3_gap,precision_limited", rows, _timestamp(args)),
           args.out)
     return 0
 
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
-    if args.k_grid is None:
-        raise ValueError("verify-bounds requires --k-grid")
     grid = parse_k_grid(args.k_grid)
     potential = parse_potential_spec(args.potential)
     if potential.is_empty:
@@ -416,10 +405,10 @@ _OPTIONS = {
         default="none", metavar="SPEC",
         help="site:strength[,site:strength]* or 'none'; use --potential=SPEC "
              "when SPEC starts with a negative site"),
-    "--k": dict(type=int, default=None, help="half-width of the path"),
-    "--k-grid": dict(default=None, metavar="MIN:MAX:KIND:COUNT",
+    "--k": dict(type=int, required=True, help="half-width of the path"),
+    "--k-grid": dict(required=True, metavar="MIN:MAX:KIND:COUNT",
                      help="k sweep, KIND is geometric or linear"),
-    "--alphas": dict(default=None, metavar="A,B,C",
+    "--alphas": dict(required=True, metavar="A,B,C",
                      help="comma-separated strength scale factors"),
     "--format": dict(dest="fmt", choices=("text", "json"), default="text"),
 }

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import _kernels
-from .operators import Potential, TridiagonalOperator, apply_operator
+from .operators import Potential, TridiagonalOperator, apply_operator, check_half_width
 
 if TYPE_CHECKING:
     import numpy as np
@@ -620,8 +620,6 @@ def free_spectrum(k: int) -> np.ndarray:
     """All 2k+1 eigenvalues of the potential-free path Laplacian, ascending:
     2 - 2 cos(pi m / (2k+1)), m = 0..2k.  Used as a test oracle."""
     import numpy as np
-    if int(k) != k or k < 1:
-        raise ValueError(f"half-width k must be a positive integer, got {k}")
-    n = 2 * k + 1
+    n = 2 * check_half_width(k) + 1
     m = np.arange(n)
     return 2.0 - 2.0 * np.cos(np.pi * m / n)

@@ -181,22 +181,19 @@ def assemble_hamiltonian(k: int, potential: Potential) -> TridiagonalOperator:
     """Tridiagonal operator on the path -k..k: diag(v) = degree(v) +
     strength(v) (built on first access), coupling -1 on every edge.
 
-    Rejects a half-width k that ``check_half_width`` rejects, and a
-    non-empty potential whose support does not leave a non-empty sub-path
-    on each side: k + site_min >= 1 and k - site_max >= 1 (required by the
-    bound evaluations).
+    The one check of the support: rejects a half-width k that
+    ``check_half_width`` rejects, and a non-empty potential whose support
+    does not leave a non-empty sub-path on each side, k + site_min >= 1 and
+    k - site_max >= 1 (which also keeps every site on the path; the bound
+    evaluations need both sub-paths).
     """
     k = check_half_width(k)
     if not potential.is_empty:
         rmin, rmax = potential.site_min, potential.site_max
-        if rmin < -k or rmax > k:
-            raise ValueError(
-                f"potential sites {rmin}..{rmax} outside vertex range -{k}..{k}"
-            )
         if k + rmin < 1 or k - rmax < 1:
             raise ValueError(
                 f"potential support {rmin}..{rmax} leaves an empty side sub-path "
-                f"(need k + site_min >= 1 and k - site_max >= 1, k = {k})"
+                f"of the path -{k}..{k} (need k + site_min >= 1 and k - site_max >= 1)"
             )
     return TridiagonalOperator(k=k, potential=potential)
 

@@ -10,7 +10,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from pathgap import (
     assemble_hamiltonian,
@@ -22,7 +21,6 @@ from pathgap import (
     mixing_weight_product,
     side_correction_product,
     single_site_diagnostics,
-    spectrum_low,
 )
 from pathgap.cli import main, parse_k_grid, parse_potential_spec
 

@@ -98,14 +98,6 @@ class TestGroundLowerBound:
         assert rep.ground_lower == pytest.approx(2.0 * (0.5 - _A1_EXACT), abs=1e-9)
         assert rep.ground_lower <= res.lambda0
 
-    def test_side_subpath_precondition(self):
-        # assemble_hamiltonian rejects these supports (test_operators); given
-        # the pair, side_energies meets an empty side sub-path
-        with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
-            side_energies(1, build_potential([(1, 2.0)]))
-        with pytest.raises(ValueError, match="m must be a positive integer, got -4"):
-            side_energies(1, build_potential([(-5, 2.0)]))
-
     def test_product_nonnegative(self):
         op, res = _op_low(25, [(0, 1.0)])
         side = compute_side_corrections(op, res.ground_state)
@@ -171,7 +163,7 @@ class TestTrialState:
         vector = trial_vector(op, b)
         assert float(np.dot(vector, vector)) == pytest.approx(1.0, abs=1e-12)
         # the floor energy is E_D(k) / (2 + EPSILON) = E_D(k) / 3
-        theta_left, theta_right = side_energies(10, op.potential)
+        theta_left, theta_right = side_energies(op)
         floor_energy = dirichlet_ground_energy(10) / 3.0
         expected = 0.5 * (1.0 - b) * (theta_left + theta_right) + b * floor_energy
         assert rep.ground_upper == expected

@@ -35,6 +35,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 # --no-timestamp --out tests/data/golden/<file>``, in this order (fit reads
 # the gap-scan file).  ``PYTHONPATH=src python tests/regenerate_golden.py``
 # rewrites them.
+FAR_GRID = f"{10**6}:{10**100}:geometric:16"
 GOLDEN_COMMANDS = {
     "spectrum.json": ["spectrum", "--k", "20", "--potential", "0:1", "--format", "json"],
     "gap-scan.csv": ["gap-scan", "--potential", "0:1", "--k-grid", "20:80:geometric:4"],
@@ -50,6 +51,13 @@ GOLDEN_COMMANDS = {
     "spectrum-free.json": ["spectrum", "--k", "50", "--potential", "none",
                            "--format", "json"],
     "spectrum-k1.txt": ["spectrum", "--k", "1", "--potential", "0:5"],
+    # the far end: k = 10^6..10^100 and alpha up to 1e300
+    "gap-scan-far.csv": ["gap-scan", "--potential", "0:1", "--k-grid", FAR_GRID],
+    "fit-far.json": ["fit", str(GOLDEN / "gap-scan-far.csv")],
+    "gap-scan-far-two-sites.csv": ["gap-scan", "--potential=-2:5,3:7", "--k-grid", FAR_GRID],
+    "fit-far-two-sites.json": ["fit", str(GOLDEN / "gap-scan-far-two-sites.csv")],
+    "alpha-scan-far.csv": ["alpha-scan", "--potential", "0:1", "--k", str(10**50),
+                           "--alphas", "1e-12,1e-6,1,1e6,1e12,1e100,1e200,1e300"],
 }
 
 
@@ -183,19 +191,43 @@ class TestCommands:
         assert json.loads(capsys.readouterr().out)["potential"] == "0:1.23456789"
 
     @pytest.mark.parametrize("argv,message", [
-        (["spectrum", "--potential", "0:5"], "spectrum requires --k"),
-        (["gap-scan", "--potential=0:1"], "gap-scan requires --k-grid"),
-        (["verify-bounds", "--potential=0:1"], "verify-bounds requires --k-grid"),
-        (["alpha-scan", "--potential=0:1", "--alphas", "1,2"], "alpha-scan requires --k"),
-        (["alpha-scan", "--potential=0:1", "--k", "10"], "alpha-scan requires --alphas"),
+        # the parser requires each of these options
+        (["spectrum", "--potential", "0:5"], "--k"),
+        (["gap-scan", "--potential=0:1"], "--k-grid"),
+        (["verify-bounds", "--potential=0:1"], "--k-grid"),
+        (["alpha-scan", "--potential=0:1", "--alphas", "1,2"], "--k"),
+        (["alpha-scan", "--potential=0:1", "--k", "10"], "--alphas"),
+        # Potential.scaled rejects the empty potential, before any solve
         (["alpha-scan", "--potential", "none", "--k", "10", "--alphas", "1,2"],
-         "alpha-scan needs a non-empty base potential to scale"),
+         "cannot scale the empty baseline potential"),
+        # checked before the first O(n) solve of the grid
         (["verify-bounds", "--potential", "none", "--k-grid", "5:6:linear:2"],
          "verify-bounds needs a non-empty potential"),
+        # an empty --alphas is one empty token
+        (["alpha-scan", "--potential=0:1", "--k", "10", "--alphas", ""],
+         "bad alpha at token 1 ('')"),
     ])
     def test_missing_input_exits_two_naming_it(self, argv, message, capsys):
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"pathgap: {message}\n"
+        if message.startswith("--"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"the following arguments are required: {message}\n" in (
+                capsys.readouterr().err)
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"pathgap: {message}\n"
+
+    def test_help_shows_the_required_options_without_brackets(self, capsys):
+        for name, options in (("spectrum", ["--k K"]), ("gap-scan", ["--k-grid"]),
+                              ("alpha-scan", ["--k K", "--alphas A,B,C"]),
+                              ("verify-bounds", ["--k-grid"])):
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--help"])
+            assert exc.value.code == 0
+            usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+            for option in options:
+                assert f" {option}" in usage and f"[{option}" not in usage, (name, usage)
 
     def test_gap_scan_csv(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
@@ -368,6 +400,14 @@ class TestCommands:
         assert main(["gap-scan", "--potential", "0:5e-324", "--k-grid", "3:3:linear:1",
                      "--no-timestamp"]) == 0
         assert float(capsys.readouterr().out.splitlines()[1].split(",")[3]) == 0.0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "F8: at adjacent strong barriers the glued ground state is accurate only "
+        "normwise, so potential_term_vs_side_corrections reads 8.87 against 0.092"))
+    def test_verify_bounds_holds_at_adjacent_strong_barriers(self, capsys):
+        assert main(["verify-bounds", "--potential=0:1e35,1:1e35",
+                     "--k-grid", "3:3:linear:1", "--no-timestamp"]) == 0
+        assert json.loads(capsys.readouterr().out)["all_hold"] is True
 
     def test_verify_bounds_k_zero_exits_two(self, capsys):
         assert main(["verify-bounds", "--potential", "0:1", "--k-grid", "0:0:linear:1"]) == 2
@@ -563,13 +603,13 @@ class TestOptionSets:
         ["gap-scan", "--k-grid", "5:6:linear:2", "--epsilon", "2"],
         ["gap-scan", "--k-grid", "5:6:linear:2", "--band-k-min", "5"],
         # an abbreviation of --k-grid
-        ["gap-scan", "--k", "20"],
+        ["gap-scan", "--k-grid", "5:6:linear:2", "--k", "20"],
         ["verify-bounds", "--potential", "0:1", "--k-grid", "5:5:linear:1",
          "--format", "json"],
         ["verify-bounds", "--potential", "0:1", "--k-grid", "5:5:linear:1",
          "--alphas", "1"],
         # a one-point --k-grid writes what --k did
-        ["verify-bounds", "--potential", "0:1", "--k", "5"],
+        ["verify-bounds", "--potential", "0:1", "--k-grid", "5:6:linear:2", "--k", "5"],
         # the bound and fit settings are constants, and gap-scan writes CSV only
         ["gap-scan", "--k-grid", "5:6:linear:2", "--format", "json"],
         ["verify-bounds", "--potential", "0:1", "--k-grid", "5:5:linear:1",

@@ -5,8 +5,6 @@ compute on numpy float64 scalars.  Both versions perform the same IEEE
 double operations in the same order, so every result must agree bit for
 bit, pivot substitution and clamping included.
 """
-import math
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st

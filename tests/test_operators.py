@@ -108,8 +108,12 @@ class TestAssemble:
             _op(1, [(1, 2.0)])
 
     def test_site_out_of_range(self):
-        with pytest.raises(ValueError, match="outside vertex range"):
+        # the empty-side rule also keeps every site on the path
+        with pytest.raises(ValueError, match=r"support 5\.\.5 leaves an empty side "
+                           r"sub-path of the path -2\.\.2"):
             _op(2, [(5, 1.0)])
+        with pytest.raises(ValueError, match=r"support -3\.\.1 leaves"):
+            _op(2, [(-3, 1.0), (1, 1.0)])
 
     def test_arrays_frozen(self):
         op = _op(3, [(0, 1.0)])
