@@ -85,7 +85,10 @@ class BoundsReport:
     """Every bound evaluated at one grid point: the potential, the point's
     ``spectrum_low`` result and what ``evaluate_bounds`` built from them.
 
-    The bounds are read off the checks that compare them with the spectrum.
+    Each bound is read from the check that compares it with the spectrum,
+    by name: the rhs of ``ground_energy_upper_bound`` is the ground upper
+    bound (NaN when the trial state is degenerate), the rhs of
+    ``excited_energy_upper_bound`` the larger side energy.
     """
 
     potential: Potential
@@ -98,27 +101,6 @@ class BoundsReport:
     @property
     def k(self) -> int:
         return self.result.k
-
-    def _check(self, name: str) -> BoundCheck:
-        return next(c for c in self.checks if c.name == name)
-
-    @property
-    def ground_lower(self) -> float:
-        return self._check("ground_energy_lower_bound").lhs
-
-    @property
-    def ground_upper(self) -> float | None:
-        """None when the trial state is degenerate."""
-        return None if self.mixing is None else self._check("ground_energy_upper_bound").rhs
-
-    @property
-    def excited_lower(self) -> float:
-        return self._check("excited_energy_lower_bound").lhs
-
-    @property
-    def excited_upper(self) -> float:
-        """The larger side energy."""
-        return self._check("excited_energy_upper_bound").rhs
 
     @property
     def all_hold(self) -> bool:

@@ -40,7 +40,7 @@ import math
 import sys
 from datetime import datetime, timezone
 
-from .bounds import EPSILON, BoundsReport, evaluate_bounds, single_site_diagnostics
+from .bounds import EPSILON, BoundsReport, evaluate_bounds
 from .eigensolver import ConvergenceError, SpectralResult, eigenvalues_low, spectrum_low
 from .operators import Potential, assemble_hamiltonian, build_potential, check_half_width
 from .scaling import ScalingFit, fit_power_law, gap_series, geometric_grid, linear_grid
@@ -254,22 +254,17 @@ def series_from_csv(text: str) -> tuple[SpectralResult, ...]:
 
 def report_fields(rep: BoundsReport) -> dict:
     """The fields of one ``verify-bounds`` point; a single site at the
-    origin adds its diagnostics."""
-    res, potential = rep.result, rep.potential
+    origin adds the ground state there."""
+    res = rep.result
     d = {
         "k": rep.k,
         "n": res.n,
-        "potential": spec_string(potential),
-        "epsilon": EPSILON,
         "lambda0": res.lambda0,
         "lambda1": res.lambda1,
         "gap": res.gap,
-        "ground_lower": rep.ground_lower,
-        "ground_upper": rep.ground_upper,
-        "excited_lower": rep.excited_lower,
-        "excited_upper": rep.excited_upper,
-        "side_energy_min": min(rep.side_energies),
-        "side_energy_max": max(rep.side_energies),
+        "precision_limited": res.precision_limited,
+        "side_energy_left": rep.side_energies[0],
+        "side_energy_right": rep.side_energies[1],
         "side_correction_left": rep.side.left,
         "side_correction_right": rep.side.right,
         "mixing_weight": rep.mixing,
@@ -280,8 +275,8 @@ def report_fields(rep: BoundsReport) -> dict:
             for c in rep.checks
         ],
     }
-    if potential.sites == (0,):
-        d["ground_at_origin"], d["potential_energy"], _ = single_site_diagnostics(res, potential)
+    if rep.potential.sites == (0,):
+        d["ground_at_origin"] = float(res.ground_state[rep.k])
     return d
 
 

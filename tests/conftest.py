@@ -191,12 +191,18 @@ def trial_rayleigh(op, b, theta_sum):
     and both vanish on the support, so the floor adds only its potential
     energy b a^2 alpha_sum:
     ((1-b) theta_sum / 2 + b a^2 alpha_sum) / ((1-b) + 2 sqrt((1-b) b) a S + (2k+1) b a^2).
-    The report's ground_upper is this quotient at a norm^2 of 1.
+    The rhs of the report's ``ground_energy_upper_bound`` check is this
+    quotient at a norm^2 of 1.
     """
     amp, cos_sum = _floor_and_sum(op)
     energy = 0.5 * (1.0 - b) * theta_sum + b * amp * amp * op.potential.strength_sum
     norm_sq = (1.0 - b) + 2.0 * math.sqrt((1.0 - b) * b) * amp * cos_sum + op.n * b * amp * amp
     return energy / norm_sq
+
+
+def check(report, name):
+    """The ``BoundCheck`` called ``name`` of a ``BoundsReport``."""
+    return next(c for c in report.checks if c.name == name)
 
 
 def expanded_side_total(op, phi):

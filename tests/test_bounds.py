@@ -25,6 +25,7 @@ from pathgap.cli import parse_potential_spec, report_fields
 
 from conftest import (
     BOUND_POTENTIALS,
+    check,
     cosine_pieces,
     expanded_side_total,
     mp_trial_state,
@@ -53,6 +54,15 @@ def _op_low(k, pairs):
 def _report(k, pairs):
     op, res = _op_low(k, pairs)
     return op, res, evaluate_bounds(op, res)
+
+
+def _bounds(rep):
+    """(ground lower, ground upper, excited lower, excited upper), each read
+    from the check that compares it with the spectrum."""
+    return (check(rep, "ground_energy_lower_bound").lhs,
+            check(rep, "ground_energy_upper_bound").rhs,
+            check(rep, "excited_energy_lower_bound").lhs,
+            check(rep, "excited_energy_upper_bound").rhs)
 
 
 # exact 3x3 ground state for k=1, strength 5 at the origin
@@ -95,8 +105,9 @@ class TestGroundLowerBound:
     def test_exact_3x3_value(self):
         _, res, rep = _report(1, [(0, 5.0)])
         # both side energies equal 1 here
-        assert rep.ground_lower == pytest.approx(2.0 * (0.5 - _A1_EXACT), abs=1e-9)
-        assert rep.ground_lower <= res.lambda0
+        lower = check(rep, "ground_energy_lower_bound")
+        assert lower.lhs == pytest.approx(2.0 * (0.5 - _A1_EXACT), abs=1e-9)
+        assert lower.lhs <= lower.rhs == res.lambda0
 
     def test_product_nonnegative(self):
         op, res = _op_low(25, [(0, 1.0)])
@@ -166,7 +177,7 @@ class TestTrialState:
         theta_left, theta_right = side_energies(op)
         floor_energy = dirichlet_ground_energy(10) / 3.0
         expected = 0.5 * (1.0 - b) * (theta_left + theta_right) + b * floor_energy
-        assert rep.ground_upper == expected
+        assert check(rep, "ground_energy_upper_bound").rhs == expected
 
     def test_mixing_solves_normalization_relation(self):
         # b = 2 sqrt((1-b) b) a S + (2k+1) b a^2, with floor amplitude
@@ -190,7 +201,7 @@ class TestTrialState:
 
     def test_within_8_ulp_of_mpmath(self, bound_reports):
         # the 212 bound points of the benchmark's paper and small-k grids
-        worst = dict.fromkeys(("mixing", "ground_upper", "rayleigh"), 0.0)
+        worst = dict.fromkeys(("mixing", "upper", "rayleigh"), 0.0)
         for spec in BOUND_POTENTIALS:
             pot = parse_potential_spec(spec)
             small = [evaluate_bounds(*_op_low(k, pot.entries))
@@ -200,7 +211,7 @@ class TestTrialState:
                 rayleigh = trial_rayleigh(assemble_hamiltonian(rep.k, pot), rep.mixing,
                                           sum(rep.side_energies))
                 for key, value, exact in (("mixing", rep.mixing, b),
-                                          ("ground_upper", rep.ground_upper, upper),
+                                          ("upper", _bounds(rep)[1], upper),
                                           ("rayleigh", rayleigh, upper)):
                     worst[key] = max(worst[key], _ulps(value, exact))
         assert max(worst.values()) <= 8.0, worst
@@ -236,12 +247,13 @@ class TestTrialState:
 class TestGroundUpperBound:
     def test_above_ground_energy_3x3(self):
         _, res, rep = _report(1, [(0, 5.0)])
-        assert rep.ground_upper >= res.lambda0
+        upper = check(rep, "ground_energy_upper_bound")
+        assert upper.rhs >= upper.lhs == res.lambda0
 
     def test_zero_mixing_limit_is_side_mean(self):
         _, _, rep = _report(9, [(0, 1e12)])
         mean = dirichlet_ground_energy(9)  # both sides equal for J={0}
-        assert rep.ground_upper == pytest.approx(mean, rel=1e-5)
+        assert _bounds(rep)[1] == pytest.approx(mean, rel=1e-5)
 
     def test_product_positive(self):
         op = _op(20, [(0, 1.0)])
@@ -251,18 +263,21 @@ class TestGroundUpperBound:
 class TestExcitedBounds:
     def test_exact_3x3(self):
         _, res, rep = _report(1, [(0, 5.0)])
-        assert rep.excited_lower == rep.excited_upper == pytest.approx(1.0, abs=1e-14)
+        _, _, lower, upper = _bounds(rep)
+        assert lower == upper == pytest.approx(1.0, abs=1e-14)
         assert res.lambda1 == pytest.approx(1.0, abs=1e-12)
 
     def test_single_site_collapses(self):
         _, _, rep = _report(17, [(0, 3.3)])
-        assert rep.excited_lower == rep.excited_upper == dirichlet_ground_energy(17)
+        _, _, lower, upper = _bounds(rep)
+        assert lower == upper == dirichlet_ground_energy(17)
 
     def test_two_site_formula(self):
         _, res, rep = _report(10, [(-1, 1.0), (1, 1.0)])
-        assert rep.excited_lower == pytest.approx(dirichlet_ground_energy(10))
-        assert rep.excited_upper == pytest.approx(dirichlet_ground_energy(9))
-        assert rep.excited_lower <= res.lambda1 <= rep.excited_upper + 1e-12
+        _, _, lower, upper = _bounds(rep)
+        assert lower == pytest.approx(dirichlet_ground_energy(10))
+        assert upper == pytest.approx(dirichlet_ground_energy(9))
+        assert lower <= res.lambda1 <= upper + 1e-12
 
 
 class TestSingleSiteDiagnostics:
@@ -288,7 +303,7 @@ class TestEvaluateBounds:
         assert [c.name for c in rep.checks] == CHECKS
         # the excited upper bound holds at every k; here with equality, since
         # lambda1 = 1 is the energy of both one-site Dirichlet sides
-        upper = next(c for c in rep.checks if c.name == "excited_energy_upper_bound")
+        upper = check(rep, "excited_energy_upper_bound")
         assert upper.applicable and upper.holds
         assert upper.lhs == pytest.approx(upper.rhs, abs=1e-13)
         assert upper.rhs == pytest.approx(1.0, abs=1e-15)
@@ -299,10 +314,11 @@ class TestEvaluateBounds:
         rep = evaluate_bounds(op, res)
         assert rep.all_hold
         assert all(c.applicable for c in rep.checks)
-        assert rep.ground_lower <= res.lambda0 <= rep.ground_upper
+        ground_lower, ground_upper, excited_lower, excited_upper = _bounds(rep)
+        assert ground_lower <= res.lambda0 <= ground_upper
         # the excited sandwich is attained with equality for J={0}; allow
         # eigensolver noise at the library's own slack level
-        assert rep.excited_lower - 1e-12 <= res.lambda1 <= rep.excited_upper + 1e-12
+        assert excited_lower - 1e-12 <= res.lambda1 <= excited_upper + 1e-12
 
     def test_side_total_agrees_with_its_expansion(self):
         op, res = _op_low(150, [(-1, 2.0), (0, 3.0), (1, 2.0)])
@@ -312,21 +328,22 @@ class TestEvaluateBounds:
     def test_ground_upper_is_the_trial_rayleigh_quotient(self):
         # the trial state's norm^2 is 1 to a few ulp, so the upper bound is
         # its Rayleigh quotient and the check of lambda0 against it is the
-        # check against ground_upper
+        # check against the bound
         op, res = _op_low(80, [(0, 8.0)])
         rep = evaluate_bounds(op, res)
         rayleigh = trial_rayleigh(op, rep.mixing, sum(rep.side_energies))
-        assert rep.ground_upper == pytest.approx(rayleigh, rel=1e-15)
+        upper = check(rep, "ground_energy_upper_bound").rhs
+        assert upper == pytest.approx(rayleigh, rel=1e-15)
         assert rayleigh == pytest.approx(rayleigh_quotient(op, trial_vector(op, rep.mixing)),
                                          rel=1e-12)
-        assert res.lambda0 <= rep.ground_upper
+        assert res.lambda0 <= upper
 
     def test_degenerate_trial_reported_as_skipped(self):
         op, res = _op_low(2, [(0, 0.0001)])
         rep = evaluate_bounds(op, res)
-        upper = next(c for c in rep.checks if c.name == "ground_energy_upper_bound")
+        upper = check(rep, "ground_energy_upper_bound")
         assert upper.skipped_reason is not None and "degenerate" in upper.skipped_reason
-        assert rep.ground_upper is None
+        assert math.isnan(upper.rhs)
         assert rep.mixing is None
         # the remaining applicable checks still hold
         assert rep.all_hold
@@ -351,13 +368,15 @@ class TestEvaluateBounds:
         theta_path, b, side = dirichlet_ground_energy(40), rep.mixing, rep.side
         lower = (0.5 - side.left) * theta_left + (0.5 - side.right) * theta_right
         upper = 0.5 * (1.0 - b) * (theta_left + theta_right) + b * (theta_path / (2.0 + EPSILON))
-        assert (rep.ground_lower, rep.ground_upper, rep.excited_lower, rep.excited_upper) == (
-            lower, upper, theta_path, theta_right
-        )
+        assert _bounds(rep) == (lower, upper, theta_path, theta_right)
         assert rep.side_energies == (theta_left, theta_right)
         d = report_fields(rep)
-        assert (d["lambda0"], d["lambda1"], d["gap"]) == (res.lambda0, res.lambda1, res.gap)
-        assert (d["side_energy_min"], d["side_energy_max"]) == (theta_left, rep.excited_upper)
+        assert (d["lambda0"], d["lambda1"], d["gap"], d["precision_limited"]) == (
+            res.lambda0, res.lambda1, res.gap, res.precision_limited)
+        assert (d["side_energy_left"], d["side_energy_right"]) == (theta_left, theta_right)
+        # each check is written as evaluated: no field restates its lhs or rhs
+        assert [(c["name"], c["lhs"], c["rhs"]) for c in d["checks"]] == [
+            (c.name, c.lhs, c.rhs) for c in rep.checks]
 
     def test_empty_potential_rejected(self):
         pot = build_potential([])

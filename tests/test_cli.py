@@ -341,9 +341,32 @@ class TestCommands:
         assert main(["verify-bounds", "--potential", "0:0.0001", "--k-grid", "2:2:linear:1",
                      "--no-timestamp"]) == 0
         (point,) = json.loads(capsys.readouterr().out)["points"]
-        assert point["ground_upper"] is None and point["mixing_weight"] is None
+        assert point["mixing_weight"] is None
         upper = next(c for c in point["checks"] if c["name"] == "ground_energy_upper_bound")
         assert upper["rhs"] is None and "degenerate mixing branch" in upper["skipped_reason"]
+
+    @pytest.mark.parametrize("spec, at_origin", [("0:1", True), ("1:1", False),
+                                                 ("-2:5,3:7", False)])
+    def test_verify_bounds_point_writes_each_number_once(self, spec, at_origin, capsys):
+        # the bounds are the checks' lhs and rhs, and the potential and
+        # epsilon are the report's: no point field restates them
+        assert main(["verify-bounds", f"--potential={spec}", "--k-grid", "20:21:linear:2",
+                     "--no-timestamp"]) == 0
+        keys = ["k", "n", "lambda0", "lambda1", "gap", "precision_limited",
+                "side_energy_left", "side_energy_right", "side_correction_left",
+                "side_correction_right", "mixing_weight", "all_hold", "checks"]
+        for point in json.loads(capsys.readouterr().out)["points"]:
+            assert list(point) == keys + ["ground_at_origin"] * at_origin
+
+    def test_verify_bounds_flags_a_gap_as_spectrum_does(self, capsys):
+        # the gap, about 1e-12, is below what the brackets resolve at lambda0
+        spec = "--potential=-1:274993492971.9633,1:9.362020523665404e+192"
+        assert main(["spectrum", "--k", "3", spec, "--format", "json"]) == 0
+        spectrum = json.loads(capsys.readouterr().out)
+        assert spectrum["precision_limited"] is True
+        assert main(["verify-bounds", spec, "--k-grid", "3:3:linear:1", "--no-timestamp"]) == 0
+        (point,) = json.loads(capsys.readouterr().out)["points"]
+        assert (point["gap"], point["precision_limited"]) == (spectrum["gap"], True)
 
     def test_verify_bounds_single_k(self, capsys):
         assert main(["verify-bounds", "--potential", "0:2", "--k-grid", "50:50:linear:1",

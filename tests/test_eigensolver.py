@@ -395,6 +395,20 @@ class TestEigenvaluesLowAgainstTheOracle:
             want0, want1 = oracle.levels(k, ((0, 1.0),))
             assert abs(mp_origin_gap(k, 1.0) / (want1 - want0) - 1) <= 1e-30
 
+    @given(k_exponent=st.floats(0.0, 102.0), strength_exponent=st.floats(-12.0, 300.0))
+    @settings(max_examples=40, deadline=None)
+    def test_one_site_gap_at_any_k_and_strength(self, k_exponent, strength_exponent):
+        # an unflagged gap is the closed form's to a few ulp, relative; a
+        # flagged one is a gap that no normal double holds (over 200 such
+        # cases: 108 unflagged, worst 2.5 eps; 92 flagged, all subnormal)
+        k, strength = round(10.0**k_exponent), 10.0**strength_exponent
+        r = eigenvalues_low(_op(k, [(0, strength)]))
+        want = mp_origin_gap(k, strength)
+        if r.precision_limited:
+            assert want < sys.float_info.min, (k, strength)
+        else:
+            assert abs(r.gap / want - 1) <= 4 * EPS, (k, strength)
+
     @pytest.mark.parametrize("pairs, exponents", [
         (((-2, 5.0), (3, 7.0)), range(2, 16)),
         (((-1, 2.0), (0, 3.0), (1, 2.0)), (3, 7, 11, 15)),
