@@ -12,8 +12,6 @@ support edge.  This module computes
   giving the upper bound; its mixing weight is a closed form, so no trial
   vector is built,
 * the sandwich for the first excited energy,
-* single-site diagnostics (ground-state value at the origin, potential
-  energy),
 
 and aggregates every inequality into a report with per-check status;
 ``cli`` writes the report's fields.
@@ -31,15 +29,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "SideCorrections",
     "BoundCheck",
     "BoundsReport",
     "side_energies",
     "compute_side_corrections",
-    "side_correction_product",
     "build_trial_state",
-    "mixing_weight_product",
-    "single_site_diagnostics",
     "evaluate_bounds",
 ]
 
@@ -51,18 +45,6 @@ EPSILON = 1.0
 # with equality (e.g. the excited-level sandwich is exact for single-site
 # potentials); forgives eigensolver noise only.
 _SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class SideCorrections:
-    """Half-mass deficits of the ground state left/right of the support."""
-
-    left: float
-    right: float
-
-    @property
-    def total(self) -> float:
-        return self.left + self.right
 
 
 @dataclass(frozen=True)
@@ -93,8 +75,8 @@ class BoundsReport:
 
     potential: Potential
     result: SpectralResult
-    side: SideCorrections
-    side_energies: tuple[float, float]  # side_energies(op)
+    side_corrections: tuple[float, float]  # (left, right): compute_side_corrections(op, phi)
+    side_energies: tuple[float, float]  # (left, right): side_energies(op)
     mixing: float | None  # build_trial_state(op), None when degenerate
     checks: list[BoundCheck]
 
@@ -119,11 +101,11 @@ def side_energies(op: TridiagonalOperator) -> tuple[float, float]:
     )
 
 
-def compute_side_corrections(op: TridiagonalOperator, phi: np.ndarray) -> SideCorrections:
-    """Half-mass deficits 1/2 - sum over each side of |phi(j) - phi(edge)|^2.
+def compute_side_corrections(op: TridiagonalOperator, phi: np.ndarray) -> tuple[float, float]:
+    """Half-mass deficits (left, right): 1/2 - sum over each side of |phi(j) - phi(edge)|^2.
 
-    ``phi`` must be the positive normalized ground state of ``op``; the sums
-    run from the boundary up to and including the support edge.
+    ``phi`` is the positive normalized ground state of ``op`` (ValueError if
+    not of length n); the sums run from the boundary through the support edge.
     """
     import numpy as np
     i_min, i_max = op.potential.site_min + op.k, op.potential.site_max + op.k
@@ -132,15 +114,7 @@ def compute_side_corrections(op: TridiagonalOperator, phi: np.ndarray) -> SideCo
         raise ValueError(f"ground state has length {phi.shape}, expected {op.n}")
     dl = phi[: i_min + 1] - phi[i_min]
     dr = phi[i_max:] - phi[i_max]
-    return SideCorrections(
-        left=0.5 - float(np.dot(dl, dl)),
-        right=0.5 - float(np.dot(dr, dr)),
-    )
-
-
-def side_correction_product(op: TridiagonalOperator, side: SideCorrections) -> float:
-    """(left + right) * smallest strength * k; bounded above over sweeps."""
-    return side.total * op.potential.strength_min * op.k
+    return 0.5 - float(np.dot(dl, dl)), 0.5 - float(np.dot(dr, dr))
 
 
 def _piece_sum(m: int) -> float:
@@ -185,28 +159,6 @@ def build_trial_state(op: TridiagonalOperator) -> float:
     return a2s2 / ((1.0 - op.n * amp * amp) ** 2 + a2s2)
 
 
-def mixing_weight_product(op: TridiagonalOperator, mixing: float) -> float:
-    """mixing * total strength * k; bounded below over sweeps."""
-    return mixing * op.potential.strength_sum * op.k
-
-
-def single_site_diagnostics(
-    result: SpectralResult, potential: Potential
-) -> tuple[float, float, float]:
-    """(phi(0), strength * phi(0)^2, strength * k^{3/2} * phi(0)) at the
-    half-width ``result.k``.
-
-    Only defined for a potential supported on the origin alone; the last
-    value stays bounded over k sweeps, the second falls off like k^-3.
-    """
-    if potential.sites != (0,):
-        raise ValueError("diagnostics require a single-site potential at the origin")
-    k = result.k
-    strength = potential.strength_sum
-    phi0 = float(result.ground_state[k])
-    return phi0, strength * phi0 * phi0, strength * k**1.5 * phi0
-
-
 def _leq(name: str, lhs: float, rhs: float) -> BoundCheck:
     slack = _SLACK * max(1.0, abs(lhs), abs(rhs))
     return BoundCheck(name, lhs, rhs, bool(lhs <= rhs + slack))
@@ -224,12 +176,10 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
     theta_left, theta_right = side_energies(op)
     theta_path = dirichlet_ground_energy(k)
     phi = result.ground_state
-    if phi is None:
-        raise ValueError("bounds need the ground state; use spectrum_low()")
     lam0, lam1 = result.lambda0, result.lambda1
 
-    side = compute_side_corrections(op, phi)
-    lower = (0.5 - side.left) * theta_left + (0.5 - side.right) * theta_right
+    left, right = compute_side_corrections(op, phi)
+    lower = (0.5 - left) * theta_left + (0.5 - right) * theta_right
 
     mixing: float | None = None
     upper: float | None = None
@@ -241,7 +191,7 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
         trial_error = str(err)
 
     checks: list[BoundCheck] = []
-    total = side.total
+    total = left + right
     slack = _SLACK * max(1.0, abs(total))
     checks.append(
         BoundCheck(
@@ -268,8 +218,9 @@ def evaluate_bounds(op: TridiagonalOperator, result: SpectralResult) -> BoundsRe
         _leq(
             "potential_term_vs_side_corrections",
             pot_term,
-            side.left * theta_left + side.right * theta_right,
+            left * theta_left + right * theta_right,
         )
     )
 
-    return BoundsReport(potential, result, side, (theta_left, theta_right), mixing, checks)
+    return BoundsReport(potential, result, (left, right), (theta_left, theta_right), mixing,
+                        checks)

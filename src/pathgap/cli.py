@@ -265,8 +265,8 @@ def report_fields(rep: BoundsReport) -> dict:
         "precision_limited": res.precision_limited,
         "side_energy_left": rep.side_energies[0],
         "side_energy_right": rep.side_energies[1],
-        "side_correction_left": rep.side.left,
-        "side_correction_right": rep.side.right,
+        "side_correction_left": rep.side_corrections[0],
+        "side_correction_right": rep.side_corrections[1],
         "mixing_weight": rep.mixing,
         "all_hold": rep.all_hold,
         "checks": [

@@ -73,12 +73,6 @@ class Potential:
         return tuple(strengths)
 
     @property
-    def strength_min(self) -> float:
-        """Smallest strength over the support."""
-        self._require_nonempty()
-        return min(a for _, a in self.entries)
-
-    @property
     def strength_sum(self) -> float:
         """Total strength over the support (0 for the empty baseline)."""
         return float(sum(a for _, a in self.entries))

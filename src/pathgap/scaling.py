@@ -40,8 +40,11 @@ class ScalingFit:
     r_squared: float
     band_min: float
     band_max: float
-    band_power: int
     points_excluded: int
+
+    @property
+    def band_power(self) -> int:
+        return round(-self.exponent)
 
     @property
     def band_ratio(self) -> float:
@@ -133,9 +136,9 @@ def fit_power_law(points: tuple[SpectralResult, ...]) -> ScalingFit:
     of the double logs, each rounded once.  Flagged (precision-limited)
     points are excluded; at least 3 usable points, with finite gaps and
     two distinct values of log n, are required.  Band statistics are taken
-    over the scaled sequence at the fitted exponent rounded to the nearest
-    integer, using points with k >= ``BAND_K_MIN`` (all usable points if
-    none qualify).
+    over the scaled sequence n^band_power * gap, using points with k >=
+    ``BAND_K_MIN`` (all usable points if none qualify); the prefactor and
+    the band must be doubles, and no band value 0 (else ValueError).
     """
     pts = [pt for pt in points if not pt.precision_limited and pt.gap > 0]
     if len(pts) < 3:
@@ -156,15 +159,24 @@ def fit_power_law(points: tuple[SpectralResult, ...]) -> ScalingFit:
     intercept = (sy * sxx - sx * sxy) / (m * sxx * dy)
     r_squared = sxy * sxy / (sxx * syy) if syy else 1.0
     power = round(-exponent)
-    band = [pt.n**power * pt.gap for pt in pts if pt.k >= BAND_K_MIN]
-    if not band:
-        band = [pt.n**power * pt.gap for pt in pts]
+    band_pts = [pt for pt in pts if pt.k >= BAND_K_MIN] or pts
+    # first: intercept >= log(gap) + (power - 1/2) log 3 bounds power by
+    # about 1300 here, so the int n**power below stays small
+    try:
+        prefactor = math.exp(intercept)
+    except OverflowError:
+        raise ValueError(f"power-law fit: prefactor e^{intercept:.6g} overflows") from None
+    try:
+        band = [pt.n**power * pt.gap for pt in band_pts]
+    except OverflowError:  # the int n**power converted to a double
+        raise ValueError(f"power-law fit: n**{power} overflows a double") from None
+    if min(band) == 0.0:
+        raise ValueError(f"power-law fit: n**{power} * gap underflows to 0")
     return ScalingFit(
         exponent=exponent,
-        prefactor=math.exp(intercept),
+        prefactor=prefactor,
         r_squared=r_squared,
         band_min=min(band),
         band_max=max(band),
-        band_power=power,
         points_excluded=len(points) - len(pts),
     )

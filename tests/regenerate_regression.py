@@ -13,9 +13,6 @@ from pathgap import (
     build_trial_state,
     evaluate_bounds,
     geometric_grid,
-    mixing_weight_product,
-    side_correction_product,
-    single_site_diagnostics,
     spectrum_low,
 )
 from pathgap.cli import parse_potential_spec
@@ -37,16 +34,19 @@ def main() -> None:
     }
     for spec in ("0:1", "0:8"):
         pot = parse_potential_spec(spec)
+        a_min, a_sum = min(a for _, a in pot.entries), pot.strength_sum
         ak, bk, scaled, epk3 = [], [], [], []
         for k in grid:
             op = assemble_hamiltonian(k, pot)
             res = spectrum_low(op)
             rep = evaluate_bounds(op, res)
-            ak.append(side_correction_product(op, rep.side))
-            bk.append(mixing_weight_product(op, rep.mixing))
-            _, e_pot, s = single_site_diagnostics(res, pot)
-            scaled.append(s)
-            epk3.append(e_pot * k**3)
+            left, right = rep.side_corrections
+            ak.append((left + right) * a_min * k)
+            bk.append(rep.mixing * a_sum * k)
+            # phi(0), the potential energy a phi(0)^2 and a k^{3/2} phi(0)
+            phi0 = float(res.ground_state[k])
+            scaled.append(a_sum * k**1.5 * phi0)
+            epk3.append(a_sum * phi0 * phi0 * k**3)
         payload["potentials"][spec] = {
             "ak_product_max": max(ak),
             "bk_product_min": min(bk),

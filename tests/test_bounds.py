@@ -12,12 +12,10 @@ from pathgap import (
     build_trial_state,
     compute_side_corrections,
     dirichlet_ground_energy,
+    eigenvalues_low,
     evaluate_bounds,
     linear_grid,
-    mixing_weight_product,
-    side_correction_product,
     side_energies,
-    single_site_diagnostics,
     spectrum_low,
 )
 from pathgap.bounds import EPSILON
@@ -74,25 +72,25 @@ _A1_EXACT = 0.5 - (_PHI3[0] - _PHI3[1]) ** 2
 class TestSideCorrections:
     def test_exact_3x3(self):
         op, res = _op_low(1, [(0, 5.0)])
-        side = compute_side_corrections(op, res.ground_state)
-        assert side.left == pytest.approx(_A1_EXACT, abs=1e-10)
-        assert side.right == pytest.approx(_A1_EXACT, abs=1e-10)
+        left, right = compute_side_corrections(op, res.ground_state)
+        assert left == pytest.approx(_A1_EXACT, abs=1e-10)
+        assert right == pytest.approx(_A1_EXACT, abs=1e-10)
 
     def test_symmetric_potential_gives_equal_sides(self):
         op, res = _op_low(30, [(-1, 2.0), (0, 3.0), (1, 2.0)])
-        side = compute_side_corrections(op, res.ground_state)
-        assert side.left == pytest.approx(side.right, abs=1e-11)
+        left, right = compute_side_corrections(op, res.ground_state)
+        assert left == pytest.approx(right, abs=1e-11)
 
     def test_dirichlet_limit_vanishes(self):
         op, res = _op_low(1, [(0, 1e6)])
-        side = compute_side_corrections(op, res.ground_state)
-        assert abs(side.left) < 1e-4
+        left, _ = compute_side_corrections(op, res.ground_state)
+        assert abs(left) < 1e-4
 
     def test_total_in_unit_interval(self):
         for k, pairs in [(10, [(0, 1.0)]), (60, [(-2, 5.0), (3, 7.0)])]:
             op, res = _op_low(k, pairs)
-            side = compute_side_corrections(op, res.ground_state)
-            assert 0.0 <= side.total <= 1.0
+            left, right = compute_side_corrections(op, res.ground_state)
+            assert 0.0 <= left + right <= 1.0
 
     def test_empty_potential_rejected(self):
         # assemble_hamiltonian accepts the empty baseline; the bounds do not
@@ -110,9 +108,10 @@ class TestGroundLowerBound:
         assert lower.lhs <= lower.rhs == res.lambda0
 
     def test_product_nonnegative(self):
+        # (left + right) * smallest strength * k
         op, res = _op_low(25, [(0, 1.0)])
-        side = compute_side_corrections(op, res.ground_state)
-        assert side_correction_product(op, side) >= 0.0
+        left, right = compute_side_corrections(op, res.ground_state)
+        assert (left + right) * min(a for _, a in op.potential.entries) * op.k >= 0.0
 
 
 class TestCosinePieces:
@@ -241,7 +240,8 @@ class TestTrialState:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert mixing_weight_product(op, b) == pytest.approx(16.0 / 3.0, rel=1e-6)
+        # b * total strength * k tends to 16/3 for every potential
+        assert b * op.potential.strength_sum * op.k == pytest.approx(16.0 / 3.0, rel=1e-6)
 
 
 class TestGroundUpperBound:
@@ -257,7 +257,7 @@ class TestGroundUpperBound:
 
     def test_product_positive(self):
         op = _op(20, [(0, 1.0)])
-        assert mixing_weight_product(op, build_trial_state(op)) > 0.0
+        assert build_trial_state(op) * op.potential.strength_sum * op.k > 0.0
 
 
 class TestExcitedBounds:
@@ -278,20 +278,6 @@ class TestExcitedBounds:
         assert lower == pytest.approx(dirichlet_ground_energy(10))
         assert upper == pytest.approx(dirichlet_ground_energy(9))
         assert lower <= res.lambda1 <= upper + 1e-12
-
-
-class TestSingleSiteDiagnostics:
-    def test_exact_3x3(self):
-        op, res = _op_low(1, [(0, 5.0)])
-        phi0, e_pot, scaled = single_site_diagnostics(res, op.potential)
-        assert phi0 == pytest.approx(_PHI3[1], abs=1e-10)
-        assert e_pot == pytest.approx(5.0 * _PHI3[1] ** 2, abs=1e-9)
-        assert scaled == pytest.approx(5.0 * phi0, abs=1e-9)
-
-    def test_multi_site_rejected(self):
-        op, res = _op_low(10, [(-1, 1.0), (1, 1.0)])
-        with pytest.raises(ValueError, match="single-site"):
-            single_site_diagnostics(res, op.potential)
 
 
 class TestEvaluateBounds:
@@ -323,7 +309,8 @@ class TestEvaluateBounds:
     def test_side_total_agrees_with_its_expansion(self):
         op, res = _op_low(150, [(-1, 2.0), (0, 3.0), (1, 2.0)])
         rep = evaluate_bounds(op, res)
-        assert abs(rep.side.total - expanded_side_total(op, res.ground_state)) <= 1e-10
+        left, right = rep.side_corrections
+        assert abs(left + right - expanded_side_total(op, res.ground_state)) <= 1e-10
 
     def test_ground_upper_is_the_trial_rayleigh_quotient(self):
         # the trial state's norm^2 is 1 to a few ulp, so the upper bound is
@@ -365,8 +352,9 @@ class TestEvaluateBounds:
         assert rep.k == 40 and rep.result is res
         # each bound, read off its check, is its formula to the bit
         theta_left, theta_right = dirichlet_ground_energy(38), dirichlet_ground_energy(37)
-        theta_path, b, side = dirichlet_ground_energy(40), rep.mixing, rep.side
-        lower = (0.5 - side.left) * theta_left + (0.5 - side.right) * theta_right
+        theta_path, b = dirichlet_ground_energy(40), rep.mixing
+        left, right = rep.side_corrections
+        lower = (0.5 - left) * theta_left + (0.5 - right) * theta_right
         upper = 0.5 * (1.0 - b) * (theta_left + theta_right) + b * (theta_path / (2.0 + EPSILON))
         assert _bounds(rep) == (lower, upper, theta_path, theta_right)
         assert rep.side_energies == (theta_left, theta_right)
@@ -384,3 +372,9 @@ class TestEvaluateBounds:
         res = spectrum_low(op)
         with pytest.raises(ValueError, match="non-empty"):
             evaluate_bounds(op, res)
+
+    def test_a_result_without_ground_state_rejected(self):
+        # eigenvalues_low keeps no ground state; the side corrections need one
+        op = _op(5, [(0, 1.0)])
+        with pytest.raises(ValueError, match=r"ground state has length \(\), expected 11"):
+            evaluate_bounds(op, eigenvalues_low(op))

@@ -5,14 +5,23 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathgap
-from pathgap import dirichlet_ground_energy, fit_power_law, gap_series, geometric_grid
+from pathgap import (
+    SpectralResult,
+    dirichlet_ground_energy,
+    fit_power_law,
+    gap_series,
+    geometric_grid,
+)
 from pathgap.cli import (
     CSV_HEADER,
     _COMMANDS,
@@ -21,6 +30,7 @@ from pathgap.cli import (
     parse_k_grid,
     parse_potential_spec,
     series_from_csv,
+    series_to_csv,
     spec_string,
     to_json,
 )
@@ -722,6 +732,33 @@ class TestFitCommand:
             scan.write_text(golden + row + "\n")
             assert main(["fit", str(scan), "--no-timestamp"]) == 2, row
             assert repr(row) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo,exponent,gap_lo,cause", [
+        # n**-3 at n = 2e100 is 1.25e-301; times the gap 1e-30 it is 0
+        (10**100, 3, 1e-30, "n**-3 * gap underflows to 0"),
+        (10**6, -60, 1e-3, "prefactor e^863.612 overflows"),
+        (10**6, -50, 1e-8, "n**50 overflows a double"),
+    ], ids=["band-underflow", "prefactor-overflow", "band-overflow"])
+    def test_a_fit_past_the_doubles_exits_two(self, lo, exponent, gap_lo, cause, tmp_path,
+                                              capsys):
+        # every row passes the row checks; the first two used to end in a traceback
+        points = tuple(SpectralResult(k, 0.0, gap_lo * (k / lo) ** exponent, False)
+                       for k in (lo, 2 * lo, 4 * lo))
+        scan = tmp_path / "scan.csv"
+        scan.write_text(series_to_csv(points, 1.0))
+        assert main(["fit", str(scan), "--no-timestamp"]) == 2
+        assert capsys.readouterr() == ("", f"pathgap: power-law fit: {cause}\n")
+
+    @given(ks=st.lists(st.integers(1, 10**100), min_size=3, max_size=6, unique=True),
+           decades=st.lists(st.floats(-300.0, 0.0), min_size=6, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_fit_of_valid_rows_exits_zero_or_two(self, ks, decades):
+        points = tuple(SpectralResult(k, 0.0, 10.0**d, False)
+                       for k, d in zip(sorted(ks), decades))
+        with tempfile.TemporaryDirectory() as tmp:
+            scan, out = Path(tmp) / "scan.csv", Path(tmp) / "fit.json"
+            scan.write_text(series_to_csv(points, 1.0))
+            assert main(["fit", str(scan), "--no-timestamp", "--out", str(out)]) in (0, 2)
 
 
 class TestDeterminism:

@@ -1,6 +1,9 @@
 """The README's library example runs, every exported name exists, the
-package exports exactly its modules' public names, and
-``pathgap.__main__`` runs the CLI only when run as ``python -m pathgap``."""
+package exports exactly its modules' public names, the program reads each
+of them, and ``pathgap.__main__`` runs the CLI only when run as
+``python -m pathgap``."""
+import ast
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -44,6 +47,34 @@ def test_package_exports_the_public_names_of_its_modules():
     for name in ("operators", "eigensolver", "bounds", "scaling"):
         listed.update(importlib.import_module(f"pathgap.{name}").__all__)
     assert exported == listed
+
+
+# a test oracle: perfbench/test_perfbench.py imports it from the package, so
+# it can leave the package only in a change to the benchmark
+READ_ONLY_BY_TESTS = {"free_spectrum"}
+
+
+def test_the_program_reads_every_exported_name_and_class_attribute():
+    # every name or attribute read (not assigned, not defined) in src/pathgap;
+    # an attribute counts as read when any object's attribute of that name is
+    reads = set()
+    for path in Path(pathgap.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    wanted = set()
+    for name in ("operators", "eigensolver", "bounds", "scaling"):
+        for export in importlib.import_module(f"pathgap.{name}").__all__:
+            wanted.add(export)
+            value = getattr(pathgap, export)
+            if isinstance(value, type):
+                attributes = set(vars(value))
+                if dataclasses.is_dataclass(value):
+                    attributes |= {f.name for f in dataclasses.fields(value)}
+                wanted.update(a for a in attributes if not a.startswith("_"))
+    assert wanted - reads == READ_ONLY_BY_TESTS
 
 
 def _python(*args):

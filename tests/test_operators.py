@@ -24,12 +24,11 @@ class TestBuildPotential:
         p = build_potential([(0, 1.5)])
         assert p.site_min == p.site_max == 0
         assert p.support_strengths == (1.5,)
-        assert p.strength_min == p.strength_sum == 1.5
+        assert p.strength_sum == 1.5
 
     def test_multi_site(self):
         p = build_potential([(-1, 2.0), (0, 3.0), (1, 2.0)])
         assert (p.site_min, p.site_max) == (-1, 1)
-        assert p.strength_min == 2.0
         assert p.strength_sum == 7.0
         assert p.support_strengths == (2.0, 3.0, 2.0)
         p = build_potential([(4, 1.5), (-2, 5.0), (1, 7.0)])
