@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import _kernels
-from .operators import Potential, TridiagonalOperator, apply_operator, check_half_width
+from .operators import Potential, TridiagonalOperator, check_half_width
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,18 +98,15 @@ class SpectralResult:
         return self.lambda0 + self.gap
 
 
-def _offsq(op: TridiagonalOperator) -> np.ndarray:
-    # the squared unit coupling; perfbench pins bisect_bracket's positional offsq
-    import numpy as np
-    return np.ones(op.n - 1)
-
-
 def _residual(op: TridiagonalOperator, lambda0: float, v: np.ndarray) -> float:
     """||H v - lambda0 v||, taken on the residual scaled by the power of two
     2^-e that puts its largest entry in [1/2, 1), times 2^e, so that no
     square overflows: one above 1.3e154 would make the plain norm inf."""
     import numpy as np
-    r = apply_operator(op, v) - lambda0 * v
+    r = op.diag * v
+    r[:-1] -= v[1:]
+    r[1:] -= v[:-1]
+    r -= lambda0 * v
     e = math.frexp(max(float(r.max()), -float(r.min())))[1]
     return float(np.ldexp(np.linalg.norm(np.ldexp(r, -e, out=r)), e))
 
@@ -599,7 +596,8 @@ def spectrum_low(op: TridiagonalOperator) -> SpectralResult:
         return _result(op.k, None, psi)
     brackets = _roots(n, op.potential)
     (lo0, hi0), (lo1, hi1) = (
-        _kernels.bisect_bracket(op.diag, _offsq(op), i, 0.0, op.norm_bound, REL_TOL,
+        # the squared unit coupling; perfbench pins bisect_bracket's positional offsq
+        _kernels.bisect_bracket(op.diag, np.ones(n - 1), i, 0.0, op.norm_bound, REL_TOL,
                                 LAMBDA_FLOOR, EPS * op.norm_bound, _level(n, hi), _level(n, lo))
         for i, (lo, hi) in enumerate(brackets))
     lam0, lam1 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1)

@@ -7,10 +7,10 @@ potential supported on finitely many sites, which is symmetric tridiagonal:
 diagonal = vertex degree (1 at the two ends, 2 inside) + potential strength,
 off-diagonal = -1 on every edge.
 
-Sites are the public coordinate system; internally arrays are 0-indexed with
-index = site + k.  All types are immutable after construction and every
-operation is a pure function.  ``cli`` reads and writes the spec syntax of
-a potential.  numpy is imported only where an array is built.
+Sites are the public coordinate system; the one array, ``diag``, is indexed
+by site + k, and the eigensolver forms any product H v from it.  All types
+are immutable and every operation is a pure function.  ``cli`` reads and
+writes the spec syntax of a potential.  numpy is imported only by ``diag``.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ __all__ = [
     "build_potential",
     "check_half_width",
     "assemble_hamiltonian",
-    "apply_operator",
 ]
 
 
@@ -82,11 +81,13 @@ class Potential:
         return max((a for _, a in self.entries), default=0.0)
 
     def scaled(self, factor: float) -> "Potential":
-        """Potential with every strength multiplied by ``factor``; the
-        scaled strengths are validated by ``build_potential``."""
+        """Strengths times ``factor``, checked by ``build_potential``; errors name the factor."""
         if self.is_empty:
             raise ValueError("cannot scale the empty baseline potential")
-        return build_potential([(s, a * factor) for s, a in self.entries])
+        try:
+            return build_potential([(s, a * factor) for s, a in self.entries])
+        except ValueError as err:
+            raise ValueError(f"factor {factor!r}: {err}") from None
 
     def _require_nonempty(self) -> None:
         if self.is_empty:
@@ -190,15 +191,3 @@ def assemble_hamiltonian(k: int, potential: Potential) -> TridiagonalOperator:
                 f"of the path -{k}..{k} (need k + site_min >= 1 and k - site_max >= 1)"
             )
     return TridiagonalOperator(k=k, potential=potential)
-
-
-def apply_operator(op: TridiagonalOperator, f: np.ndarray) -> np.ndarray:
-    """Matrix-vector product H f."""
-    import numpy as np
-    f = np.asarray(f, dtype=float)
-    if f.shape != (op.n,):
-        raise ValueError(f"vector length {f.shape} does not match n = {op.n}")
-    out = op.diag * f
-    out[:-1] -= f[1:]
-    out[1:] -= f[:-1]
-    return out

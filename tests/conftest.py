@@ -124,6 +124,18 @@ def eigenvalue(op, index):
     return 0.5 * (lo + hi)
 
 
+def apply_operator(op, f):
+    """Matrix-vector product H f: degree plus strength on the diagonal, -1
+    on every edge."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (op.n,):
+        raise ValueError(f"vector length {f.shape} does not match n = {op.n}")
+    out = op.diag * f
+    out[:-1] -= f[1:]
+    out[1:] -= f[:-1]
+    return out
+
+
 def quadratic_form(op, f):
     """Energy of f: sum of squared gradients along edges plus potential term.
 

@@ -323,6 +323,16 @@ class TestCommands:
                          "--alphas", alphas]) == 2
             assert f"bad alpha at token {token}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alphas,message", [
+        ("1,1e308", "factor 1e+308: pair 1: non-finite strength inf at site 0"),
+        ("0", "factor 0.0: pair 1: non-positive strength 0.0 at site 0"),
+        # 1e-330 parses to 0.0, so the message names the factor that was used
+        ("1,1e-330", "factor 0.0: pair 1: non-positive strength 0.0 at site 0"),
+    ], ids=["overflow", "zero", "underflow"])
+    def test_alpha_scan_names_a_rejected_factor(self, alphas, message, capsys):
+        assert main(["alpha-scan", "--potential", "0:10", "--k", "5", "--alphas", alphas]) == 2
+        assert capsys.readouterr().err == f"pathgap: {message}\n"
+
     def test_verify_bounds_exit_zero(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(

@@ -1,7 +1,7 @@
 """The README's library example runs, every exported name exists, the
 package exports exactly its modules' public names, the program reads each
-of them, and ``pathgap.__main__`` runs the CLI only when run as
-``python -m pathgap``."""
+of them, ``pathgap.__main__`` runs the CLI only when run as
+``python -m pathgap``, and the console script's target writes its golden."""
 import ast
 import dataclasses
 import importlib
@@ -17,7 +17,8 @@ import pytest
 
 import pathgap
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pathgap.__path__))
 
@@ -93,3 +94,14 @@ def test_python_m_pathgap_help_exits_0():
     proc = _python("-m", "pathgap", "--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage:")
+
+
+def test_the_console_script_target_writes_the_k1_golden(capsys):
+    # the installed ``pathgap`` calls this target; CI runs that script only
+    # where a wheel can be built, so its target is checked here
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    main = pkgutil.resolve_name(scripts["pathgap"])
+    assert main(["spectrum", "--k", "1", "--potential", "0:5"]) == 0
+    golden = ROOT / "tests" / "data" / "golden" / "spectrum-k1.txt"
+    assert capsys.readouterr().out == golden.read_text()

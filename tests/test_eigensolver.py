@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from pathgap import (
     ConvergenceError,
     _kernels,
-    apply_operator,
     assemble_hamiltonian,
     build_potential,
     dirichlet_ground_energy,
@@ -43,6 +42,7 @@ from conftest import (
     ACCEPTANCE_GRID,
     BOUND_POTENTIALS,
     FALLBACK_CASES,
+    apply_operator,
     eigenvalue,
     mp_ground_state,
     mp_origin_gap,

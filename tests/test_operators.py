@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from pathgap import (
     Potential,
-    apply_operator,
     assemble_hamiltonian,
     build_potential,
 )
 
-from conftest import eigenvalue, quadratic_form, rayleigh_quotient
+from conftest import apply_operator, eigenvalue, quadratic_form, rayleigh_quotient
 
 
 def _op(k, pairs):
